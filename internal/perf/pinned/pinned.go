@@ -27,6 +27,7 @@ func Benchmarks() []Benchmark {
 		{Name: "net.BenchmarkPacketForward", Fn: PacketForward},
 		{Name: "net.BenchmarkPacketForwardPipelined", Fn: PacketForwardPipelined},
 		{Name: "sim.BenchmarkEngineScheduleRun", Fn: EngineScheduleRun},
+		{Name: "sim.BenchmarkEngineFixedDelays", Fn: EngineFixedDelays},
 	}
 }
 
@@ -45,6 +46,74 @@ func EngineScheduleRun(b *testing.B) {
 	}
 	e.RunAll()
 }
+
+// EngineFixedDelays measures the engine on the event mix of the 8x8
+// web-search runs. Packets hop with a few fixed delays (the serialization
+// times of 1500 B and 64 B at 10 Gbps and the 2 µs link propagation delay),
+// and every hop cancels and re-arms its flow's 10 ms retransmission timer,
+// so about 170k mostly-cancelled timers stay pending, as at those runs'
+// queue peak. One op is one packet hop.
+func EngineFixedDelays(b *testing.B) {
+	s := &fixedDelays{e: sim.NewEngine()}
+	for i := range s.pkts {
+		s.pkts[i].flow = i
+		s.e.ScheduleCallKind(fixedDelaySet[i%len(fixedDelaySet)], sim.KindPortTx, fixedDelayHop, s, &s.pkts[i])
+	}
+	// Warm up past one timeout so the timer backlog is at its steady size.
+	s.run(2 * fixedDelayOpsPerRTO)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.run(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(s.e.Pending()), "pending")
+}
+
+// fixedDelaySet cycles per hop: serialization, propagation, ACK
+// serialization, propagation. The mean hop takes 1313 ns, so 22 packets in
+// flight advance virtual time 59.7 ns per op and a 10 ms timer outlives
+// about 167k ops.
+var fixedDelaySet = [...]sim.Time{1200, 2000, 51, 2000}
+
+const (
+	fixedDelayFlows     = 1024
+	fixedDelayInFlight  = 22
+	fixedDelayRTO       = 10 * sim.Millisecond
+	fixedDelayOpsPerRTO = 167_500
+)
+
+type fixedDelays struct {
+	e    *sim.Engine
+	rto  [fixedDelayFlows]*sim.Event // each flow's armed timer
+	pkts [fixedDelayInFlight]fixedDelayPacket
+	left int // ops until the engine stops
+}
+
+type fixedDelayPacket struct{ flow, hop int }
+
+// run fires ops packet hops (ops >= 1).
+func (s *fixedDelays) run(ops int) {
+	s.left = ops
+	s.e.RunAll()
+}
+
+func fixedDelayHop(a1, a2 any) {
+	s, p := a1.(*fixedDelays), a2.(*fixedDelayPacket)
+	timer := &s.rto[p.flow]
+	if *timer != nil {
+		(*timer).Cancel()
+	}
+	*timer = s.e.ScheduleCallKind(fixedDelayRTO, sim.KindRTO, fixedDelayTimeout, timer, nil)
+	p.hop++
+	p.flow = (p.flow + fixedDelayInFlight) % fixedDelayFlows
+	s.e.ScheduleCallKind(fixedDelaySet[p.hop%len(fixedDelaySet)], sim.KindPropagate, fixedDelayHop, s, p)
+	if s.left--; s.left == 0 {
+		s.e.Stop()
+	}
+}
+
+// fixedDelayTimeout clears the flow's handle. Every flow is re-armed every
+// ~61 µs, so in steady state no timer fires.
+func fixedDelayTimeout(a1, _ any) { *a1.(**sim.Event) = nil }
 
 // benchFabric builds the smallest cross-leaf fabric that exercises the full
 // forwarding hot path: host uplink -> leaf -> spine -> leaf -> host, four

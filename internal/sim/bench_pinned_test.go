@@ -11,6 +11,8 @@ import (
 // can run the exact same code and append the result to the perf ledger.
 func BenchmarkEngineScheduleRun(b *testing.B) { pinned.EngineScheduleRun(b) }
 
+func BenchmarkEngineFixedDelays(b *testing.B) { pinned.EngineFixedDelays(b) }
+
 // TestEngineScheduleAllocGuard pins the engine's zero-allocation contract
 // mechanically: a warm engine schedules and fires without touching the heap,
 // with profiling off AND on (the profiled fire path uses only fixed arrays

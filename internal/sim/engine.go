@@ -3,14 +3,31 @@
 // in integer nanoseconds; all events scheduled for the same instant fire in
 // scheduling order, which makes runs with the same seed fully reproducible.
 //
-// The engine is built for the packet-forwarding hot path: the pending-event
-// queue is an inlined 4-ary heap (no container/heap interface boxing), fired
-// and cancelled events are recycled through a free list, and ScheduleCall
-// lets callers schedule a pre-bound function with two receiver arguments so
-// the steady state performs no allocation at all.
+// The engine is built for the packet-forwarding hot path. Every event is
+// scheduled at now+d, and a run uses only a handful of distinct delays d
+// (link propagation, one serialization time per packet size and link rate,
+// the retransmission timeout, the probe interval). Because now never
+// decreases and the sequence number always increases, events that share a
+// delay arrive already in (at, seq) order, so the pending-event queue keeps
+// a small fixed set of FIFO delay lanes, one ring of event pointers per
+// delay, and sorts nothing for them. Delays without a lane, and every event
+// while the queue is shallow, go to an inlined 4-ary heap instead. The next
+// event is the smallest (at, seq) among the lane heads and the heap root,
+// so fire order is exactly (at, seq) however events are split between
+// lanes and heap.
+//
+// Cancellation is lazy: a cancelled event stays queued, counted by Pending
+// and PendingCensus, until it reaches the front and is dropped unfired.
+// Fired and dropped events are recycled through a free list, and
+// ScheduleCall lets callers schedule a pre-bound function with two receiver
+// arguments, so the steady state performs no allocation at all.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Time is a virtual timestamp in nanoseconds since the start of the run.
 type Time = int64
@@ -26,8 +43,8 @@ const (
 // Event lifecycle states.
 const (
 	stateFree     uint8 = iota // on the engine free list (or zero value)
-	stateQueued                // in the pending heap
-	stateCanceled              // in the pending heap, will not fire
+	stateQueued                // in the pending queue
+	stateCanceled              // in the pending queue, will not fire
 	stateFired                 // popped and executing/executed
 )
 
@@ -73,14 +90,48 @@ func (e *Event) Cancel() {
 // removal from the queue.
 func (e *Event) Canceled() bool { return e.state == stateCanceled }
 
+// numLanes is the number of delay lanes (at most 32, the width of
+// Engine.busy). A large run uses 8 to 12 distinct delays at a time; the
+// spare lanes absorb one-off delays until they drain and can be re-keyed.
+const numLanes = 16
+
+// smallQueue is the queue depth up to which new events go to the heap: a
+// heap this shallow costs less per event than the lanes' bookkeeping, which
+// only pays off on deep queues (an unloaded fabric forwarding one packet
+// keeps one or two events pending; a loaded 8x8 run keeps ~170k).
+const smallQueue = 64
+
+// lane is a FIFO ring of events that were all scheduled with the same
+// relative delay, and so are queued in (at, seq) order. It caches its
+// head's (at, seq), so choosing the next event reads the lanes (one cache
+// line each) instead of chasing event pointers.
+type lane struct {
+	ring  []*Event // power-of-two capacity
+	head  int      // index of the oldest event
+	n     int      // queued events
+	delay Time     // kept when the lane drains, until another delay re-keys it
+	at    Time     // head's timestamp, valid while n > 0
+	seq   uint64   // head's sequence number, valid while n > 0
+}
+
 // Engine is the event loop. It is not safe for concurrent use; the entire
 // simulation runs on one goroutine.
 type Engine struct {
 	now     Time
-	events  []*Event // 4-ary min-heap ordered by (at, seq)
 	seq     uint64
 	stopped bool
 	fired   uint64
+	pending int // queued events, cancelled ones included
+
+	// The pending queue: delay lanes, and the heap for shallow queues and
+	// for delays without a lane.
+	lanes   [numLanes]lane
+	nLanes  int    // lanes keyed so far
+	busy    uint32 // bit i set while lane i is non-empty
+	hint    int    // lane the last schedule landed in
+	minLane int    // non-empty lane with the smallest head, -1 if none
+
+	heap []*Event // fallback 4-ary min-heap ordered by (at, seq)
 
 	// Free-list allocator: recycled events plus a block of never-used
 	// structs carved out chunk-by-chunk to amortize allocation.
@@ -101,7 +152,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{minLane: -1}
 }
 
 // Now returns the current virtual time.
@@ -112,7 +163,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled (possibly cancelled) events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Seq returns the next scheduling sequence number. Together with Now, Fired
 // and Pending it fingerprints the engine's position in a run: two engines
@@ -122,16 +173,26 @@ func (e *Engine) Seq() uint64 { return e.seq }
 
 // PendingCensus returns the number of queued events per profiling kind,
 // plus the count of cancelled events awaiting lazy removal — a structural
-// fingerprint of the event queue that is invariant under heap layout.
+// fingerprint of the event queue that is invariant under its layout.
 // Scheduling and cancellation are both deterministic, so two engines driven
 // by the same program agree on the census at every instant.
 func (e *Engine) PendingCensus() (byKind [NumKinds]int, cancelled int) {
-	for _, ev := range e.events {
+	count := func(ev *Event) {
 		if ev.state == stateCanceled {
 			cancelled++
-			continue
+		} else {
+			byKind[ev.kind]++
 		}
-		byKind[ev.kind]++
+	}
+	for i := 0; i < e.nLanes; i++ {
+		l := &e.lanes[i]
+		mask := len(l.ring) - 1
+		for k := 0; k < l.n; k++ {
+			count(l.ring[(l.head+k)&mask])
+		}
+	}
+	for _, ev := range e.heap {
+		count(ev)
 	}
 	return byKind, cancelled
 }
@@ -168,8 +229,8 @@ func (e *Engine) alloc() *Event {
 }
 
 // recycle returns a popped event to the free list. Events are recycled only
-// after leaving the heap (fired, or cancelled and subsequently popped);
-// releasing a still-queued event would let a reuse corrupt the heap.
+// after leaving the queue (fired, or cancelled and subsequently popped);
+// releasing a still-queued event would let a reuse corrupt the queue.
 func (e *Engine) recycle(ev *Event) {
 	ev.fn, ev.fn2, ev.a1, ev.a2 = nil, nil, nil, nil
 	ev.state = stateFree
@@ -200,8 +261,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 func (e *Engine) AtKind(t Time, k Kind, fn func()) *Event {
 	ev := e.alloc()
 	ev.fn = fn
-	ev.kind = k
-	e.enqueue(ev, t)
+	e.enqueue(ev, t, k)
 	return ev
 }
 
@@ -215,8 +275,7 @@ func (e *Engine) ScheduleCall(delay Time, fn func(a1, a2 any), a1, a2 any) *Even
 	}
 	ev := e.alloc()
 	ev.fn2, ev.a1, ev.a2 = fn, a1, a2
-	ev.kind = KindOther
-	e.enqueue(ev, e.now+delay)
+	e.enqueue(ev, e.now+delay, KindOther)
 	return ev
 }
 
@@ -229,20 +288,135 @@ func (e *Engine) ScheduleCallKind(delay Time, k Kind, fn func(a1, a2 any), a1, a
 	}
 	ev := e.alloc()
 	ev.fn2, ev.a1, ev.a2 = fn, a1, a2
-	ev.kind = k
-	e.enqueue(ev, e.now+delay)
+	e.enqueue(ev, e.now+delay, k)
 	return ev
 }
 
-func (e *Engine) enqueue(ev *Event, t Time) {
+// enqueue stamps ev with its time, sequence number and kind and queues it.
+// An unknown kind is filed as KindOther here, once, so the census and the
+// profiler can index by kind unchecked.
+func (e *Engine) enqueue(ev *Event, t Time, k Kind) {
 	if t < e.now {
 		t = e.now
+	}
+	if int(k) >= NumKinds {
+		k = KindOther
 	}
 	ev.at = t
 	ev.seq = e.seq
 	ev.state = stateQueued
+	ev.kind = k
 	e.seq++
-	e.push(ev)
+	e.pending++
+	if e.pending > smallQueue {
+		d := t - e.now
+		i := e.hint
+		if i >= e.nLanes || e.lanes[i].delay != d {
+			i = e.laneFor(d)
+		}
+		if i >= 0 {
+			e.lanePush(i, ev)
+			return
+		}
+	}
+	e.heapPush(ev)
+}
+
+// laneFor returns the lane for delay d when the last-hit lane has another
+// delay: d's lane if one exists, else a lane keyed to d (a never-used one
+// first, then one that has drained), else -1 for the heap.
+func (e *Engine) laneFor(d Time) int {
+	for i := 0; i < e.nLanes; i++ {
+		if e.lanes[i].delay == d {
+			e.hint = i
+			return i
+		}
+	}
+	var i int
+	if e.nLanes < numLanes {
+		i = e.nLanes
+		e.nLanes++
+	} else if drained := ^e.busy & (1<<numLanes - 1); drained != 0 {
+		i = bits.TrailingZeros32(drained)
+	} else {
+		return -1
+	}
+	e.lanes[i].delay = d
+	e.hint = i
+	return i
+}
+
+// lanePush appends ev to lane i. Its key is at least every queued key of the
+// lane (same delay, later or equal now, larger seq), so the ring stays
+// sorted.
+func (e *Engine) lanePush(i int, ev *Event) {
+	l := &e.lanes[i]
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.n++
+	if l.n == 1 {
+		e.busy |= 1 << i
+		l.at, l.seq = ev.at, ev.seq
+		if m := e.minLane; m < 0 || before(ev.at, ev.seq, e.lanes[m].at, e.lanes[m].seq) {
+			e.minLane = i
+		}
+	}
+}
+
+// grow doubles the ring, unwrapping it so the oldest event lands at index 0.
+func (l *lane) grow() {
+	size := 2 * len(l.ring)
+	if size == 0 {
+		size = 8
+	}
+	ring := make([]*Event, size)
+	mask := len(l.ring) - 1
+	for k := 0; k < l.n; k++ {
+		ring[k] = l.ring[(l.head+k)&mask]
+	}
+	l.ring, l.head = ring, 0
+}
+
+// peek returns the next event due, the smallest (at, seq) among the lane
+// heads and the heap root, and where it sits: a lane index, or -1 for the
+// heap. The queue must not be empty.
+func (e *Engine) peek() (*Event, int) {
+	m := e.minLane
+	if len(e.heap) > 0 {
+		h := e.heap[0]
+		if m < 0 || before(h.at, h.seq, e.lanes[m].at, e.lanes[m].seq) {
+			return h, -1
+		}
+	}
+	l := &e.lanes[m]
+	return l.ring[l.head], m
+}
+
+// laneTake removes lane src's head.
+func (e *Engine) laneTake(src int) {
+	l := &e.lanes[src]
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	if l.n > 0 {
+		ev := l.ring[l.head]
+		l.at, l.seq = ev.at, ev.seq
+	} else {
+		e.busy &^= 1 << src
+	}
+	// The lane's head moved later or the lane drained: find the new
+	// smallest head.
+	m := -1
+	var at Time
+	var seq uint64
+	for b := e.busy; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros32(b)
+		if l := &e.lanes[i]; m < 0 || before(l.at, l.seq, at, seq) {
+			m, at, seq = i, l.at, l.seq
+		}
+	}
+	e.minLane = m
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -252,30 +426,33 @@ func (e *Engine) Stop() { e.stopped = true }
 // engine is stopped, or the next event is later than until. Events exactly
 // at until are executed. It returns the number of events fired by this call.
 func (e *Engine) Run(until Time) uint64 {
-	start := e.fired
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		next := e.events[0]
-		if next.at > until {
-			break
-		}
-		e.pop()
-		e.fire(next)
-	}
+	n := e.run(until)
 	if e.now < until && !e.stopped {
 		// Advance the clock to the horizon even if no event lands on it, so
 		// repeated Run calls observe monotonic time.
 		e.now = until
 	}
-	return e.fired - start
+	return n
 }
 
 // RunAll executes events until the queue drains or the engine is stopped.
-func (e *Engine) RunAll() uint64 {
+func (e *Engine) RunAll() uint64 { return e.run(math.MaxInt64) }
+
+// run is the event loop shared by Run and RunAll.
+func (e *Engine) run(until Time) uint64 {
 	start := e.fired
 	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		next := e.pop()
+	for e.pending > 0 && !e.stopped {
+		next, src := e.peek()
+		if next.at > until {
+			break
+		}
+		e.pending--
+		if src < 0 {
+			e.heapPop()
+		} else {
+			e.laneTake(src)
+		}
 		e.fire(next)
 	}
 	return e.fired - start
@@ -321,20 +498,21 @@ func (e *Engine) checkFire(ev *Event) {
 	e.lastAt, e.lastSeq = ev.at, ev.seq
 }
 
-// eventLess orders the heap by (timestamp, scheduling sequence).
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before reports whether key (at1, seq1) orders before (at2, seq2): events
+// fire by timestamp, and by scheduling sequence at equal timestamps.
+func before(at1 Time, seq1 uint64, at2 Time, seq2 uint64) bool {
+	return at1 < at2 || (at1 == at2 && seq1 < seq2)
 }
 
-// push and pop maintain an implicit 4-ary min-heap in e.events. A 4-ary
-// layout halves the tree depth of the binary heap and keeps each node's
-// children in one cache line of pointers, and inlining the comparisons
-// avoids container/heap's interface dispatch on every swap.
-func (e *Engine) push(ev *Event) {
-	h := append(e.events, ev)
+// eventLess orders the heap by (timestamp, scheduling sequence).
+func eventLess(a, b *Event) bool { return before(a.at, a.seq, b.at, b.seq) }
+
+// heapPush and heapPop maintain an implicit 4-ary min-heap in e.heap. A
+// 4-ary layout halves the tree depth of the binary heap and keeps each
+// node's children in one cache line of pointers, and inlining the
+// comparisons avoids container/heap's interface dispatch on every swap.
+func (e *Engine) heapPush(ev *Event) {
+	h := append(e.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -344,17 +522,16 @@ func (e *Engine) push(ev *Event) {
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	e.events = h
+	e.heap = h
 }
 
-func (e *Engine) pop() *Event {
-	h := e.events
-	root := h[0]
+func (e *Engine) heapPop() {
+	h := e.heap
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
 	h = h[:n]
-	e.events = h
+	e.heap = h
 	// Sift the relocated tail element down to its place.
 	i := 0
 	for {
@@ -378,7 +555,6 @@ func (e *Engine) pop() *Event {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return root
 }
 
 func (e *Engine) violate(format string, args ...any) {

@@ -12,6 +12,30 @@ func FuzzEventOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x01, 0x01})                         // cancels with nothing live
 	f.Add([]byte{0x00, 0x00, 0x02, 0x02, 0x06, 0x03})       // same-instant churn
 	f.Add([]byte{0xfc, 0x00, 0x04, 0x08, 0x07, 0x0b, 0x0f}) // run interleaved with ops
+	// More distinct delays than the engine has lanes, on a queue deeper than
+	// smallQueue: 40 delays three times over fill every lane and spill the
+	// rest into the fallback heap, then cancels, a cancel-then-reschedule and
+	// partial runs drain lanes, and 43 new delays re-key them while the heap
+	// still holds events.
+	var spill []byte
+	for i := 0; i < 120; i++ {
+		spill = append(spill, byte(i%40)<<2)
+	}
+	spill = append(spill, 0x01|7<<2, 0x01|30<<2, 0x02|12<<2, 0x03|9<<2)
+	for d := 63; d > 20; d-- {
+		spill = append(spill, byte(d)<<2, 0x03|2<<2)
+	}
+	f.Add(spill)
+	// A deep backlog on one delay, then schedule/run rounds across 32 more
+	// delays: lanes drain and are re-keyed one at a time.
+	var rekey []byte
+	for i := 0; i < 80; i++ {
+		rekey = append(rekey, 63<<2)
+	}
+	for d := 0; d < 32; d++ {
+		rekey = append(rekey, byte(62-d)<<2, byte(d)<<2, 0x03|byte(d)<<2)
+	}
+	f.Add(rekey)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewEngine()
 		e.EnableChecks()
@@ -82,6 +106,9 @@ func FuzzEventOps(f *testing.F) {
 		}
 		if len(live) != 0 {
 			t.Fatalf("%d tracked events never fired", len(live))
+		}
+		if n := e.Pending(); n != 0 {
+			t.Fatalf("Pending() = %d after RunAll, want 0", n)
 		}
 	})
 }

@@ -1,0 +1,251 @@
+package sim
+
+import (
+	"math"
+	"sort"
+	"testing"
+)
+
+// queueModel records everything scheduled on an engine, independently of
+// how the engine splits its queue between delay lanes and the heap: each
+// event's (at, seq, kind), whether it was cancelled, and the key up to which
+// the run loop has removed events. From that it predicts the fire order,
+// Pending and PendingCensus.
+type queueModel struct {
+	recs   []*modelEvent
+	fired  []uint64 // seqs in fire order
+	curAt  Time     // every event with key <= (curAt, curSeq) has left the queue
+	curSeq uint64
+	stopAt *modelEvent // its callback stops the engine; never cancelled
+}
+
+type modelEvent struct {
+	at        Time
+	seq       uint64
+	kind      Kind
+	cancelled bool
+	ev        *Event // valid while the event is queued
+}
+
+func (m *queueModel) add(ev *Event, k Kind) *modelEvent {
+	if int(k) >= NumKinds {
+		k = KindOther
+	}
+	r := &modelEvent{at: ev.at, seq: ev.seq, kind: k, ev: ev}
+	m.recs = append(m.recs, r)
+	return r
+}
+
+// queued reports whether r is still in the engine's queue.
+func (m *queueModel) queued(r *modelEvent) bool {
+	return r.at > m.curAt || (r.at == m.curAt && r.seq > m.curSeq)
+}
+
+// census is the model's Pending and PendingCensus.
+func (m *queueModel) census() (pending int, byKind [NumKinds]int, cancelled int) {
+	for _, r := range m.recs {
+		if !m.queued(r) {
+			continue
+		}
+		pending++
+		if r.cancelled {
+			cancelled++
+		} else {
+			byKind[r.kind]++
+		}
+	}
+	return pending, byKind, cancelled
+}
+
+// TestLaneFireOrderMatchesSort drives the engine with more distinct delays
+// than it has lanes, so some lanes drain and are re-keyed and the rest of
+// the delays spill into the fallback heap, mixed with At in the past, zero
+// delays, cancellation, cancel-then-reschedule, Stop mid-run and Run
+// horizons. The fire sequence must equal every non-cancelled event sorted by
+// (at, seq), and Pending and PendingCensus must match the model at every
+// pause.
+func TestLaneFireOrderMatchesSort(t *testing.T) {
+	e := NewEngine()
+	e.EnableChecks()
+	rng := NewRNG(1)
+	m := &queueModel{curAt: -1}
+	sawFallback, sawLanes := false, false
+
+	// 40 distinct delays, well over numLanes.
+	delays := make([]Time, 40)
+	for i := range delays {
+		delays[i] = Time(1+i) * 37
+	}
+
+	var schedule func(d Time, k Kind, abs bool)
+	fire := func(r *modelEvent) {
+		m.curAt, m.curSeq = r.at, r.seq
+		m.fired = append(m.fired, r.seq)
+		if r == m.stopAt {
+			e.Stop()
+		}
+		// Callbacks schedule more work: a chained hop, sometimes an event
+		// in the past or at zero delay, and sometimes a cancellation.
+		if len(m.recs) >= 6000 {
+			return
+		}
+		schedule(delays[rng.Intn(len(delays))], Kind(rng.Intn(NumKinds)), false)
+		switch rng.Intn(8) {
+		case 0:
+			schedule(e.Now()-5, KindTimer, true)
+		case 1:
+			schedule(0, KindProbe, false)
+		case 2:
+			cancelRandom(m, rng)
+		}
+	}
+	schedule = func(d Time, k Kind, abs bool) {
+		var r *modelEvent
+		fn := func() { fire(r) }
+		if abs {
+			r = m.add(e.AtKind(d, k, fn), k)
+		} else {
+			r = m.add(e.ScheduleKind(d, k, fn), k)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		pending, byKind, cancelled := m.census()
+		if got := e.Pending(); got != pending {
+			t.Fatalf("%s: Pending() = %d, model %d", when, got, pending)
+		}
+		gotKind, gotCancelled := e.PendingCensus()
+		if gotKind != byKind || gotCancelled != cancelled {
+			t.Fatalf("%s: PendingCensus() = %v/%d, model %v/%d", when, gotKind, gotCancelled, byKind, cancelled)
+		}
+		// Past smallQueue events go to the heap only when their delay has no
+		// lane.
+		sawFallback = sawFallback || len(e.heap) > smallQueue
+		sawLanes = sawLanes || e.busy != 0
+	}
+
+	for _, d := range delays {
+		for j := 0; j < 5; j++ {
+			schedule(d, Kind(j%NumKinds), false)
+		}
+	}
+	schedule(0, KindOther, false)
+	schedule(200, Kind(200), false) // out-of-range kind: filed as other
+	check("after seeding")
+	laneDelays := func() (ds [numLanes]Time) {
+		for i := range e.lanes {
+			ds[i] = e.lanes[i].delay
+		}
+		return ds
+	}
+	firstKeys := laneDelays()
+
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 3; i++ {
+			cancelRandom(m, rng)
+		}
+		// Cancel then reschedule at the same instant.
+		if r := randomLive(m, rng); r != nil {
+			r.ev.Cancel()
+			r.cancelled = true
+			schedule(r.at, r.kind, true)
+		}
+		if round%5 == 4 {
+			// Stop from inside the callback of a live event.
+			stop := randomLive(m, rng)
+			if stop == nil {
+				t.Fatalf("round %d: no live event to stop at (%d scheduled, %d fired, pending %d)", round, len(m.recs), len(m.fired), e.Pending())
+			}
+			m.stopAt = stop
+			e.RunAll()
+			m.stopAt = nil
+			if m.curAt != stop.at || m.curSeq != stop.seq {
+				t.Fatal("Stop: the run continued past the stopping event")
+			}
+			check("after Stop")
+			continue
+		}
+		until := e.Now() + Time(rng.Intn(300))
+		e.Run(until)
+		m.curAt, m.curSeq = until, math.MaxUint64
+		check("after Run")
+	}
+	e.RunAll()
+	check("after RunAll")
+
+	if !sawLanes || !sawFallback {
+		t.Fatalf("lanes used: %v, heap fallback used: %v; want both", sawLanes, sawFallback)
+	}
+	if laneDelays() == firstKeys {
+		t.Fatal("no lane was re-keyed")
+	}
+	var want []*modelEvent
+	for _, r := range m.recs {
+		if !r.cancelled {
+			want = append(want, r)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if len(m.fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(m.fired), len(want))
+	}
+	for i, r := range want {
+		if m.fired[i] != r.seq {
+			t.Fatalf("fire %d: seq %d, want seq %d (at %d)", i, m.fired[i], r.seq, r.at)
+		}
+	}
+	if got := e.Fired(); got != uint64(len(want)) {
+		t.Fatalf("Fired() = %d, want %d", got, len(want))
+	}
+	if vs := e.Violations(); len(vs) > 0 {
+		t.Fatalf("invariant violations: %v", vs[0])
+	}
+}
+
+// randomLive picks a queued, non-cancelled event, or nil if there is none.
+func randomLive(m *queueModel, rng *RNG) *modelEvent {
+	var live []*modelEvent
+	for _, r := range m.recs {
+		if !r.cancelled && r != m.stopAt && m.queued(r) {
+			live = append(live, r)
+		}
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	return live[rng.Intn(len(live))]
+}
+
+func cancelRandom(m *queueModel, rng *RNG) {
+	if r := randomLive(m, rng); r != nil {
+		r.ev.Cancel()
+		r.cancelled = true
+	}
+}
+
+// TestUnknownKindFiledAsOther is the regression test for an event tagged
+// with a kind past NumKinds: the census (taken by every checkpoint) and the
+// profiler both count it as KindOther instead of indexing out of range.
+func TestUnknownKindFiledAsOther(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	e.ScheduleKind(5, Kind(200), func() { ran++ })
+	e.ScheduleCallKind(5, Kind(NumKinds), func(a1, a2 any) { ran++ }, nil, nil)
+	byKind, cancelled := e.PendingCensus()
+	if byKind[KindOther] != 2 || cancelled != 0 {
+		t.Fatalf("PendingCensus() = %v/%d, want 2 events of kind other", byKind, cancelled)
+	}
+	p := e.EnableProfile(1)
+	e.RunAll()
+	if ran != 2 {
+		t.Fatalf("%d of 2 events ran", ran)
+	}
+	if got := p.Count(KindOther); got != 2 || p.Total() != 2 {
+		t.Fatalf("Count(KindOther) = %d of Total() = %d, want 2 of 2", got, p.Total())
+	}
+}

@@ -58,7 +58,7 @@ type Profile struct {
 	counts       [NumKinds]uint64 // exact fire counts per kind
 	sampledNs    [NumKinds]int64  // wall ns across sampled fires per kind
 	sampledFires [NumKinds]uint64 // number of sampled fires per kind
-	queuePeak    int              // high-water mark of the pending heap
+	queuePeak    int              // high-water mark of the pending queue
 }
 
 // EnableProfile turns on engine self-profiling and returns the profile that
@@ -86,17 +86,15 @@ func (e *Engine) Profile() *Profile { return e.prof }
 // profiledFire is the instrumented twin of the tail of Engine.fire: it runs
 // one non-cancelled event while accounting it to its kind, sampling wall
 // time 1 in sampleEvery fires. The event's kind is copied out before the
-// callback runs because the callback may recycle-and-reuse the struct.
+// callback runs because the callback may recycle-and-reuse the struct; it
+// is always in range, because enqueue files unknown kinds as KindOther.
 func (e *Engine) profiledFire(ev *Event) {
 	p := e.prof
 	k := ev.kind
-	if int(k) >= NumKinds {
-		k = KindOther
-	}
 	p.counts[k]++
-	// +1: the fired event just left the heap, so pending underestimates the
+	// +1: the fired event just left the queue, so pending underestimates the
 	// instantaneous depth by one.
-	if d := len(e.events) + 1; d > p.queuePeak {
+	if d := e.pending + 1; d > p.queuePeak {
 		p.queuePeak = d
 	}
 	p.countdown--
@@ -135,7 +133,7 @@ func (p *Profile) SampledNs(k Kind) int64 { return p.sampledNs[k] }
 // SampledFires returns how many fires of kind k were wall-timed.
 func (p *Profile) SampledFires(k Kind) uint64 { return p.sampledFires[k] }
 
-// QueuePeak returns the high-water mark of the pending-event heap observed
+// QueuePeak returns the high-water mark of the pending-event queue observed
 // while profiling (including the event being fired).
 func (p *Profile) QueuePeak() int { return p.queuePeak }
 
