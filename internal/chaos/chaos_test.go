@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -258,6 +259,30 @@ func TestRunnerFlap(t *testing.T) {
 		if a.Cycle != i || a.OnsetNs != wantOn || a.ClearNs != wantOn+4e6 {
 			t.Fatalf("cycle %d activation = %+v", i, *a)
 		}
+	}
+}
+
+// TestRunnerDurationPastEndOfClock is the regression test for an onset plus
+// Duration past math.MaxInt64: the clear time wrapped negative, so a "never
+// clear" injection cleared at its onset. It must stay active.
+func TestRunnerDurationPastEndOfClock(t *testing.T) {
+	env := testEnv(t)
+	sc := &Scenario{Name: "forever", Events: []Event{
+		{At: 1 * sim.Millisecond, Name: "bh",
+			Inject:   &Blackhole{Spine: 0, SrcLeaf: 0, DstLeaf: 3},
+			Duration: math.MaxInt64},
+	}}
+	r := NewRunner(env, sc)
+	eng := env.Net.Eng
+	if err := r.Install(eng); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(10 * sim.Millisecond)
+	if len(r.Log) != 1 || r.Log[0].ClearNs != -1 || r.ActiveCount() != 1 {
+		t.Fatalf("log = %+v, active = %d; want one activation still active (ClearNs -1)", r.Log, r.ActiveCount())
+	}
+	if errs := r.Finish(eng.Now()); len(errs) != 0 {
+		t.Fatalf("Finish errors: %v", errs)
 	}
 }
 

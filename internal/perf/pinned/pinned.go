@@ -54,11 +54,7 @@ func EngineScheduleRun(b *testing.B) {
 // so about 170k mostly-cancelled timers stay pending, as at those runs'
 // queue peak. One op is one packet hop.
 func EngineFixedDelays(b *testing.B) {
-	s := &fixedDelays{e: sim.NewEngine()}
-	for i := range s.pkts {
-		s.pkts[i].flow = i
-		s.e.ScheduleCallKind(fixedDelaySet[i%len(fixedDelaySet)], sim.KindPortTx, fixedDelayHop, s, &s.pkts[i])
-	}
+	s := newFixedDelays()
 	// Warm up past one timeout so the timer backlog is at its steady size.
 	s.run(2 * fixedDelayOpsPerRTO)
 	b.ReportAllocs()
@@ -90,6 +86,15 @@ type fixedDelays struct {
 
 type fixedDelayPacket struct{ flow, hop int }
 
+func newFixedDelays() *fixedDelays {
+	s := &fixedDelays{e: sim.NewEngine()}
+	for i := range s.pkts {
+		s.pkts[i].flow = i
+		s.e.ScheduleCallKind(fixedDelaySet[i%len(fixedDelaySet)], sim.KindPortTx, fixedDelayHop, s, &s.pkts[i])
+	}
+	return s
+}
+
 // run fires ops packet hops (ops >= 1).
 func (s *fixedDelays) run(ops int) {
 	s.left = ops
@@ -103,6 +108,9 @@ func fixedDelayHop(a1, a2 any) {
 		(*timer).Cancel()
 	}
 	*timer = s.e.ScheduleCallKind(fixedDelayRTO, sim.KindRTO, fixedDelayTimeout, timer, nil)
+	if s.left == 0 {
+		return // draining: the packet leaves, its timer stays armed
+	}
 	p.hop++
 	p.flow = (p.flow + fixedDelayInFlight) % fixedDelayFlows
 	s.e.ScheduleCallKind(fixedDelaySet[p.hop%len(fixedDelaySet)], sim.KindPropagate, fixedDelayHop, s, p)

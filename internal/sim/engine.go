@@ -9,18 +9,24 @@
 // the retransmission timeout, the probe interval). Because now never
 // decreases and the sequence number always increases, events that share a
 // delay arrive already in (at, seq) order, so the pending-event queue keeps
-// a small fixed set of FIFO delay lanes, one ring of event pointers per
-// delay, and sorts nothing for them. Delays without a lane, and every event
+// a small fixed set of FIFO delay lanes, one ring per delay, and sorts
+// nothing for them. Delays without a lane, and every event
 // while the queue is shallow, go to an inlined 4-ary heap instead. The next
 // event is the smallest (at, seq) among the lane heads and the heap root,
 // so fire order is exactly (at, seq) however events are split between
 // lanes and heap.
 //
-// Cancellation is lazy: a cancelled event stays queued, counted by Pending
-// and PendingCensus, until it reaches the front and is dropped unfired.
-// Fired and dropped events are recycled through a free list, and
-// ScheduleCall lets callers schedule a pre-bound function with two receiver
-// arguments, so the steady state performs no allocation at all.
+// A lane ring holds each event's (at, seq) key inline next to its pointer.
+// Cancelling an event in a lane replaces its pointer with a tombstone and
+// recycles the event at once, so a backlog of cancelled timers costs one
+// ring slot each, not one event. A tombstone keeps its key: it is counted
+// by Pending and PendingCensus and dropped unfired in (at, seq) order, so
+// cancelling changes nothing a run can observe but its memory. Cancelling
+// an event in the heap is lazy: the event stays queued, counted the same
+// way, until it reaches the front. Fired and cancelled events are recycled
+// through a free list, and ScheduleCall lets callers schedule a pre-bound
+// function with two receiver arguments, so the steady state performs no
+// allocation at all.
 package sim
 
 import (
@@ -44,7 +50,7 @@ const (
 const (
 	stateFree     uint8 = iota // on the engine free list (or zero value)
 	stateQueued                // in the pending queue
-	stateCanceled              // in the pending queue, will not fire
+	stateCanceled              // in the heap, will not fire (lanes tombstone instead)
 	stateFired                 // popped and executing/executed
 )
 
@@ -53,24 +59,25 @@ const (
 // cancelled before it fires.
 //
 // Handle lifetime: event structs are recycled through an engine-owned free
-// list once they fire or once a cancelled event is popped from the queue.
-// A handle is therefore only meaningful until its event fires or is
-// cancelled; drop (nil out) stored handles at that point, exactly as the
-// callback-clears-its-own-timer pattern in internal/transport does. Calling
-// Cancel on a stale handle whose event already fired is a no-op until the
-// engine reuses the struct, so holding handles past their event's lifetime
-// is a bug (the Config.Checks invariant checker exists to catch the
-// resulting double-fire/fire-after-cancel corruption).
+// list once they fire or are cancelled. A handle is therefore dead once its
+// event fires or Cancel returns: the engine may hand the struct to the next
+// schedule call at once. Drop (nil out) stored handles at that point, exactly
+// as the callback-clears-its-own-timer pattern in internal/transport does.
+// Calling Cancel on a stale handle cancels whatever event reuses the struct,
+// so holding handles past their event's lifetime is a bug.
 type Event struct {
 	at  Time
 	seq uint64 // tie-break: preserves scheduling order at equal times
 
-	// Exactly one of fn and fn2 is set. fn2 with its pre-bound arguments
-	// avoids a closure allocation per scheduling on hot paths.
-	fn     func()
-	fn2    func(a1, a2 any)
+	// fn(a1, a2) is the callback: pre-bound arguments spare hot paths a
+	// closure allocation per scheduling. Schedule's func() travels in a1,
+	// with callFunc as fn (boxing a func value does not allocate).
+	fn     func(a1, a2 any)
 	a1, a2 any
 
+	eng   *Engine
+	pos   uint32 // absolute ring position while queued in a lane
+	lane  uint8  // lane index while queued in a lane, inHeap otherwise
 	state uint8
 	kind  Kind // self-profiling attribution (see profile.go)
 }
@@ -78,17 +85,25 @@ type Event struct {
 // At returns the virtual time the event is scheduled to fire.
 func (e *Event) At() Time { return e.at }
 
-// Cancel prevents a queued event from firing. Cancelling an event that
-// already fired or was already cancelled is a no-op.
+// Cancel prevents a queued event from firing and ends the handle's life:
+// the engine may reuse the struct as soon as Cancel returns. Cancelling an
+// event that already fired is a no-op until the engine reuses the struct.
 func (e *Event) Cancel() {
-	if e.state == stateQueued {
-		e.state = stateCanceled
+	if e.state != stateQueued {
+		return
 	}
+	if e.lane == inHeap {
+		e.state = stateCanceled
+		return
+	}
+	eng := e.eng
+	l := &eng.lanes[e.lane]
+	l.ring[e.pos&uint32(len(l.ring)-1)].ev = nil
+	eng.recycle(e)
 }
 
-// Canceled reports whether the event is currently cancelled and pending
-// removal from the queue.
-func (e *Event) Canceled() bool { return e.state == stateCanceled }
+// callFunc is the callback of events scheduled with a plain func().
+func callFunc(fn, _ any) { fn.(func())() }
 
 // numLanes is the number of delay lanes (at most 32, the width of
 // Engine.busy). A large run uses 8 to 12 distinct delays at a time; the
@@ -101,17 +116,30 @@ const numLanes = 16
 // keeps one or two events pending; a loaded 8x8 run keeps ~170k).
 const smallQueue = 64
 
+// inHeap is Event.lane for an event queued in the heap.
+const inHeap = numLanes
+
 // lane is a FIFO ring of events that were all scheduled with the same
 // relative delay, and so are queued in (at, seq) order. It caches its
 // head's (at, seq), so choosing the next event reads the lanes (one cache
-// line each) instead of chasing event pointers.
+// line each) instead of the rings.
 type lane struct {
-	ring  []*Event // power-of-two capacity
-	head  int      // index of the oldest event
-	n     int      // queued events
-	delay Time     // kept when the lane drains, until another delay re-keys it
-	at    Time     // head's timestamp, valid while n > 0
-	seq   uint64   // head's sequence number, valid while n > 0
+	ring  []slot // power-of-two capacity; position p is ring[p&(len-1)]
+	head  uint32 // absolute position of the oldest slot
+	n     uint32 // queued slots, tombstones included
+	delay Time   // kept when the lane drains, until another delay re-keys it
+	at    Time   // head's timestamp, valid while n > 0
+	seq   uint64 // head's sequence number, valid while n > 0
+}
+
+// slot is one queued lane entry: the key, and the event or, once the event
+// is cancelled, nil (a tombstone). Positions are absolute and wrap at 2^32,
+// which every power-of-two ring size divides, so a position stays valid
+// across grows.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *Event
 }
 
 // Engine is the event loop. It is not safe for concurrent use; the entire
@@ -121,7 +149,7 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 	fired   uint64
-	pending int // queued events, cancelled ones included
+	pending int // queued events, cancelled ones and tombstones included
 
 	// The pending queue: delay lanes, and the heap for shallow queues and
 	// for delays without a lane.
@@ -172,27 +200,29 @@ func (e *Engine) Pending() int { return e.pending }
 func (e *Engine) Seq() uint64 { return e.seq }
 
 // PendingCensus returns the number of queued events per profiling kind,
-// plus the count of cancelled events awaiting lazy removal — a structural
-// fingerprint of the event queue that is invariant under its layout.
-// Scheduling and cancellation are both deterministic, so two engines driven
-// by the same program agree on the census at every instant.
+// plus the count of cancelled events awaiting removal (lane tombstones and
+// lazily cancelled heap events) — a structural fingerprint of the event
+// queue that is invariant under its layout. Scheduling and cancellation are
+// both deterministic, so two engines driven by the same program agree on the
+// census at every instant.
 func (e *Engine) PendingCensus() (byKind [NumKinds]int, cancelled int) {
-	count := func(ev *Event) {
+	for i := 0; i < e.nLanes; i++ {
+		l := &e.lanes[i]
+		mask := uint32(len(l.ring) - 1)
+		for k := uint32(0); k < l.n; k++ {
+			if ev := l.ring[(l.head+k)&mask].ev; ev != nil {
+				byKind[ev.kind]++
+			} else {
+				cancelled++
+			}
+		}
+	}
+	for _, ev := range e.heap {
 		if ev.state == stateCanceled {
 			cancelled++
 		} else {
 			byKind[ev.kind]++
 		}
-	}
-	for i := 0; i < e.nLanes; i++ {
-		l := &e.lanes[i]
-		mask := len(l.ring) - 1
-		for k := 0; k < l.n; k++ {
-			count(l.ring[(l.head+k)&mask])
-		}
-	}
-	for _, ev := range e.heap {
-		count(ev)
 	}
 	return byKind, cancelled
 }
@@ -224,31 +254,31 @@ func (e *Engine) alloc() *Event {
 		e.chunk = make([]Event, 256)
 	}
 	ev := &e.chunk[0]
+	ev.eng = e
 	e.chunk = e.chunk[1:]
 	return ev
 }
 
-// recycle returns a popped event to the free list. Events are recycled only
-// after leaving the queue (fired, or cancelled and subsequently popped);
-// releasing a still-queued event would let a reuse corrupt the queue.
+// recycle returns an event to the free list once nothing in the queue points
+// to it: it fired, was popped cancelled from the heap, or left a tombstone.
+// Releasing an event the queue still holds would let a reuse corrupt the
+// queue.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn, ev.fn2, ev.a1, ev.a2 = nil, nil, nil, nil
+	ev.fn, ev.a1, ev.a2 = nil, nil, nil
 	ev.state = stateFree
 	e.free = append(e.free, ev)
 }
 
 // Schedule runs fn after delay nanoseconds of virtual time. A negative delay
-// is treated as zero. It returns a handle that can cancel the event.
+// is treated as zero, and a time past the end of the clock saturates at
+// math.MaxInt64. It returns a handle that can cancel the event.
 func (e *Engine) Schedule(delay Time, fn func()) *Event {
-	return e.ScheduleKind(delay, KindOther, fn)
+	return e.AtKind(e.after(delay), KindOther, fn)
 }
 
 // ScheduleKind is Schedule with a profiling kind tag.
 func (e *Engine) ScheduleKind(delay Time, k Kind, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.AtKind(e.now+delay, k, fn)
+	return e.AtKind(e.after(delay), k, fn)
 }
 
 // At runs fn at absolute virtual time t. If t is in the past, the event fires
@@ -260,36 +290,36 @@ func (e *Engine) At(t Time, fn func()) *Event {
 // AtKind is At with a profiling kind tag.
 func (e *Engine) AtKind(t Time, k Kind, fn func()) *Event {
 	ev := e.alloc()
-	ev.fn = fn
+	ev.fn, ev.a1 = callFunc, fn
 	e.enqueue(ev, t, k)
 	return ev
 }
 
-// ScheduleCall runs fn(a1, a2) after delay nanoseconds of virtual time. It
-// is the allocation-free flavor of Schedule: fn is typically a package-level
-// function and the receiver travels in a1/a2 (boxing a pointer into an `any`
-// does not allocate), so a warm engine schedules without touching the heap.
+// ScheduleCall runs fn(a1, a2) after delay nanoseconds of virtual time, with
+// delay treated as in Schedule. It is the allocation-free flavor of
+// Schedule: fn is typically a package-level function and the receiver
+// travels in a1/a2 (boxing a pointer into an `any` does not allocate), so a
+// warm engine schedules without touching the heap.
 func (e *Engine) ScheduleCall(delay Time, fn func(a1, a2 any), a1, a2 any) *Event {
-	if delay < 0 {
-		delay = 0
-	}
+	return e.ScheduleCallKind(delay, KindOther, fn, a1, a2)
+}
+
+// ScheduleCallKind is ScheduleCall with a profiling kind tag.
+func (e *Engine) ScheduleCallKind(delay Time, k Kind, fn func(a1, a2 any), a1, a2 any) *Event {
 	ev := e.alloc()
-	ev.fn2, ev.a1, ev.a2 = fn, a1, a2
-	e.enqueue(ev, e.now+delay, KindOther)
+	ev.fn, ev.a1, ev.a2 = fn, a1, a2
+	e.enqueue(ev, e.after(delay), k)
 	return ev
 }
 
-// ScheduleCallKind is ScheduleCall with a profiling kind tag. The body is a
-// copy of ScheduleCall rather than a delegation so both stay inlinable on
-// the packet hot path.
-func (e *Engine) ScheduleCallKind(delay Time, k Kind, fn func(a1, a2 any), a1, a2 any) *Event {
-	if delay < 0 {
-		delay = 0
+// after returns the time delay nanoseconds from now, saturated at
+// math.MaxInt64 instead of wrapping into the past. A negative delay gives a
+// time in the past, which enqueue clamps to now.
+func (e *Engine) after(delay Time) Time {
+	if delay > math.MaxInt64-e.now {
+		return math.MaxInt64
 	}
-	ev := e.alloc()
-	ev.fn2, ev.a1, ev.a2 = fn, a1, a2
-	e.enqueue(ev, e.now+delay, k)
-	return ev
+	return e.now + delay
 }
 
 // enqueue stamps ev with its time, sequence number and kind and queues it.
@@ -351,10 +381,12 @@ func (e *Engine) laneFor(d Time) int {
 // sorted.
 func (e *Engine) lanePush(i int, ev *Event) {
 	l := &e.lanes[i]
-	if l.n == len(l.ring) {
+	if int(l.n) == len(l.ring) {
 		l.grow()
 	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	p := l.head + l.n
+	l.ring[p&uint32(len(l.ring)-1)] = slot{ev.at, ev.seq, ev}
+	ev.lane, ev.pos = uint8(i), p
 	l.n++
 	if l.n == 1 {
 		e.busy |= 1 << i
@@ -365,43 +397,46 @@ func (e *Engine) lanePush(i int, ev *Event) {
 	}
 }
 
-// grow doubles the ring, unwrapping it so the oldest event lands at index 0.
+// grow doubles the ring, keeping every slot at its absolute position so the
+// positions stored in queued events stay valid.
 func (l *lane) grow() {
 	size := 2 * len(l.ring)
 	if size == 0 {
 		size = 8
 	}
-	ring := make([]*Event, size)
-	mask := len(l.ring) - 1
-	for k := 0; k < l.n; k++ {
-		ring[k] = l.ring[(l.head+k)&mask]
+	ring := make([]slot, size)
+	mask, newMask := uint32(len(l.ring)-1), uint32(size-1)
+	for p := l.head; p != l.head+l.n; p++ {
+		ring[p&newMask] = l.ring[p&mask]
 	}
-	l.ring, l.head = ring, 0
+	l.ring = ring
 }
 
-// peek returns the next event due, the smallest (at, seq) among the lane
-// heads and the heap root, and where it sits: a lane index, or -1 for the
-// heap. The queue must not be empty.
-func (e *Engine) peek() (*Event, int) {
+// peek returns the key time of the next queue entry due, the smallest
+// (at, seq) among the lane heads and the heap root, and where it sits: a
+// lane index, or -1 for the heap. The queue must not be empty.
+func (e *Engine) peek() (Time, int) {
 	m := e.minLane
 	if len(e.heap) > 0 {
 		h := e.heap[0]
 		if m < 0 || before(h.at, h.seq, e.lanes[m].at, e.lanes[m].seq) {
-			return h, -1
+			return h.at, -1
 		}
 	}
-	l := &e.lanes[m]
-	return l.ring[l.head], m
+	return e.lanes[m].at, m
 }
 
-// laneTake removes lane src's head.
-func (e *Engine) laneTake(src int) {
+// laneTake removes lane src's head and returns its event, nil for a
+// tombstone.
+func (e *Engine) laneTake(src int) *Event {
 	l := &e.lanes[src]
-	l.head = (l.head + 1) & (len(l.ring) - 1)
+	mask := uint32(len(l.ring) - 1)
+	ev := l.ring[l.head&mask].ev
+	l.head++
 	l.n--
 	if l.n > 0 {
-		ev := l.ring[l.head]
-		l.at, l.seq = ev.at, ev.seq
+		s := &l.ring[l.head&mask]
+		l.at, l.seq = s.at, s.seq
 	} else {
 		e.busy &^= 1 << src
 	}
@@ -417,6 +452,7 @@ func (e *Engine) laneTake(src int) {
 		}
 	}
 	e.minLane = m
+	return ev
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -443,27 +479,27 @@ func (e *Engine) run(until Time) uint64 {
 	start := e.fired
 	e.stopped = false
 	for e.pending > 0 && !e.stopped {
-		next, src := e.peek()
-		if next.at > until {
+		at, src := e.peek()
+		if at > until {
 			break
 		}
 		e.pending--
+		var ev *Event
 		if src < 0 {
-			e.heapPop()
-		} else {
-			e.laneTake(src)
+			ev = e.heapPop()
+		} else if ev = e.laneTake(src); ev == nil {
+			continue // a tombstone
 		}
-		e.fire(next)
+		e.fire(ev)
 	}
 	return e.fired - start
 }
 
 // fire executes one popped event (skipping cancelled ones) and recycles it.
-// It reports whether the event actually ran.
-func (e *Engine) fire(ev *Event) bool {
+func (e *Engine) fire(ev *Event) {
 	if ev.state == stateCanceled {
 		e.recycle(ev)
-		return false
+		return
 	}
 	if e.checks {
 		e.checkFire(ev)
@@ -473,15 +509,10 @@ func (e *Engine) fire(ev *Event) bool {
 	ev.state = stateFired
 	if e.prof != nil {
 		e.profiledFire(ev)
-		return true
+		return
 	}
-	if ev.fn2 != nil {
-		ev.fn2(ev.a1, ev.a2)
-	} else {
-		ev.fn()
-	}
+	ev.fn(ev.a1, ev.a2)
 	e.recycle(ev)
-	return true
 }
 
 func (e *Engine) checkFire(ev *Event) {
@@ -512,6 +543,7 @@ func eventLess(a, b *Event) bool { return before(a.at, a.seq, b.at, b.seq) }
 // node's children in one cache line of pointers, and inlining the
 // comparisons avoids container/heap's interface dispatch on every swap.
 func (e *Engine) heapPush(ev *Event) {
+	ev.lane = inHeap
 	h := append(e.heap, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -525,8 +557,10 @@ func (e *Engine) heapPush(ev *Event) {
 	e.heap = h
 }
 
-func (e *Engine) heapPop() {
+// heapPop removes and returns the root.
+func (e *Engine) heapPop() *Event {
 	h := e.heap
+	root := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
@@ -555,6 +589,7 @@ func (e *Engine) heapPop() {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
+	return root
 }
 
 func (e *Engine) violate(format string, args ...any) {

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -61,52 +63,111 @@ func TestAtInPastClamped(t *testing.T) {
 	e.RunAll()
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+// cancelDepths queue the events under test in the heap (a shallow queue)
+// and in a delay lane (fillers keep more than smallQueue events pending),
+// where Cancel leaves a tombstone.
+var cancelDepths = []struct {
+	name   string
+	filler int
+}{{"heap", 0}, {"lane", smallQueue}}
+
+// fill queues n events due after everything the cancel tests schedule.
+func fill(e *Engine, n int) {
+	for i := 0; i < n; i++ {
+		e.Schedule(1000, func() {})
 	}
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
+}
+
+func TestCancel(t *testing.T) {
+	for _, c := range cancelDepths {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			fill(e, c.filler)
+			var fired []string
+			ev := e.Schedule(10, func() { fired = append(fired, "cancelled") })
+			e.Schedule(10, func() { fired = append(fired, "kept") })
+			if inLane := ev.lane != inHeap; inLane != (c.filler > 0) {
+				t.Fatalf("event queued in a lane: %v, want %v", inLane, c.filler > 0)
+			}
+			ev.Cancel()
+			e.Run(10)
+			if len(fired) != 1 || fired[0] != "kept" {
+				t.Fatalf("fired = %v, want [kept]", fired)
+			}
+		})
 	}
 }
 
 // TestCancelThenRescheduleSameTimestamp is the free-list regression test: a
-// cancelled event must be recycled safely (only once popped, never while
-// still queued), and an event rescheduled at the exact same timestamp —
-// possibly reusing the recycled struct — must fire exactly once with no
-// stale cancel state.
+// cancelled event is recycled safely (a tombstone frees it at once, the heap
+// once it is popped), and an event rescheduled at the exact same timestamp —
+// possibly reusing the recycled struct — fires exactly once with no stale
+// cancel state.
 func TestCancelThenRescheduleSameTimestamp(t *testing.T) {
-	e := NewEngine()
-	var fired []string
-	old := e.Schedule(10, func() { fired = append(fired, "old") })
-	old.Cancel()
-	repl := e.Schedule(10, func() { fired = append(fired, "new") })
-	e.RunAll()
-	if len(fired) != 1 || fired[0] != "new" {
-		t.Fatalf("fired = %v, want [new]", fired)
-	}
-	if repl.Canceled() {
-		t.Fatal("replacement event reports Canceled")
-	}
+	for _, c := range cancelDepths {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			fill(e, c.filler)
+			var fired []string
+			old := e.Schedule(10, func() { fired = append(fired, "old") })
+			old.Cancel()
+			repl := e.Schedule(10, func() { fired = append(fired, "new") })
+			if c.filler > 0 && repl != old {
+				t.Fatal("the tombstoned event was not reused by the next schedule")
+			}
+			e.Run(10)
+			if len(fired) != 1 || fired[0] != "new" {
+				t.Fatalf("fired = %v, want [new]", fired)
+			}
 
-	// Second round: the cancelled struct is now on the free list. Scheduling
-	// at the same timestamp again must reuse it cleanly.
-	if e.FreeEvents() == 0 {
-		t.Fatal("cancelled+fired events were not recycled to the free list")
+			// Second round: the cancelled struct is on the free list by now.
+			// Scheduling at the same timestamp again must reuse it cleanly.
+			if e.FreeEvents() == 0 {
+				t.Fatal("cancelled+fired events were not recycled to the free list")
+			}
+			fired = nil
+			e.At(e.Now(), func() { fired = append(fired, "again") })
+			e.Run(e.Now())
+			if len(fired) != 1 || fired[0] != "again" {
+				t.Fatalf("fired = %v, want [again]", fired)
+			}
+		})
 	}
-	fired = nil
-	again := e.At(e.Now(), func() { fired = append(fired, "again") })
-	if again.Canceled() {
-		t.Fatal("recycled event carries stale cancel state")
+}
+
+// TestScheduleSaturates is the regression test for now+delay overflowing: a
+// delay near math.MaxInt64 wrapped negative, was clamped to now and fired at
+// once. Every schedule flavor must saturate at the end of the clock instead.
+func TestScheduleSaturates(t *testing.T) {
+	e := NewEngine()
+	e.Run(10)
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	call := func(_, _ any) { record() }
+	e.Schedule(math.MaxInt64-5, record)
+	e.ScheduleKind(math.MaxInt64, KindChaos, record)
+	e.ScheduleCall(math.MaxInt64-5, call, nil, nil)
+	e.ScheduleCallKind(math.MaxInt64, KindRTO, call, nil, nil)
+	e.Run(1 << 62)
+	if len(fired) != 0 {
+		t.Fatalf("events due at the end of the clock fired at %v", fired)
 	}
 	e.RunAll()
-	if len(fired) != 1 || fired[0] != "again" {
-		t.Fatalf("fired = %v, want [again]", fired)
+	if len(fired) != 4 {
+		t.Fatalf("fired %d of 4 events", len(fired))
+	}
+	for _, at := range fired {
+		if at != math.MaxInt64 {
+			t.Fatalf("fired at %v, want every event at math.MaxInt64", fired)
+		}
+	}
+}
+
+// TestEventSize pins the event struct at 72 bytes, one per live event
+// however deep the queue.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 72 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want at most 72", got)
 	}
 }
 

@@ -1,12 +1,28 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// Fuzz ops: each input byte is one operation. The low two bits select the
+// op, the high six bits are its argument.
+const (
+	opSchedule   = 0 // schedule at now+arg
+	opCancel     = 1 // cancel live[arg%len(live)]
+	opReschedule = 2 // cancel live[arg%len(live)], reschedule at its time
+	opRun        = 3 // run to now+arg
+)
+
+func op(code, arg int) byte { return byte(arg<<2 | code) }
 
 // FuzzEventOps drives the engine through an arbitrary stream of
 // schedule / cancel / cancel-then-reschedule / partial-run operations and
-// asserts that the invariant checker stays clean and that exactly the
-// non-cancelled events fire. Each input byte is one operation: the low two
-// bits select the op, the high six bits are its argument.
+// asserts that the invariant checker stays clean, that exactly the
+// non-cancelled events fire, and that after every op Pending and
+// PendingCensus match a model in which a cancelled event stays pending until
+// a Run passes its time.
 func FuzzEventOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x14, 0x41, 0x02, 0x83, 0xc4, 0x10, 0xff})
 	f.Add([]byte{0x01, 0x01, 0x01})                         // cancels with nothing live
@@ -36,24 +52,61 @@ func FuzzEventOps(f *testing.F) {
 		rekey = append(rekey, byte(62-d)<<2, byte(d)<<2, 0x03|byte(d)<<2)
 	}
 	f.Add(rekey)
+	// deep fills the heap with smallQueue events due at 63 and cancels them
+	// all (they stay pending), so the events scheduled next go to lanes and
+	// sit at the front of the live list, where cancel arguments reach them.
+	deep := func(ops ...byte) []byte {
+		var b []byte
+		for i := 0; i < smallQueue; i++ {
+			b = append(b, op(opSchedule, 63))
+		}
+		for i := 0; i < smallQueue; i++ {
+			b = append(b, op(opCancel, 0))
+		}
+		return append(b, ops...)
+	}
+	// One lane of 20 events: cancel its head, then one in the middle, then
+	// cancel the new head and reschedule it at its time (same delay, so the
+	// same lane), and run partway.
+	var lane []byte
+	for i := 0; i < 20; i++ {
+		lane = append(lane, op(opSchedule, 1))
+	}
+	lane = append(lane, op(opCancel, 0), op(opCancel, 9), op(opReschedule, 0), op(opRun, 0), op(opRun, 1))
+	f.Add(deep(lane...))
+	// A lane ring that wraps and then grows: 4 events at t=2, 4 at t=3 and
+	// a run pop the first 4, so 4 more at t=4 fill the 8-slot ring past its
+	// end. One of those is cancelled before the ring grows to 16, then the
+	// ring grows, and events on both sides of the old wrap point (and the
+	// head) are cancelled or rescheduled after it.
+	var wrap []byte
+	for _, ops := range [][]byte{
+		{op(opSchedule, 2), op(opSchedule, 2), op(opSchedule, 2), op(opSchedule, 2), op(opRun, 1)},
+		{op(opSchedule, 2), op(opSchedule, 2), op(opSchedule, 2), op(opSchedule, 2), op(opRun, 1)},
+		{op(opSchedule, 2), op(opSchedule, 2), op(opSchedule, 2), op(opSchedule, 2)},
+		{op(opCancel, 5), op(opSchedule, 2), op(opSchedule, 2), op(opCancel, 5), op(opCancel, 2)},
+		{op(opCancel, 0), op(opReschedule, 4), op(opRun, 1), op(opRun, 1), op(opRun, 63)},
+	} {
+		wrap = append(wrap, ops...)
+	}
+	f.Add(deep(wrap...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewEngine()
 		e.EnableChecks()
 		type tracked struct {
-			ev *Event
-			at Time
+			ev        *Event // dead once the event fires or is cancelled
+			at        Time
+			cancelled bool
 		}
 		// live holds events that are queued and not cancelled; fire callbacks
 		// remove their own entry, mirroring the handle-clearing discipline
-		// real timer holders (transport RTO, reorder timer) follow.
-		var live []*tracked
+		// real timer holders (transport RTO, reorder timer) follow. queue
+		// holds every event no Run has passed yet, cancelled ones included.
+		var live, queue []*tracked
 		fired, expect := 0, 0
 		remove := func(tr *tracked) {
-			for i, o := range live {
-				if o == tr {
-					live = append(live[:i], live[i+1:]...)
-					return
-				}
+			if i := slices.Index(live, tr); i >= 0 {
+				live = slices.Delete(live, i, i+1)
 			}
 		}
 		track := func(at Time, abs bool) {
@@ -69,35 +122,64 @@ func FuzzEventOps(f *testing.F) {
 			}
 			tr.at = tr.ev.At()
 			live = append(live, tr)
+			queue = append(queue, tr)
 		}
-		for _, b := range data {
-			arg := int(b >> 2)
-			switch b & 3 {
-			case 0: // schedule at now+arg
-				track(Time(arg), false)
-				expect++
-			case 1: // cancel a live event
-				if len(live) == 0 {
-					continue
+		cancel := func(arg int) *tracked {
+			tr := live[arg%len(live)]
+			tr.ev.Cancel()
+			tr.cancelled = true
+			remove(tr)
+			return tr
+		}
+		// check compares the engine with the model after op i (-1: RunAll).
+		check := func(i int) {
+			t.Helper()
+			when := "after RunAll"
+			if i >= 0 {
+				when = fmt.Sprintf("op %d (%#02x)", i, data[i])
+			}
+			cancelled := 0
+			for _, tr := range queue {
+				if tr.cancelled {
+					cancelled++
 				}
-				tr := live[arg%len(live)]
-				tr.ev.Cancel()
-				remove(tr)
-				expect--
-			case 2: // cancel then reschedule at the exact same timestamp
-				if len(live) == 0 {
-					continue
-				}
-				tr := live[arg%len(live)]
-				at := tr.at
-				tr.ev.Cancel()
-				remove(tr)
-				track(at, true)
-			case 3: // advance the clock partially, firing due events
-				e.Run(e.Now() + Time(arg))
+			}
+			if got := e.Pending(); got != len(queue) {
+				t.Fatalf("%s: Pending() = %d, model %d", when, got, len(queue))
+			}
+			byKind, gotCancelled := e.PendingCensus()
+			if gotCancelled != cancelled || byKind[KindOther] != len(live) {
+				t.Fatalf("%s: PendingCensus() = %d live, %d cancelled; model %d live, %d cancelled",
+					when, byKind[KindOther], gotCancelled, len(live), cancelled)
 			}
 		}
+		for i, b := range data {
+			arg := int(b >> 2)
+			switch b & 3 {
+			case opSchedule:
+				track(Time(arg), false)
+				expect++
+			case opCancel:
+				if len(live) == 0 {
+					continue
+				}
+				cancel(arg)
+				expect--
+			case opReschedule:
+				if len(live) == 0 {
+					continue
+				}
+				track(cancel(arg).at, true)
+			case opRun:
+				until := e.Now() + Time(arg)
+				e.Run(until)
+				queue = slices.DeleteFunc(queue, func(tr *tracked) bool { return tr.at <= until })
+			}
+			check(i)
+		}
 		e.RunAll()
+		queue = nil
+		check(-1)
 		if vs := e.Violations(); len(vs) > 0 {
 			t.Fatalf("invariant violations: %v", vs)
 		}
@@ -106,9 +188,6 @@ func FuzzEventOps(f *testing.F) {
 		}
 		if len(live) != 0 {
 			t.Fatalf("%d tracked events never fired", len(live))
-		}
-		if n := e.Pending(); n != 0 {
-			t.Fatalf("Pending() = %d after RunAll, want 0", n)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -247,5 +248,43 @@ func TestUnknownKindFiledAsOther(t *testing.T) {
 	}
 	if got := p.Count(KindOther); got != 2 || p.Total() != 2 {
 		t.Fatalf("Count(KindOther) = %d of Total() = %d, want 2 of 2", got, p.Total())
+	}
+}
+
+// TestLanePositionsWrap starts every lane's absolute positions just short of
+// 2^32, so pushes, two ring grows and cancellations straddle the point where
+// positions wrap: each position must keep naming its event's slot.
+func TestLanePositionsWrap(t *testing.T) {
+	e := NewEngine()
+	e.EnableChecks()
+	for i := range e.lanes {
+		e.lanes[i].head = math.MaxUint32 - 5
+	}
+	fill(e, smallQueue)
+	var fired []int
+	var evs []*Event
+	for i := 0; i < 20; i++ {
+		i := i
+		evs = append(evs, e.Schedule(10, func() { fired = append(fired, i) }))
+	}
+	if l := &e.lanes[evs[0].lane]; evs[0].lane == inHeap || len(l.ring) != 32 {
+		t.Fatalf("events in lane %d, ring of %d; want a lane grown to 32", evs[0].lane, len(l.ring))
+	}
+	cancelled := map[int]bool{0: true, 5: true, 6: true, 13: true, 19: true}
+	for i := range cancelled {
+		evs[i].Cancel()
+	}
+	e.Run(10)
+	var want []int
+	for i := range evs {
+		if !cancelled[i] {
+			want = append(want, i)
+		}
+	}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	if vs := e.Violations(); len(vs) > 0 {
+		t.Fatalf("invariant violations: %v", vs)
 	}
 }

@@ -99,21 +99,13 @@ func (e *Engine) profiledFire(ev *Event) {
 	}
 	p.countdown--
 	if p.countdown > 0 {
-		if ev.fn2 != nil {
-			ev.fn2(ev.a1, ev.a2)
-		} else {
-			ev.fn()
-		}
+		ev.fn(ev.a1, ev.a2)
 		e.recycle(ev)
 		return
 	}
 	p.countdown = p.sampleEvery
 	start := time.Now()
-	if ev.fn2 != nil {
-		ev.fn2(ev.a1, ev.a2)
-	} else {
-		ev.fn()
-	}
+	ev.fn(ev.a1, ev.a2)
 	p.sampledNs[k] += int64(time.Since(start))
 	p.sampledFires[k]++
 	e.recycle(ev)

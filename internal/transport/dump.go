@@ -83,7 +83,7 @@ func (t *Transport) Dump() *Dump {
 			PathChanges: f.PathChanges,
 			Hidden:      f.Hidden,
 		}
-		if f.rtoTimer != nil && !f.rtoTimer.Canceled() {
+		if f.rtoTimer != nil {
 			fd.RTOAtNs = f.rtoTimer.At()
 		}
 		d.Active = append(d.Active, fd)
