@@ -404,3 +404,38 @@ func TestRandomScenarioDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinScenariosComplete runs every library scenario, plus a random
+// timeline, under ECMP and Hermes with the invariant harness armed: each run
+// must complete with zero violations and balanced packet conservation. Seed
+// 14 has spine-down-recover cut a spine's links while ECMP keeps packets
+// queued behind the one on the wire, and random timeline 25 does the same
+// under Hermes.
+func TestBuiltinScenariosComplete(t *testing.T) {
+	type timeline struct {
+		name string
+		sc   *Scenario
+	}
+	var timelines []timeline
+	for _, name := range ScenarioNames() {
+		sc, err := BuiltinScenario(name, chaosTopo())
+		if err != nil {
+			t.Fatal(err)
+		}
+		timelines = append(timelines, timeline{name, sc})
+	}
+	timelines = append(timelines, timeline{"random-25", RandomScenario(chaosTopo(), 25, 0.9)})
+	for _, tl := range timelines {
+		for _, scheme := range []Scheme{SchemeECMP, SchemeHermes} {
+			t.Run(tl.name+"/"+string(scheme), func(t *testing.T) {
+				t.Parallel()
+				cfg := chaosConfig(scheme, tl.sc)
+				cfg.Seed = 14
+				cfg.Checks = true
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}

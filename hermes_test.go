@@ -1,6 +1,9 @@
 package hermes
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 
 	"github.com/hermes-repro/hermes/internal/core"
@@ -105,6 +108,43 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.Reroutes != b.Reroutes {
 		t.Fatalf("same seed, different reroutes: %d vs %d", a.Reroutes, b.Reroutes)
+	}
+}
+
+// TestSwitchSchemeDigests pins CONGA's and HULA's results byte for byte,
+// clean and with one link at half rate. Both read the fabric ports'
+// link-utilization estimators, so a digest moves if an estimator is armed
+// late, read before the packet it stamps is counted, or split into
+// per-reader copies that the port does not feed.
+func TestSwitchSchemeDigests(t *testing.T) {
+	degrade := FailureSpec{Kind: FailureDegradeLink, CutLeaf: 0, CutSpine: 1}
+	for _, c := range []struct {
+		name    string
+		scheme  Scheme
+		failure FailureSpec
+		want    string
+	}{
+		{"conga", SchemeCONGA, FailureSpec{}, "dced9b74695390c7576f6fe8d043789f744381af3ac5c7ac85b1913f11b5bfa8"},
+		{"conga/degrade-link", SchemeCONGA, degrade, "5aededd01e86a1b60a2363b44fb659228fea00f40be80696b406d9f613e8e2a6"},
+		{"hula", SchemeHULA, FailureSpec{}, "d6e613dc6ad57de14889c4d08676b8b0afa03e5520ff25446f080b62657caa33"},
+		{"hula/degrade-link", SchemeHULA, degrade, "f76bbb609fbd7921197d2d268622ccf95af12997cf24c03ddc3e315b58263f23"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			res := mustRun(t, Config{
+				Topology: smallTopo(), Scheme: c.scheme,
+				Workload: "web-search", Load: 0.6, Flows: 200, Seed: 5,
+				Failure: c.failure,
+			})
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("result digest %s, want %s", got, c.want)
+			}
+		})
 	}
 }
 

@@ -98,9 +98,12 @@ func NewConga(nw *net.Network, leaf int, rng *sim.RNG, p CongaParams) *Conga {
 	return c
 }
 
+// stampCE arms the port's utilization estimator and returns the OnTx hook
+// that folds its quantized reading into the packet's CE field.
 func stampCE(nw *net.Network, port *net.Port, levels int) func(*net.Packet) {
+	util := port.Utilization()
 	return func(pkt *net.Packet) {
-		q := port.DREQuant(nw.Eng.Now(), levels)
+		q := util.Quantize(nw.Eng.Now(), port.RateBps(), levels)
 		if q > pkt.CongaCE {
 			pkt.CongaCE = q
 		}
@@ -156,8 +159,8 @@ func (c *Conga) bestPath(paths []int, dstLeaf int, now sim.Time) int {
 	var bestMetric uint8
 	nBest := 0
 	for _, p := range paths {
-		local := sw.Uplink(p).DREQuant(now, c.Params.QuantLevels)
-		m := local
+		up := sw.Uplink(p)
+		m := up.Utilization().Quantize(now, up.RateBps(), c.Params.QuantLevels)
 		if r := c.remote(dstLeaf, p, now); r > m {
 			m = r
 		}

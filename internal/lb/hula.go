@@ -41,8 +41,16 @@ type Hula struct {
 	flowlets map[uint64]*flowletEntry
 }
 
-// InstallHula sets up HULA on every leaf switch.
+// InstallHula sets up HULA on every leaf switch. It arms the utilization
+// estimators of every leaf uplink and spine downlink before any traffic;
+// the per-leaf instances share each spine downlink's estimator.
 func InstallHula(nw *net.Network, rng *sim.RNG, p HulaParams) []*Hula {
+	for l := range nw.Leaves {
+		for q := 0; q < nw.NPaths(); q++ {
+			nw.Leaves[l].Uplink(q).Utilization()
+			nw.DownlinkPort(q, l).Utilization()
+		}
+	}
 	out := make([]*Hula, nw.Cfg.Leaves)
 	for l := range nw.Leaves {
 		h := &Hula{
@@ -72,8 +80,8 @@ func (h *Hula) refresh() {
 		paths := h.Net.AvailablePaths(h.Leaf, d)
 		best, bestUtil := -1, 0.0
 		for _, p := range paths {
-			up := sw.Uplink(p).UtilFraction(now)
-			down := h.Net.DownlinkPort(p, d).UtilFraction(now)
+			up := linkUtil(sw.Uplink(p), now)
+			down := linkUtil(h.Net.DownlinkPort(p, d), now)
 			u := up
 			if down > u {
 				u = down
@@ -85,6 +93,15 @@ func (h *Hula) refresh() {
 		h.bestPath[d] = best
 	}
 	h.Net.Eng.ScheduleKind(h.Params.ProbeInterval, sim.KindTimer, h.refresh)
+}
+
+// linkUtil returns a port's estimated utilization in [0, ~1+]. A cut link
+// reads as full without touching its estimator.
+func linkUtil(port *net.Port, now sim.Time) float64 {
+	if port.Down() {
+		return 1
+	}
+	return port.Utilization().RateBps(now) / float64(port.RateBps())
 }
 
 // SelectUplink implements net.SwitchBalancer.

@@ -4,8 +4,9 @@ import "github.com/hermes-repro/hermes/internal/sim"
 
 // Port is one direction of a link: an output queue plus a transmitter. It
 // implements strict two-level priority (ACKs/probe-echoes above data), a
-// drop-tail data queue, instantaneous-queue ECN marking as configured for
-// DCTCP, and a DRE that tracks link utilization for CONGA-style sensing.
+// drop-tail data queue and instantaneous-queue ECN marking as configured for
+// DCTCP. A link-utilization estimator (a DRE) runs only on ports whose
+// Utilization a switch balancer armed; every other port skips it.
 type Port struct {
 	eng *sim.Engine
 
@@ -31,7 +32,8 @@ type Port struct {
 	holding int64
 
 	// OnTx, if set, runs when a packet starts transmission on this port
-	// (after the DRE update). CONGA uses it to stamp congestion metrics.
+	// (after the utilization estimator, if armed, counts it). CONGA uses it
+	// to stamp congestion metrics.
 	OnTx func(*Packet)
 
 	// onDrop/onMark, when non-nil, observe every packet this port drops or
@@ -40,7 +42,10 @@ type Port struct {
 	onDrop func(*Packet)
 	onMark func(*Packet)
 
-	dre DRE
+	// util is the link-utilization estimator, nil until Utilization arms
+	// it: only CONGA and HULA read one, so other schemes skip its math.Exp
+	// per transmitted packet.
+	util *DRE
 
 	// Counters.
 	TxBytes   uint64
@@ -121,7 +126,6 @@ func NewPort(eng *sim.Engine, name string, cfg PortConfig, deliver func(*Packet)
 		queueCap:  cfg.QueueCap,
 		ecnK:      cfg.ECNK,
 		deliver:   deliver,
-		dre:       NewDRE(DefaultDRETau),
 	}
 }
 
@@ -172,23 +176,16 @@ func (p *Port) QueueHiWater() int { return p.hiWater }
 // (its utilization integral; divide by elapsed time for mean utilization).
 func (p *Port) BusyTime() sim.Time { return p.busyTime }
 
-// UtilQuantized returns the CONGA 3-bit utilization metric of this port.
-func (p *Port) UtilQuantized(now sim.Time) uint8 {
-	return p.dre.Quantize(now, p.rateBps, 8)
-}
-
-// DREQuant returns the DRE utilization metric quantized to the given number
-// of levels.
-func (p *Port) DREQuant(now sim.Time, levels int) uint8 {
-	return p.dre.Quantize(now, p.rateBps, levels)
-}
-
-// UtilFraction returns the estimated utilization of the port in [0, ~1+].
-func (p *Port) UtilFraction(now sim.Time) float64 {
-	if p.rateBps <= 0 {
-		return 1
+// Utilization returns the port's link-utilization estimator, arming it on
+// the first call; later calls return the same one, so all readers share it.
+// The estimator counts only packets transmitted after it was armed: arm it
+// when installing a balancer, before any traffic. Reads decay it in place.
+func (p *Port) Utilization() *DRE {
+	if p.util == nil {
+		d := NewDRE(DefaultDRETau)
+		p.util = &d
 	}
-	return p.dre.RateBps(now) / float64(p.rateBps)
+	return p.util
 }
 
 // EnablePeakSampling arms per-interval queue-peak tracking for the flight
@@ -264,6 +261,10 @@ func (p *Port) drop(pkt *Packet) {
 func (p *Port) Holding() int64 { return p.holding }
 
 func (p *Port) transmitNext() {
+	if p.Down() {
+		p.dropQueued()
+		return
+	}
 	var pkt *Packet
 	switch {
 	case p.hi.n > 0:
@@ -278,7 +279,9 @@ func (p *Port) transmitNext() {
 	}
 	p.busy = true
 	now := p.eng.Now()
-	p.dre.Add(pkt.Wire, now)
+	if p.util != nil {
+		p.util.Add(pkt.Wire, now)
+	}
 	if p.OnTx != nil {
 		p.OnTx(pkt)
 	}
@@ -297,6 +300,22 @@ func (p *Port) transmitNext() {
 	// Pre-bound callbacks keep the two hottest scheduling sites in the whole
 	// simulator free of closure allocations.
 	p.eng.ScheduleCallKind(txTime, sim.KindPortTx, portTxDone, p, pkt)
+}
+
+// dropQueued empties the queues of a link cut while it was transmitting: a
+// down port cannot serialize, so every packet it dequeues is a port drop, as
+// at Enqueue, and the port goes idle. SetRateBps leaves the queues alone, so
+// a cut restored before the current transmission ends keeps them.
+func (p *Port) dropQueued() {
+	for _, q := range [...]*pktRing{&p.hi, &p.lo} {
+		for q.n > 0 {
+			p.Drops++
+			p.holding--
+			p.drop(q.pop())
+		}
+	}
+	p.hiBytes, p.loBytes = 0, 0
+	p.busy = false
 }
 
 // portTxDone fires when a packet's last bit leaves the transmitter: start

@@ -139,6 +139,72 @@ func TestPortDownDropsEverything(t *testing.T) {
 	}
 }
 
+// TestPortCutMidTransmission cuts a busy port with data and ACKs queued
+// behind the packet on the wire: that packet still leaves, and every queued
+// one is dropped through the drop hook once the transmitter frees up.
+func TestPortCutMidTransmission(t *testing.T) {
+	eng, p, got := newTestPort(t, 1_000_000_000, 0)
+	hooked := 0
+	p.onDrop = func(*Packet) { hooked++ }
+	for i := 0; i < 3; i++ {
+		p.Enqueue(&Packet{Kind: Data, Wire: 1500, Seq: int64(i)})
+	}
+	p.Enqueue(&Packet{Kind: Ack, Wire: 40})
+	p.Enqueue(&Packet{Kind: Ack, Wire: 40})
+	eng.Schedule(6*sim.Microsecond, func() { p.SetRateBps(0) }) // mid-way through 12 us
+	eng.RunAll()
+	if len(*got) != 1 || (*got)[0].Seq != 0 {
+		t.Fatalf("cut port delivered %d packets, want only the one on the wire", len(*got))
+	}
+	if p.Drops != 4 || hooked != 4 {
+		t.Fatalf("dropped %d (hook saw %d), want all 4 queued", p.Drops, hooked)
+	}
+	if p.Holding() != 0 || p.QueuedBytes() != 0 || p.busy {
+		t.Fatalf("cut port not drained: holding %d, queued %d B, busy %v",
+			p.Holding(), p.QueuedBytes(), p.busy)
+	}
+}
+
+// TestPortCutRestoredInFlightKeepsQueue: a cut healed before the current
+// transmission ends never reaches the transmitter, so the queue survives.
+func TestPortCutRestoredInFlightKeepsQueue(t *testing.T) {
+	eng, p, got := newTestPort(t, 1_000_000_000, 0)
+	for i := 0; i < 3; i++ {
+		p.Enqueue(&Packet{Kind: Data, Wire: 1500})
+	}
+	eng.Schedule(3*sim.Microsecond, func() { p.SetRateBps(0) })
+	eng.Schedule(6*sim.Microsecond, func() { p.SetRateBps(1_000_000_000) })
+	eng.RunAll()
+	if len(*got) != 3 || p.Drops != 0 {
+		t.Fatalf("delivered %d, dropped %d; want 3 and 0", len(*got), p.Drops)
+	}
+}
+
+// TestPortUtilizationArming: a port runs no estimator until a reader arms
+// one, every reader gets the same one, and it counts a packet before OnTx.
+func TestPortUtilizationArming(t *testing.T) {
+	eng, p, _ := newTestPort(t, 1_000_000_000, 0)
+	p.Enqueue(&Packet{Kind: Data, Wire: 1500})
+	eng.RunAll()
+	if p.util != nil {
+		t.Fatal("estimator armed without a reader")
+	}
+	u := p.Utilization()
+	if p.Utilization() != u {
+		t.Fatal("second Utilization call returned another estimator")
+	}
+	if r := u.RateBps(eng.Now()); r != 0 {
+		t.Fatalf("estimator counted traffic from before it was armed: %.3g bps", r)
+	}
+	var atTx float64
+	p.OnTx = func(*Packet) { atTx = u.RateBps(eng.Now()) }
+	p.Enqueue(&Packet{Kind: Data, Wire: 1500})
+	eng.RunAll()
+	if atTx <= 0 {
+		t.Fatal("OnTx ran before the estimator counted the packet")
+	}
+}
+
 func TestPortOnTxHook(t *testing.T) {
 	eng, p, _ := newTestPort(t, 1_000_000_000, 0)
 	seen := 0
