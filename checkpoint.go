@@ -32,6 +32,7 @@ import (
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
 	"github.com/hermes-repro/hermes/internal/statusd"
+	"github.com/hermes-repro/hermes/internal/telemetry"
 	"github.com/hermes-repro/hermes/internal/trace"
 	"github.com/hermes-repro/hermes/internal/transport"
 )
@@ -333,10 +334,11 @@ func (r *run) applyFork(f *ForkOptions) error {
 	if f.Scheme != "" && f.Scheme != r.cfg.Scheme {
 		newCfg := r.cfg
 		newCfg.Scheme = f.Scheme
-		w2, err := buildScheme(r.nw, r.rng, newCfg, r.rd, r.flight)
+		w2, err := buildScheme(r.nw, r.rng, newCfg, r.audit())
 		if err != nil {
 			return err
 		}
+		w2.declare(r.plane())
 		if tracer := r.tracer; tracer != nil {
 			inner := w2.balancerFor
 			eng := r.eng
@@ -356,10 +358,11 @@ func (r *run) applyFork(f *ForkOptions) error {
 		r.w = w2
 		r.cfg.Scheme = f.Scheme
 		r.installStartHooks()
-	} else if r.flightLate && r.w.attachFlight != nil {
-		// Scenario-only fork: the scheme was built flight-blind during
-		// replay (see setup); hook its series up before the recorder starts.
-		r.w.attachFlight(r.flight)
+	} else if r.flightLate {
+		// Scenario-only fork: the scheme declared on the report sink only
+		// during replay (see setup); declare its flight series before the
+		// recorder starts.
+		r.w.declare(r.plane().Only(telemetry.SinkFlight))
 	}
 	if sc := r.cfg.forkScenario; sc != nil {
 		cs, err := sc.toChaos(r.cfg.Topology)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ func mustRun(cfg hermes.Config) *hermes.Result {
 	}
 	if traceDir != "" {
 		// Per-run in-memory recorder (Result.Trace): safe even when a sweep
-		// runs data points concurrently, unlike a shared TraceWriter.
+		// runs data points concurrently.
 		cfg.Trace = true
 	}
 	if timeseriesDir != "" {
@@ -84,50 +85,41 @@ func saveRunArtifacts(cfg hermes.Config, res *hermes.Result) {
 	exp := currentExp
 	artifactMu.Unlock()
 	base := fmt.Sprintf("%s_%03d_%s_load%03.0f", exp, n, cfg.Scheme, cfg.Load*100)
+	save := func(dir, suffix string, write func(io.Writer) error) {
+		if err := writeFile(filepath.Join(dir, base+suffix), write); err != nil {
+			log.Fatal(err)
+		}
+	}
 	if reportDir != "" {
 		rep, err := hermes.BuildReport(cfg, res)
 		if err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(filepath.Join(reportDir, base+".json"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
+		save(reportDir, ".json", rep.WriteJSON)
 	}
 	if auditDir != "" {
-		f, err := os.Create(filepath.Join(auditDir, base+".jsonl"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Telemetry.Audit.WriteJSONL(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
+		save(auditDir, ".jsonl", res.Telemetry.Audit.WriteJSONL)
 	}
 	if traceDir != "" && res.Trace != nil {
-		f, err := os.Create(filepath.Join(traceDir, base+".trace.jsonl"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Trace.WriteJSONL(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
+		save(traceDir, ".trace.jsonl", res.Trace.WriteJSONL)
 	}
 	if timeseriesDir != "" && res.TimeSeries != nil {
-		f, err := os.Create(filepath.Join(timeseriesDir, base+".ts.jsonl"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.TimeSeries.WriteJSONL(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
+		save(timeseriesDir, ".ts.jsonl", res.TimeSeries.WriteJSONL)
 	}
+}
+
+// writeFile creates path and fills it with write, returning the first of
+// the write and Close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func degrade() hermes.FailureSpec {

@@ -193,14 +193,17 @@ func TestMPTCPIncastPenalty(t *testing.T) {
 }
 
 func TestTraceThroughFacade(t *testing.T) {
-	var sb strings.Builder
 	res := mustRun(t, Config{
 		Topology: smallTopo(), Scheme: SchemeHermes,
 		Workload: "web-search", Load: 0.5, Flows: 50, Seed: 2,
-		TraceWriter: &sb,
+		Trace: true,
 	})
 	if res.TraceCounts["start"] != 50 || res.TraceCounts["done"] != 50 {
 		t.Fatalf("trace counts = %v, want 50 starts and dones", res.TraceCounts)
+	}
+	var sb strings.Builder
+	if err := res.Trace.WriteJSONL(&sb); err != nil {
+		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `"kind":"place"`) {
 		t.Fatal("no placement events in the JSONL stream")
@@ -314,11 +317,6 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		if par[i].FCT.Overall.Mean != seq.FCT.Overall.Mean || par[i].Events != seq.Events {
 			t.Fatalf("seed %d: parallel run diverged from sequential", s)
 		}
-	}
-	var sb strings.Builder
-	cfg.TraceWriter = &sb
-	if _, err := RunParallel(cfg, Seeds(1, 2)); err == nil {
-		t.Fatal("shared TraceWriter accepted in parallel mode")
 	}
 }
 

@@ -25,16 +25,16 @@ type Hermes struct {
 	Reroutes        uint64
 	TimeoutReroutes uint64
 	FailureReroutes uint64
+	// NoBetterPath counts congestion episodes where every alternative
+	// failed the "notably better" margins — the cautious design refusing a
+	// blind move (the congestion-mismatch detector). CautionHeld counts
+	// decisions suppressed by the sent-bytes/rate/cooldown gates.
+	NoBetterPath uint64
+	CautionHeld  uint64
 
 	// Audit, when non-nil, receives one entry per placement and reroute
 	// decision — the queryable record of Algorithm 2's verdicts.
 	Audit *telemetry.AuditLog
-	// cNoBetter counts congestion episodes where every alternative failed
-	// the "notably better" margins — the cautious design refusing a blind
-	// move (the congestion-mismatch detector). cCautionHeld counts decisions
-	// suppressed by the sent-bytes/rate/cooldown gates.
-	cNoBetter    *telemetry.Counter
-	cCautionHeld *telemetry.Counter
 }
 
 type pairKey struct {
@@ -58,16 +58,6 @@ func New(mon *Monitor, rng *sim.RNG, host int) *Hermes {
 
 // Name implements transport.Balancer.
 func (h *Hermes) Name() string { return "Hermes" }
-
-// AttachTelemetry wires the decision audit log and the caution counters.
-// Counters are get-or-create by name, so every instance under one registry
-// shares them. Safe to skip entirely: a nil registry and audit cost one nil
-// check per decision.
-func (h *Hermes) AttachTelemetry(reg *telemetry.Registry, audit *telemetry.AuditLog) {
-	h.Audit = audit
-	h.cNoBetter = reg.Counter("hermes.reroute.no_better_path")
-	h.cCautionHeld = reg.Counter("hermes.reroute.caution_held")
-}
 
 // audit records one decision entry (no-op when auditing is off).
 func (h *Hermes) audit(at sim.Time, kind telemetry.AuditKind, reason string, f *transport.Flow, from, to int) {
@@ -137,11 +127,11 @@ func (h *Hermes) SelectPath(f *transport.Flow) int {
 		return cur
 	}
 	if f.SentBytes() <= m.P.SBytes || f.RateBps(now) >= m.P.RBps {
-		h.cCautionHeld.Inc()
+		h.CautionHeld++
 		return cur // caution gates: too little sent, or already fast
 	}
 	if last, ok := h.lastReroute[f.ID]; ok && now-last < m.P.RerouteCooldown {
-		h.cCautionHeld.Inc()
+		h.CautionHeld++
 		return cur // signals from the previous move have not converged yet
 	}
 	curPS := m.State(f.DstLeaf, cur)
@@ -157,7 +147,7 @@ func (h *Hermes) SelectPath(f *transport.Flow) int {
 	}
 	// The current path is congested but nothing clears the notably-better
 	// margins: moving would risk the congestion mismatch of §2.2, so stay.
-	h.cNoBetter.Inc()
+	h.NoBetterPath++
 	return cur
 }
 

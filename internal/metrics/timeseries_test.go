@@ -1,18 +1,27 @@
 package metrics
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
+	"github.com/hermes-repro/hermes/internal/timeseries"
 )
+
+// throughputSampler starts a recorder that samples port p's transmit rate
+// in Gbit/s every interval: the recorder's Gbps rate over the TxBytes
+// counter (the signal behind Figures 2b/3b's rate plots).
+func throughputSampler(eng *sim.Engine, p *net.Port, interval sim.Time) *timeseries.Recorder {
+	rec := timeseries.NewSweep(eng, interval)
+	rec.RegisterRate("gbps", func() float64 { return float64(p.TxBytes) }, timeseries.Gbps)
+	rec.Start()
+	return rec
+}
 
 func TestThroughputSampler(t *testing.T) {
 	eng := sim.NewEngine()
 	port := net.NewPort(eng, "t", net.PortConfig{RateBps: 10e9, ECNK: -1}, func(*net.Packet) {})
-	ts := &ThroughputSampler{Port: port, Interval: 100 * sim.Microsecond}
-	ts.Start(eng)
+	ts := throughputSampler(eng, port, 100*sim.Microsecond)
 	// Offer exactly line rate for 2 ms: 1500 B every 1.2 us.
 	var inject func()
 	n := 0
@@ -27,32 +36,11 @@ func TestThroughputSampler(t *testing.T) {
 	inject()
 	eng.Run(2 * sim.Millisecond)
 	ts.Stop()
-	if len(ts.Samples) < 10 {
-		t.Fatalf("only %d samples", len(ts.Samples))
+	if ts.Len() < 10 {
+		t.Fatalf("only %d samples", ts.Len())
 	}
-	mean := ts.MeanGbps()
+	mean := Summarize(ts.Series("gbps")).Mean
 	if mean < 8 || mean > 10.5 {
 		t.Fatalf("mean goodput %.2f Gbps, want ~10", mean)
-	}
-	var sb strings.Builder
-	if err := ts.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sb.String(), "time_us,gbps\n") {
-		t.Fatal("CSV header missing")
-	}
-	if strings.Count(sb.String(), "\n") != len(ts.Samples)+1 {
-		t.Fatal("CSV row count mismatch")
-	}
-}
-
-func TestQueueCSV(t *testing.T) {
-	q := &QueueSampler{Samples: []QueueSample{{At: 1000, Bytes: 42}}}
-	var sb strings.Builder
-	if err := q.WriteQueueCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "1,42") {
-		t.Fatalf("CSV content wrong: %q", sb.String())
 	}
 }

@@ -1,69 +1,20 @@
-// Package telemetry is the fabric-wide observability layer: a registry of
-// named, labelled counters/gauges/histograms fed by instrumentation hooks in
-// net, transport and core; a periodic simulation-time Sweeper that snapshots
-// the registry into time series; a Hermes decision AuditLog; and a Report
-// that serializes a full run to JSON, CSV and human-readable text.
+// Package telemetry is the fabric-wide observability layer: the metric
+// Plane on which net, transport, core and the schemes declare each metric
+// once, naming the sinks that export it (the report sweep, the flight ring,
+// a per-interval rate); the push histograms; a Hermes decision AuditLog;
+// and a Report that serializes a full run to JSON, CSV and human-readable
+// text.
 //
-// Every instrument is nil-safe: a nil *Registry hands out nil instruments,
-// and calling Inc/Add/Set/Observe on a nil instrument is a no-op. Hot paths
-// therefore hold plain instrument pointers and pay only a nil check when
-// telemetry is disabled.
+// Every push instrument is nil-safe: a nil *Registry hands out nil
+// histograms, and Observe on a nil histogram is a no-op. Hot paths therefore
+// hold plain instrument pointers and pay only a nil check when telemetry is
+// disabled.
 package telemetry
 
 import (
 	"sort"
 	"strings"
 )
-
-// Counter is a monotonically increasing metric.
-type Counter struct{ v float64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add increases the counter by n (negative deltas are ignored).
-func (c *Counter) Add(n float64) {
-	if c != nil && n > 0 {
-		c.v += n
-	}
-}
-
-// Value returns the current count (0 for a nil counter).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a metric that can move in both directions.
-type Gauge struct{ v float64 }
-
-// Set overwrites the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g != nil {
-		g.v += delta
-	}
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
 
 // Histogram accumulates observations into fixed upper-bound buckets plus
 // count/sum/min/max. An implicit +Inf bucket catches the overflow.
@@ -138,25 +89,18 @@ func (h *Histogram) Stats() HistogramStats {
 	return s
 }
 
-// Registry is the named-instrument store. Instruments are get-or-create by
-// (name, labels) key, so independent call sites share one instrument. A nil
-// Registry is the disabled state: it returns nil instruments and empty
-// snapshots.
+// Registry is the run's histogram store. Histograms are the one push
+// instrument: every other metric is a pull probe declared on a Plane.
+// Histograms are get-or-create by (name, labels) key, so independent call
+// sites share one instrument. A nil Registry is the disabled state: it
+// returns nil histograms and an empty export.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	funcs    map[string]func() float64
-	hists    map[string]*Histogram
+	hists map[string]*Histogram
 }
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		funcs:    map[string]func() float64{},
-		hists:    map[string]*Histogram{},
-	}
+	return &Registry{hists: map[string]*Histogram{}}
 }
 
 // Key renders a metric identity as name{k=v,...} with label pairs sorted by
@@ -186,45 +130,6 @@ func Key(name string, labels ...string) string {
 	return b.String()
 }
 
-// Counter returns the counter for (name, labels), creating it on first use.
-// Returns nil on a nil registry.
-func (r *Registry) Counter(name string, labels ...string) *Counter {
-	if r == nil {
-		return nil
-	}
-	k := Key(name, labels...)
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	k := Key(name, labels...)
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
-}
-
-// GaugeFunc registers a pull-style gauge evaluated at snapshot time — the
-// cheapest way to expose an existing counter field without touching its hot
-// path. Re-registering a key replaces the function.
-func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.funcs[Key(name, labels...)] = fn
-}
-
 // Histogram returns the histogram for (name, labels) with the given sorted
 // upper bounds, creating it on first use (later bounds are ignored for an
 // existing histogram).
@@ -242,31 +147,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 		r.hists[k] = h
 	}
 	return h
-}
-
-// Values evaluates every counter, gauge and gauge function into a flat map.
-// Functions are evaluated in sorted-key order so any side effects (there
-// should be none) are deterministic.
-func (r *Registry) Values() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+len(r.funcs))
-	for k, c := range r.counters {
-		out[k] = c.v
-	}
-	for k, g := range r.gauges {
-		out[k] = g.v
-	}
-	keys := make([]string, 0, len(r.funcs))
-	for k := range r.funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out[k] = r.funcs[k]()
-	}
-	return out
 }
 
 // Histograms exports every histogram's stats, keyed by metric key.

@@ -9,6 +9,7 @@ import (
 
 	"github.com/hermes-repro/hermes/internal/sim"
 	"github.com/hermes-repro/hermes/internal/textplot"
+	"github.com/hermes-repro/hermes/internal/timeseries"
 )
 
 // ReportSchema identifies the report layout; bump on breaking changes. The
@@ -77,23 +78,29 @@ type Report struct {
 	Audit AuditSummary `json:"audit"`
 }
 
-// RunData bundles the live telemetry objects of one run: the registry the
-// instrumentation writes to, the sweeper that snapshots it, and the Hermes
-// decision audit log. A nil *RunData is the disabled state.
+// RunData bundles the live telemetry objects of one run: the report sweep
+// that samples every metric declared with the Report sink, the histogram
+// registry, and the Hermes decision audit log. A nil *RunData is the
+// disabled state.
 type RunData struct {
+	Sweep    *timeseries.Recorder
 	Registry *Registry
-	Sweeper  *Sweeper
 	Audit    *AuditLog
 }
 
+// DefaultSweepInterval is the report sweep's period when none is configured.
+const DefaultSweepInterval = sim.Millisecond
+
 // NewRunData builds an enabled telemetry bundle on the given engine.
-// interval <= 0 picks the default sweep period; auditMax <= 0 the default
-// audit cap.
+// interval <= 0 picks DefaultSweepInterval; auditMax <= 0 the default audit
+// cap.
 func NewRunData(eng *sim.Engine, interval sim.Time, auditMax int) *RunData {
-	reg := NewRegistry()
+	if interval <= 0 {
+		interval = DefaultSweepInterval
+	}
 	return &RunData{
-		Registry: reg,
-		Sweeper:  &Sweeper{Reg: reg, Eng: eng, Interval: interval},
+		Sweep:    timeseries.NewSweep(eng, interval),
+		Registry: NewRegistry(),
 		Audit:    NewAuditLog(auditMax),
 	}
 }
@@ -107,14 +114,13 @@ func (rd *RunData) Fill(rep *Report) {
 	if rep.Counters == nil {
 		rep.Counters = map[string]float64{}
 	}
-	for k, v := range rd.Registry.Values() {
+	for k, v := range rd.Sweep.Values() {
 		rep.Counters[k] = v
 	}
 	rep.Histograms = rd.Registry.Histograms()
-	rep.SeriesTimesNs = rd.Sweeper.Times()
-	cols := rd.Sweeper.Series()
-	for _, name := range rd.Sweeper.SeriesNames() {
-		rep.Series = append(rep.Series, Series{Name: name, Values: cols[name]})
+	rep.SeriesTimesNs = rd.Sweep.Times()
+	for _, name := range rd.Sweep.Names() {
+		rep.Series = append(rep.Series, Series{Name: name, Values: rd.Sweep.Series(name)})
 	}
 	rep.Audit = rd.Audit.Summary()
 }

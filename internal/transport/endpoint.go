@@ -23,17 +23,18 @@ type Transport struct {
 	active     map[uint64]*Flow
 	finished   int
 
-	// Raw loss counters: plain adds on their (rare) paths, always on, so
-	// the flight recorder can sample them without the telemetry registry.
+	// Raw loss counters: plain adds on their (rare) paths, always on, and
+	// read by the metric probes.
 	Retransmits uint64
 	Timeouts    uint64
 
 	// fctRing holds the most recent completed-flow FCTs in milliseconds
-	// for the flight recorder's tail-latency probe. nil (one predictable
-	// branch in finish) unless AttachFlightRecorder armed it.
+	// for the flight ring's tail-latency probe. nil (one predictable branch
+	// in finish) unless DeclareMetrics armed it.
 	fctRing    []float64
 	fctRingPos int
 	fctRingLen int
+	fctScratch []float64
 
 	// RepFlow accounting (see repflow.go); zero unless StartRepFlow is used.
 	RepFlowsStarted uint64 // replicated logical flows opened
@@ -41,13 +42,10 @@ type Transport struct {
 	FlowsCancelled  uint64 // losing copies aborted by CancelFlow
 	RedundantBytes  uint64 // payload bytes the losing copies had sent
 
-	// Telemetry instruments; nil (free) unless AttachTelemetry was called.
-	telemFlowsStarted *telemetry.Counter
-	telemFlowsDone    *telemetry.Counter
-	telemRetx         *telemetry.Counter
-	telemRTO          *telemetry.Counter
-	telemCwnd         *telemetry.Histogram
-	telemAlpha        *telemetry.Histogram
+	// Report histograms; nil (one nil check each) unless DeclareMetrics
+	// armed them.
+	cwndHist  *telemetry.Histogram
+	alphaHist *telemetry.Histogram
 }
 
 // New wires an endpoint onto every host. balFor supplies the per-host
@@ -114,7 +112,6 @@ func (tr *Transport) StartFlow(src, dst int, size int64) *Flow {
 	}
 	ep.flows[f.ID] = f
 	tr.active[f.ID] = f
-	tr.telemFlowsStarted.Inc()
 	ep.bal.OnFlowStart(f)
 	f.trySend()
 	return f

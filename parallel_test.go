@@ -84,16 +84,6 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
-// TestParallelRejectsSharedTracer: one TraceWriter cannot be shared by
-// concurrent runs; the pool must refuse rather than interleave JSONL.
-func TestParallelRejectsSharedTracer(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.TraceWriter = &bytes.Buffer{}
-	if _, err := RunParallel(cfg, Seeds(1, 2)); err == nil {
-		t.Fatal("shared TraceWriter accepted")
-	}
-}
-
 // TestChecksCleanUnderFailures runs the full invariant harness
 // (Config.Checks: engine time/ordering/lifecycle checks plus the packet
 // conservation ledger) under the failure injectors most likely to unbalance

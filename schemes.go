@@ -3,6 +3,7 @@ package hermes
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/hermes-repro/hermes/internal/core"
 	"github.com/hermes-repro/hermes/internal/lb"
@@ -26,25 +27,31 @@ type wiring struct {
 	// stop retires the scheme's periodic machinery (monitor windows, probe
 	// loops) when a what-if fork replaces it mid-run. nil = nothing to stop.
 	stop func()
-	// attachFlight registers the scheme's flight-recorder series and hooks.
-	// Kept separate from construction because hooking a scheme into the
-	// recorder can change checkpoint-visible state (Hermes transition
-	// tracking): a fork replay builds the scheme flight-blind to match the
-	// parent run and attaches only at the fork instant. nil = no series.
-	attachFlight func(*timeseries.Recorder)
+	// declare declares the scheme's metrics on a plane. Kept separate from
+	// construction because hooking a scheme into the flight ring can change
+	// checkpoint-visible state (Hermes transition tracking): a fork replay
+	// declares the scheme on the report sink only, to match the parent run,
+	// and on the flight ring at the fork instant.
+	declare func(telemetry.Plane)
 }
+
+const (
+	report = telemetry.SinkReport
+	flight = telemetry.SinkFlight
+)
 
 func noAfter(*net.Network, *sim.RNG)   {}
 func noTelemetry(*Result, *sim.Engine) {}
+func noDeclare(telemetry.Plane)        {}
 
-func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunData,
-	flight *timeseries.Recorder) (*wiring, error) {
+// buildScheme assembles cfg.Scheme on nw. audit, when non-nil, receives
+// Hermes' decisions and verdicts.
+func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog) (*wiring, error) {
 	flowlet := sim.Time(cfg.FlowletTimeoutNs)
 	if flowlet <= 0 {
 		flowlet = 150 * sim.Microsecond
 	}
-	w := &wiring{afterTransport: noAfter, fillTelemetry: noTelemetry}
-
+	w := &wiring{afterTransport: noAfter, fillTelemetry: noTelemetry, declare: noDeclare}
 	switch cfg.Scheme {
 	case SchemeECMP:
 		e := &lb.ECMP{Net: nw}
@@ -114,17 +121,17 @@ func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunDat
 		w.balancerFor = func(*net.Host) transport.Balancer { return e }
 
 	case SchemeREPS:
-		return buildReps(nw, rd, flight), nil
+		return buildReps(nw), nil
 
 	case SchemeRepFlow:
 		// Path selection is plain ECMP; the replication machinery lives in
-		// the transport (StartRepFlow, installed by Run's generator hook)
-		// and its observability in attachRepFlowObservability.
+		// the transport (StartRepFlow, installed by Run's generator hook),
+		// which also declares its metrics.
 		e := &lb.ECMP{Net: nw}
 		w.balancerFor = func(*net.Host) transport.Balancer { return e }
 
 	case SchemeHermes:
-		return buildHermes(nw, rng, cfg, rd, flight)
+		return buildHermes(nw, rng, cfg, audit)
 
 	default:
 		return nil, fmt.Errorf("hermes: unknown scheme %q", cfg.Scheme)
@@ -136,64 +143,57 @@ func passThrough(name string) func(*net.Host) transport.Balancer {
 	return func(*net.Host) transport.Balancer { return &lb.PassThrough{Scheme: name} }
 }
 
-// buildReps wires one REPS balancer per host and, when observability is on,
-// registers the recycled-vs-fresh spray gauges and flight series. All gauges
-// sum integer counters over a host-ordered slice (transport.New calls
-// balancerFor in nw.Hosts order), so sampling is deterministic. Registration
-// is gated on the scheme, keeping every other scheme's report byte-stable.
-func buildReps(nw *net.Network, rd *telemetry.RunData,
-	flight *timeseries.Recorder) *wiring {
-	var instances []*lb.Reps
+// repsHosts is every host's REPS balancer in host order (transport.New
+// calls balancerFor in nw.Hosts order), so its sums are deterministic.
+type repsHosts []*lb.Reps
+
+// repsSum reads one counter summed over every host's balancer.
+func repsSum(read func(*lb.Reps) uint64) func(*repsHosts) float64 {
+	return func(rs *repsHosts) float64 {
+		var n uint64
+		for _, r := range *rs {
+			n += read(r)
+		}
+		return float64(n)
+	}
+}
+
+var (
+	repsRecycled = repsSum(func(r *lb.Reps) uint64 { return r.RecycledSprays })
+	repsFresh    = repsSum(func(r *lb.Reps) uint64 { return r.FreshSprays })
+)
+
+// repsMetrics declares the recycled-vs-fresh spray counters. Only REPS runs
+// declare them, keeping every other scheme's report byte-stable.
+var repsMetrics = []telemetry.Probe[*repsHosts]{
+	{Metric: telemetry.Metric{Name: "reps.recycled_sprays_total", Sinks: report | flight}, Read: repsRecycled},
+	{Metric: telemetry.Metric{Name: "reps.fresh_sprays_total", Sinks: report | flight}, Read: repsFresh},
+	{Metric: telemetry.Metric{Name: "reps.evictions_total", Sinks: report | flight},
+		Read: repsSum(func(r *lb.Reps) uint64 { return r.Evictions })},
+	{Metric: telemetry.Metric{Name: "reps.cached_entropies", Sinks: report | flight},
+		Read: repsSum(func(r *lb.Reps) uint64 { return uint64(r.CachedEntropies()) })},
+	{Metric: telemetry.Metric{Name: "reps.cache_hit_rate", Sinks: report},
+		Read: func(rs *repsHosts) float64 {
+			rec, fr := repsRecycled(rs), repsFresh(rs)
+			if rec+fr == 0 {
+				return 0
+			}
+			return rec / (rec + fr)
+		}},
+}
+
+// buildReps wires one REPS balancer per host.
+func buildReps(nw *net.Network) *wiring {
+	var instances repsHosts
 	w := &wiring{afterTransport: noAfter}
 	w.balancerFor = func(h *net.Host) transport.Balancer {
 		r := lb.NewReps(nw, 0)
 		instances = append(instances, r)
 		return r
 	}
-
-	sumOver := func(pick func(*lb.Reps) uint64) func() float64 {
-		return func() float64 {
-			var n uint64
-			for _, r := range instances {
-				n += pick(r)
-			}
-			return float64(n)
-		}
+	w.declare = func(pl telemetry.Plane) {
+		telemetry.DeclareAll(pl, &instances, repsMetrics)
 	}
-	recycled := sumOver(func(r *lb.Reps) uint64 { return r.RecycledSprays })
-	fresh := sumOver(func(r *lb.Reps) uint64 { return r.FreshSprays })
-	evictions := sumOver(func(r *lb.Reps) uint64 { return r.Evictions })
-	cached := func() float64 {
-		var n int
-		for _, r := range instances {
-			n += r.CachedEntropies()
-		}
-		return float64(n)
-	}
-	hitRate := func() float64 {
-		rec, fr := recycled(), fresh()
-		if rec+fr == 0 {
-			return 0
-		}
-		return rec / (rec + fr)
-	}
-	if rd != nil {
-		rd.Registry.GaugeFunc("reps.recycled_sprays_total", recycled)
-		rd.Registry.GaugeFunc("reps.fresh_sprays_total", fresh)
-		rd.Registry.GaugeFunc("reps.evictions_total", evictions)
-		rd.Registry.GaugeFunc("reps.cached_entropies", cached)
-		rd.Registry.GaugeFunc("reps.cache_hit_rate", hitRate)
-	}
-	w.attachFlight = func(f *timeseries.Recorder) {
-		f.Register("reps.recycled_sprays_total", recycled)
-		f.Register("reps.fresh_sprays_total", fresh)
-		f.Register("reps.evictions_total", evictions)
-		f.Register("reps.cached_entropies", cached)
-	}
-	if flight != nil {
-		w.attachFlight(flight)
-	}
-
 	w.fillTelemetry = func(res *Result, eng *sim.Engine) {
 		for _, r := range instances {
 			res.RecycledSprays += r.RecycledSprays
@@ -211,36 +211,7 @@ func buildReps(nw *net.Network, rd *telemetry.RunData,
 	return w
 }
 
-// attachRepFlowObservability registers the transport's replication counters
-// on the telemetry registry and flight recorder. Called by Run only for
-// SchemeRepFlow, after the transport exists, so no other scheme's report
-// gains these keys.
-func attachRepFlowObservability(tr *transport.Transport, rd *telemetry.RunData,
-	flight *timeseries.Recorder) {
-	if rd != nil {
-		rd.Registry.GaugeFunc("repflow.replicated_total",
-			func() float64 { return float64(tr.RepFlowsStarted) })
-		rd.Registry.GaugeFunc("repflow.replica_wins_total",
-			func() float64 { return float64(tr.ReplicaWins) })
-		rd.Registry.GaugeFunc("repflow.cancelled_total",
-			func() float64 { return float64(tr.FlowsCancelled) })
-		rd.Registry.GaugeFunc("repflow.redundant_bytes_total",
-			func() float64 { return float64(tr.RedundantBytes) })
-	}
-	if flight != nil {
-		flight.Register("repflow.replicated_total",
-			func() float64 { return float64(tr.RepFlowsStarted) })
-		flight.Register("repflow.replica_wins_total",
-			func() float64 { return float64(tr.ReplicaWins) })
-		flight.Register("repflow.cancelled_total",
-			func() float64 { return float64(tr.FlowsCancelled) })
-		flight.Register("repflow.redundant_bytes_total",
-			func() float64 { return float64(tr.RedundantBytes) })
-	}
-}
-
-func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunData,
-	flight *timeseries.Recorder) (*wiring, error) {
+func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog) (*wiring, error) {
 	var params core.Params
 	if cfg.HermesParams != nil {
 		params = *cfg.HermesParams
@@ -255,37 +226,21 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunDat
 		}
 	}
 
-	var reg *telemetry.Registry
-	var audit *telemetry.AuditLog
-	if rd != nil {
-		reg, audit = rd.Registry, rd.Audit
-	}
-
-	monitors := make([]*core.Monitor, nw.Cfg.Leaves)
+	st := &hermesState{monitors: make([]*core.Monitor, nw.Cfg.Leaves), instances: map[int]*core.Hermes{}}
+	monitors, instances := st.monitors, st.instances
 	for l := range monitors {
 		monitors[l] = core.NewMonitor(nw, l, params)
 		monitors[l].Audit = audit
 	}
-	instances := map[int]*core.Hermes{}
 
-	w := &wiring{}
+	w := &wiring{declare: st.declare}
 	w.balancerFor = func(h *net.Host) transport.Balancer {
 		inst := core.New(monitors[h.Leaf], rng, h.ID)
-		inst.AttachTelemetry(reg, audit)
+		inst.Audit = audit
 		instances[h.ID] = inst
 		return inst
 	}
 
-	var probers []*core.Prober
-	if reg != nil {
-		attachHermesGauges(reg, monitors, instances, &probers)
-	}
-	w.attachFlight = func(f *timeseries.Recorder) {
-		attachHermesFlight(f, monitors, instances)
-	}
-	if flight != nil {
-		w.attachFlight(flight)
-	}
 	w.afterTransport = func(nw *net.Network, rng *sim.RNG) {
 		if params.ProbeInterval <= 0 {
 			return
@@ -297,7 +252,7 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunDat
 			agents[l] = nw.Hosts[l*nw.Cfg.HostsPerLeaf]
 		}
 		for l := range agents {
-			probers = append(probers, core.NewProber(monitors[l], rng, agents))
+			st.probers = append(st.probers, core.NewProber(monitors[l], rng, agents))
 		}
 	}
 
@@ -307,13 +262,13 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunDat
 			res.TimeoutReroutes += inst.TimeoutReroutes
 			res.FailureReroutes += inst.FailureReroutes
 		}
-		for _, p := range probers {
+		for _, p := range st.probers {
 			res.ProbesSent += p.ProbesSent
 			res.ProbeBytes += p.ProbeBytes
 		}
-		if res.SimDuration > 0 && nw.Cfg.HostRateBps > 0 && len(probers) > 0 {
+		if res.SimDuration > 0 && nw.Cfg.HostRateBps > 0 && len(st.probers) > 0 {
 			// Overhead of one agent's probe traffic over its access link.
-			perAgent := float64(res.ProbeBytes) / float64(len(probers))
+			perAgent := float64(res.ProbeBytes) / float64(len(st.probers))
 			bps := perAgent * 8 * float64(sim.Second) / float64(res.SimDuration)
 			res.ProbeOverhead = bps / float64(nw.Cfg.HostRateBps)
 		}
@@ -323,7 +278,7 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunDat
 		for _, m := range monitors {
 			d.Monitors = append(d.Monitors, m.Dump())
 		}
-		for _, p := range probers {
+		for _, p := range st.probers {
 			d.Probers = append(d.Probers, p.Dump())
 		}
 		hosts := make([]int, 0, len(instances))
@@ -342,7 +297,7 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, rd *telemetry.RunDat
 		return d
 	}
 	w.stop = func() {
-		for _, p := range probers {
+		for _, p := range st.probers {
 			p.Stop()
 		}
 		for _, m := range monitors {
@@ -368,125 +323,116 @@ type hermesHostDump struct {
 	FailureReroutes uint64 `json:"failure_reroutes"`
 }
 
-// attachHermesFlight wires the Hermes control plane into the flight
-// recorder: a per-leaf Algorithm 1 path census (good/gray/congested/failed
-// counts sampled every interval), the path-state transition log, and the
-// cumulative reroute counters the chaos recovery analysis needs (first
-// post-onset increase of timeout+failure reroutes = time-to-reroute). All
-// sums are over integer counters, so map iteration order cannot perturb
-// the sampled values. Monitor intake sites report transitions as they
-// happen; the per-tick scan catches the one change that happens between
-// events, quarantine expiry, so a failed->gray flip is recorded within one
-// sampling interval.
-func attachHermesFlight(flight *timeseries.Recorder, monitors []*core.Monitor,
-	instances map[int]*core.Hermes) {
-	sumOver := func(pick func(*core.Hermes) uint64) func() float64 {
-		return func() float64 {
+// hermesState is the Hermes control plane as its metrics read it: the rack
+// monitors by leaf, the per-host instances, and the rack probers. All sums
+// are over integer counters, so map iteration order cannot perturb them.
+type hermesState struct {
+	monitors  []*core.Monitor
+	instances map[int]*core.Hermes
+	probers   []*core.Prober
+}
+
+// hostSum reads one counter summed over every Hermes instance.
+func hostSum(read func(*core.Hermes) uint64) func(*hermesState) float64 {
+	return func(st *hermesState) float64 {
+		var n uint64
+		for _, inst := range st.instances {
+			n += read(inst)
+		}
+		return float64(n)
+	}
+}
+
+// proberSum reads one counter summed over every rack prober.
+func proberSum(read func(*core.Prober) uint64) func(*hermesState) float64 {
+	return func(st *hermesState) float64 {
+		var n uint64
+		for _, p := range st.probers {
+			n += read(p)
+		}
+		return float64(n)
+	}
+}
+
+// hermesMetrics declares the Hermes counters. The cumulative reroute
+// counters also feed the chaos recovery analysis from the flight ring (first
+// post-onset increase of timeout+failure reroutes = time-to-reroute).
+var hermesMetrics = []telemetry.Probe[*hermesState]{
+	{Metric: telemetry.Metric{Name: "hermes.reroutes_total", Sinks: report | flight},
+		Read: hostSum(func(h *core.Hermes) uint64 { return h.Reroutes })},
+	{Metric: telemetry.Metric{Name: "hermes.timeout_reroutes_total", Sinks: report | flight},
+		Read: hostSum(func(h *core.Hermes) uint64 { return h.TimeoutReroutes })},
+	{Metric: telemetry.Metric{Name: "hermes.failure_reroutes_total", Sinks: report | flight},
+		Read: hostSum(func(h *core.Hermes) uint64 { return h.FailureReroutes })},
+	{Metric: telemetry.Metric{Name: "hermes.reroute.no_better_path", Sinks: report},
+		Read: hostSum(func(h *core.Hermes) uint64 { return h.NoBetterPath })},
+	{Metric: telemetry.Metric{Name: "hermes.reroute.caution_held", Sinks: report},
+		Read: hostSum(func(h *core.Hermes) uint64 { return h.CautionHeld })},
+	{Metric: telemetry.Metric{Name: "hermes.fail_marks_total", Sinks: report},
+		Read: func(st *hermesState) float64 {
 			var n uint64
-			for _, inst := range instances {
-				n += pick(inst)
+			for _, m := range st.monitors {
+				n += m.FailMarkEvents
 			}
 			return float64(n)
+		}},
+	{Metric: telemetry.Metric{Name: "hermes.probes_sent_total", Sinks: report},
+		Read: proberSum(func(p *core.Prober) uint64 { return p.ProbesSent })},
+	{Metric: telemetry.Metric{Name: "hermes.probes_lost_total", Sinks: report},
+		Read: proberSum(func(p *core.Prober) uint64 { return p.ProbesLost })},
+	{Metric: telemetry.Metric{Name: "hermes.probe_bytes_total", Sinks: report},
+		Read: proberSum(func(p *core.Prober) uint64 { return p.ProbeBytes })},
+}
+
+// hermesCensus is Algorithm 1's path census: how many (dstLeaf, path)
+// pairs a rack monitor classifies in each state. The report sums each state
+// over every monitor; the flight ring keeps one series per leaf.
+var hermesCensus = []struct {
+	name string
+	pick func(good, gray, congested, failed int) int
+}{
+	{"hermes.paths_good", func(g, _, _, _ int) int { return g }},
+	{"hermes.paths_gray", func(_, g, _, _ int) int { return g }},
+	{"hermes.paths_congested", func(_, _, c, _ int) int { return c }},
+	{"hermes.paths_failed", func(_, _, _, f int) int { return f }},
+}
+
+// declare declares the Hermes metrics on pl. On the flight ring it also
+// logs path-state transitions: monitor intake sites report them as they
+// happen, and a per-sample scan catches the one change that happens between
+// events, quarantine expiry, so a failed->gray flip is recorded within one
+// sampling interval.
+func (st *hermesState) declare(pl telemetry.Plane) {
+	telemetry.DeclareAll(pl, st, hermesMetrics)
+	if pl.Run != nil {
+		for _, c := range hermesCensus {
+			pick := c.pick
+			pl.Declare(telemetry.Metric{Name: c.name, Sinks: report}, func() float64 {
+				var n int
+				for _, m := range st.monitors {
+					n += pick(m.PathCensus())
+				}
+				return float64(n)
+			})
 		}
 	}
-	flight.Register("hermes.reroutes_total",
-		sumOver(func(i *core.Hermes) uint64 { return i.Reroutes }))
-	flight.Register("hermes.timeout_reroutes_total",
-		sumOver(func(i *core.Hermes) uint64 { return i.TimeoutReroutes }))
-	flight.Register("hermes.failure_reroutes_total",
-		sumOver(func(i *core.Hermes) uint64 { return i.FailureReroutes }))
-	for l, m := range monitors {
+	rec := pl.Flight
+	if rec == nil {
+		return
+	}
+	for l, m := range st.monitors {
 		l, m := l, m
-		leafLabel := fmt.Sprintf("%d", l)
-		census := func(pick func(good, gray, congested, failed int) int) func() float64 {
-			return func() float64 { return float64(pick(m.PathCensus())) }
+		for _, c := range hermesCensus {
+			pick := c.pick
+			pl.Declare(telemetry.Metric{Name: c.name, Sinks: flight},
+				func() float64 { return float64(pick(m.PathCensus())) }, "leaf", strconv.Itoa(l))
 		}
-		flight.Register(telemetry.Key("hermes.paths_good", "leaf", leafLabel),
-			census(func(g, _, _, _ int) int { return g }))
-		flight.Register(telemetry.Key("hermes.paths_gray", "leaf", leafLabel),
-			census(func(_, g, _, _ int) int { return g }))
-		flight.Register(telemetry.Key("hermes.paths_congested", "leaf", leafLabel),
-			census(func(_, _, c, _ int) int { return c }))
-		flight.Register(telemetry.Key("hermes.paths_failed", "leaf", leafLabel),
-			census(func(_, _, _, f int) int { return f }))
 		m.OnTransition = func(dstLeaf, path int, from, to core.PathType, cause string) {
-			flight.AddTransition(timeseries.Transition{
+			rec.AddTransition(timeseries.Transition{
 				AtNs: int64(m.Net.Eng.Now()), Leaf: l, Dst: dstLeaf, Path: path,
 				From: from.String(), To: to.String(), Cause: cause,
 			})
 		}
-		flight.AtTick(func() { m.ScanTransitions(timeseries.CauseHoldExpired) })
+		rec.AtTick(func() { m.ScanTransitions(timeseries.CauseHoldExpired) })
 	}
-}
-
-// attachHermesGauges registers pull-style metrics over the Hermes control
-// plane: reroute/probe totals, failure-mark events, and the Algorithm 1 path
-// census (how many (dstLeaf, path) pairs each monitor currently classifies
-// good/gray/congested/failed). Pull gauges cost nothing on the hot path; the
-// sweeper evaluates them once per interval. All sums are over integer-valued
-// counters, so map iteration order cannot perturb the result.
-func attachHermesGauges(reg *telemetry.Registry, monitors []*core.Monitor,
-	instances map[int]*core.Hermes, probers *[]*core.Prober) {
-	reg.GaugeFunc("hermes.reroutes_total", func() float64 {
-		var n uint64
-		for _, inst := range instances {
-			n += inst.Reroutes
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.timeout_reroutes_total", func() float64 {
-		var n uint64
-		for _, inst := range instances {
-			n += inst.TimeoutReroutes
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.failure_reroutes_total", func() float64 {
-		var n uint64
-		for _, inst := range instances {
-			n += inst.FailureReroutes
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.fail_marks_total", func() float64 {
-		var n uint64
-		for _, m := range monitors {
-			n += m.FailMarkEvents
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.probes_sent_total", func() float64 {
-		var n uint64
-		for _, p := range *probers {
-			n += p.ProbesSent
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.probes_lost_total", func() float64 {
-		var n uint64
-		for _, p := range *probers {
-			n += p.ProbesLost
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("hermes.probe_bytes_total", func() float64 {
-		var n uint64
-		for _, p := range *probers {
-			n += p.ProbeBytes
-		}
-		return float64(n)
-	})
-	census := func(pick func(good, gray, congested, failed int) int) func() float64 {
-		return func() float64 {
-			var n int
-			for _, m := range monitors {
-				n += pick(m.PathCensus())
-			}
-			return float64(n)
-		}
-	}
-	reg.GaugeFunc("hermes.paths_good", census(func(g, _, _, _ int) int { return g }))
-	reg.GaugeFunc("hermes.paths_gray", census(func(_, g, _, _ int) int { return g }))
-	reg.GaugeFunc("hermes.paths_congested", census(func(_, _, c, _ int) int { return c }))
-	reg.GaugeFunc("hermes.paths_failed", census(func(_, _, _, f int) int { return f }))
 }
