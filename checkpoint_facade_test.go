@@ -275,3 +275,49 @@ func TestCheckpointRestoreRejections(t *testing.T) {
 		}
 	})
 }
+
+// TestForkRateSamplesStartAtFork: a flight ring that exists only for a
+// grafted scenario starts at the fork instant, so each rate series' first
+// sample covers one interval, not the replayed prefix. Before the recorder
+// baselined its rate probes at Start, the first goodput sample here read
+// 1201.6 Gbps on a 12 x 1 Gbps fabric and inflated the recovery baseline.
+func TestForkRateSamplesStartAtFork(t *testing.T) {
+	dir := t.TempDir()
+	topo := TestbedTopology()
+	cfg := Config{
+		Topology: topo, Scheme: SchemeHermes, Workload: "web-search",
+		Load: 0.5, Flows: 200, Seed: 1,
+		Checkpoint: &CheckpointConfig{Dir: dir, AtNs: []int64{100e6}},
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := BuiltinScenario("spine-blackhole", topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Events[0].AtNs = 105e6
+	res, err := Fork(dir, ForkOptions{Scenario: sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Goodput lands on 12 hosts' 1 Gbps access links.
+	const maxGbps = 12
+	goodput := res.TimeSeries.Series("net.goodput_gbps")
+	if len(goodput) == 0 {
+		t.Fatal("forked run recorded no goodput series")
+	}
+	for i, g := range goodput {
+		if g > maxGbps {
+			t.Fatalf("goodput sample %d = %.1f Gbps exceeds the %d Gbps fabric", i, g, maxGbps)
+		}
+	}
+	if res.Recovery == nil || len(res.Recovery.Events) == 0 {
+		t.Fatalf("Recovery = %+v, want the grafted scenario scored", res.Recovery)
+	}
+	for _, e := range res.Recovery.Events {
+		if e.BaselineGbps > maxGbps {
+			t.Errorf("%s: baseline %.2f Gbps exceeds the %d Gbps fabric", e.Label, e.BaselineGbps, maxGbps)
+		}
+	}
+}
