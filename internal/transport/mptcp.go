@@ -98,6 +98,7 @@ func (g *MPTCPGroup) childDone(f *Flow, now sim.Time) {
 	if g.doneCount == len(g.Subflows) && g.remaining == 0 {
 		g.Done = true
 		g.EndAt = now
+		f.ep.tr.recordFCT(g.FCT())
 		if g.OnDone != nil {
 			g.OnDone(g)
 		}

@@ -72,6 +72,7 @@ func (g *RepFlowGroup) childDone(f *Flow, now sim.Time) {
 	g.EndAt = now
 	g.Winner = f
 	tr := f.ep.tr
+	tr.recordFCT(g.FCT())
 	loser := g.Primary
 	if f == g.Primary {
 		loser = g.Replica
