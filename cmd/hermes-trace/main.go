@@ -1,8 +1,8 @@
-// hermes-trace analyzes a flow trace written by hermes.Config.TraceWriter
-// (hermes-sim -trace / hermes-bench -trace): it attributes each flow's
-// completion time to base RTT, queueing, RTO stalls and reroute gaps, ranks
-// the slowest flows, renders a per-port queue-occupancy heatmap from the
-// matching run report, and converts traces to Perfetto-loadable JSON.
+// hermes-trace analyzes a flow trace recorded with hermes.Config.Trace and
+// written by hermes-sim -trace or hermes-bench -trace: it attributes each
+// flow's completion time to base RTT, queueing, RTO stalls and reroute gaps,
+// ranks the slowest flows, renders a per-port queue-occupancy heatmap from
+// the matching run report, and converts traces to Perfetto-loadable JSON.
 //
 // Examples:
 //
