@@ -55,7 +55,7 @@ type Port struct {
 
 	// hiWater is the deepest data-queue occupancy seen, busyTime the total
 	// virtual time spent transmitting. Both are plain adds on the hot path
-	// so they stay on even when the telemetry registry is disabled.
+	// so they stay on even when no metric sink is armed.
 	hiWater  int
 	busyTime sim.Time
 
