@@ -44,9 +44,6 @@ type AlertsConfig struct {
 	Builtin bool `json:",omitempty"`
 	// Rules appends user rules after the builtin pack.
 	Rules []AlertRule `json:",omitempty"`
-	// MaxEvents bounds the lifecycle event log
-	// (0 = alert.DefaultMaxEvents).
-	MaxEvents int `json:",omitempty"`
 }
 
 // rules materializes the armed rule set for one run.

@@ -343,8 +343,8 @@ func main() {
 	}
 	if res.TimeSeries != nil {
 		fmt.Fprintf(os.Stderr, "timeseries: %d samples, %d series, %d transitions (%d samples truncated, %d transitions dropped)\n",
-			res.TimeSeries.Len(), len(res.TimeSeries.Names()), len(res.TimeSeries.Transitions()),
-			res.TimeSeries.TruncatedSamples(), res.TimeSeries.DroppedTransitions)
+			res.TimeSeries.Len(), len(res.TimeSeries.Names()), res.TimeSeries.Transitions.Len(),
+			res.TimeSeries.TruncatedSamples(), res.TimeSeries.Transitions.Dropped())
 		if *tsFile != "" {
 			if err := writeFile(*tsFile, res.TimeSeries.WriteJSONL); err != nil {
 				log.Fatal(err)

@@ -135,7 +135,7 @@ func printTSQueueHeatmap(w io.Writer, rec *timeseries.Recorder, width int) {
 // retained sample window from the transition log and renders it one glyph
 // per cell: '.' gray, 'g' good, 'c' congested, 'X' failed.
 func printPathTimelines(w io.Writer, rec *timeseries.Recorder, width int) {
-	trs := rec.Transitions()
+	trs := rec.Transitions.All()
 	times := rec.Times()
 	if len(trs) == 0 || len(times) == 0 {
 		return
@@ -207,13 +207,13 @@ func printPathTimelines(w io.Writer, rec *timeseries.Recorder, width int) {
 }
 
 func printTransitions(w io.Writer, rec *timeseries.Recorder) {
-	trs := rec.Transitions()
+	trs := rec.Transitions.All()
 	if len(trs) == 0 {
 		return
 	}
 	fmt.Fprintf(w, "\npath-state transitions (%d", len(trs))
-	if rec.DroppedTransitions > 0 {
-		fmt.Fprintf(w, ", %d dropped at the cap", rec.DroppedTransitions)
+	if rec.Transitions.Dropped() > 0 {
+		fmt.Fprintf(w, ", %d dropped at the cap", rec.Transitions.Dropped())
 	}
 	fmt.Fprintln(w, "):")
 	max := len(trs)

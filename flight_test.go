@@ -156,7 +156,7 @@ func TestFlightRecorderCapturesLinkFlap(t *testing.T) {
 	// (c) The transition log explains the shift: some path left the good
 	// state (or turned congested/failed) inside the window.
 	found := false
-	for _, tr := range rec.Transitions() {
+	for _, tr := range rec.Transitions.All() {
 		if tr.AtNs > cutNs && tr.AtNs <= windowNs &&
 			(tr.From == "good" || tr.To == "congested" || tr.To == "failed") {
 			found = true
@@ -165,7 +165,7 @@ func TestFlightRecorderCapturesLinkFlap(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no path-state transition away from good in (%d, %d]; %d transitions total",
-			cutNs, windowNs, len(rec.Transitions()))
+			cutNs, windowNs, len(rec.Transitions.All()))
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 func driveRecorder(t *testing.T, vals []float64, rules []Rule) *Evaluator {
 	t.Helper()
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, 100, 0, 0)
+	rec := timeseries.NewRecorder(eng, 100, 0)
 	i := 0
 	rec.Register("x", func() float64 {
 		v := vals[len(vals)-1]
@@ -26,7 +26,7 @@ func driveRecorder(t *testing.T, vals []float64, rules []Rule) *Evaluator {
 		i++
 		return v
 	})
-	ev, err := New(rec, rules, 0, 0)
+	ev, err := New(rec, rules)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestAbsentSeries(t *testing.T) {
 
 func TestGlobBindsEveryMatchingSeries(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, 100, 0, 0)
+	rec := timeseries.NewRecorder(eng, 100, 0)
 	rec.Register("q{port=a}", func() float64 { return 10 })
 	rec.Register("q{port=b}", func() float64 { return 0 })
 	rec.Register("other", func() float64 { return 10 })
-	ev, err := New(rec, []Rule{{Name: "g", Series: "q{*}", Op: OpAbove, Value: 5}}, 0, 0)
+	ev, err := New(rec, []Rule{{Name: "g", Series: "q{*}", Op: OpAbove, Value: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +182,15 @@ func TestMatchGlob(t *testing.T) {
 
 func TestEventAndEpisodeCaps(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, 100, 0, 0)
+	rec := timeseries.NewRecorder(eng, 100, 0)
 	rec.Register("a", func() float64 { return 10 })
 	rec.Register("b", func() float64 { return 10 })
-	ev, err := New(rec, []Rule{{Name: "g", Series: "*", Op: OpAbove, Value: 5}}, 1, 1)
+	ev, err := New(rec, []Rule{{Name: "g", Series: "*", Op: OpAbove, Value: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ev.episodes = timeseries.NewLog[Alert](1)
+	ev.events = timeseries.NewLog[Event](1)
 	rec.Start()
 	eng.Run(350)
 	rep := ev.Report()
@@ -227,8 +229,8 @@ func TestValidateRejectsBadRules(t *testing.T) {
 }
 
 func TestNewRejectsInvalidRule(t *testing.T) {
-	rec := timeseries.NewRecorder(sim.NewEngine(), 100, 0, 0)
-	if _, err := New(rec, []Rule{{Name: "n", Series: "x", Op: "bogus"}}, 0, 0); err == nil {
+	rec := timeseries.NewRecorder(sim.NewEngine(), 100, 0)
+	if _, err := New(rec, []Rule{{Name: "n", Series: "x", Op: "bogus"}}); err == nil {
 		t.Fatal("New accepted an invalid rule")
 	}
 }

@@ -16,10 +16,10 @@ const (
 	StateCancelled = "cancelled" // breach cleared before the hold elapsed
 )
 
-// Bounds applied when the evaluator is built with zeros.
+// Caps on the evaluator's logs: lifecycle edges and episodes.
 const (
-	DefaultMaxEvents = 4096
-	DefaultMaxAlerts = 1024
+	MaxEvents = 4096
+	MaxAlerts = 1024
 )
 
 // Alert is one episode of a rule breaching on one series.
@@ -104,50 +104,41 @@ type seriesState struct {
 }
 
 // Evaluator applies a rule set to a recorder at every sample boundary.
-// Episodes and events are guarded by mu so status-server goroutines can
-// snapshot mid-run; all other state belongs to the simulation goroutine.
+// Episodes are edited in place as they change state, so mu guards them
+// together with the edges that drove them: status-server goroutines
+// snapshot both consistently mid-run. All other state belongs to the
+// simulation goroutine.
 type Evaluator struct {
 	rec        *timeseries.Recorder
 	rules      []Rule
-	maxEvents  int
-	maxAlerts  int
 	intervalNs int64
 
 	states   []*seriesState
 	stateIdx map[string]*seriesState // key: ruleIdx + "\x00" + series
 	nProbes  int                     // probe count at last glob resolution
 
-	mu            sync.Mutex
-	episodes      []Alert
-	events        []Event
-	droppedEvents int
-	droppedAlerts int
+	mu       sync.Mutex
+	episodes *timeseries.Log[Alert]
+	events   *timeseries.Log[Event]
 }
 
-// New builds an evaluator over rec. Every rule is validated; maxEvents and
-// maxAlerts bound the logs (<= 0 picks the defaults). The evaluator is
-// registered on the recorder's sample hook — callers only need to keep the
-// returned handle for Snapshot/Report.
-func New(rec *timeseries.Recorder, rules []Rule, maxEvents, maxAlerts int) (*Evaluator, error) {
+// New builds an evaluator over rec. Every rule is validated. The evaluator
+// is registered on the recorder's sample hook — callers only need to keep
+// the returned handle for Snapshot/Report.
+func New(rec *timeseries.Recorder, rules []Rule) (*Evaluator, error) {
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	if maxEvents <= 0 {
-		maxEvents = DefaultMaxEvents
-	}
-	if maxAlerts <= 0 {
-		maxAlerts = DefaultMaxAlerts
-	}
 	e := &Evaluator{
 		rec:        rec,
 		rules:      rules,
-		maxEvents:  maxEvents,
-		maxAlerts:  maxAlerts,
 		intervalNs: int64(rec.Interval),
 		stateIdx:   map[string]*seriesState{},
 		nProbes:    -1,
+		episodes:   timeseries.NewLog[Alert](MaxAlerts),
+		events:     timeseries.NewLog[Event](MaxEvents),
 	}
 	rec.OnSample(e.Sample)
 	return e, nil
@@ -301,16 +292,10 @@ func (e *Evaluator) lifecycle(st *seriesState, r Rule, atNs int64, v, baseline f
 	defer e.mu.Unlock()
 	if breach {
 		if st.episode < 0 {
-			if len(e.episodes) >= e.maxAlerts {
-				if !st.dropped {
-					st.dropped = true
-					e.droppedAlerts++
-				}
+			if st.dropped {
 				return
 			}
-			st.baseline = baseline
-			st.episode = len(e.episodes)
-			e.episodes = append(e.episodes, Alert{
+			i := e.episodes.Add(Alert{
 				Rule:      r.Name,
 				Series:    st.series,
 				Severity:  r.severity(),
@@ -321,9 +306,15 @@ func (e *Evaluator) lifecycle(st *seriesState, r Rule, atNs int64, v, baseline f
 				Baseline:  baseline,
 				Cause:     cause,
 			})
-			e.event(Event{AtNs: atNs, Rule: r.Name, Series: st.series, Severity: r.severity(), To: StatePending, Value: v})
+			if i < 0 {
+				st.dropped = true
+				return
+			}
+			st.baseline = baseline
+			st.episode = i
+			e.events.Add(Event{AtNs: atNs, Rule: r.Name, Series: st.series, Severity: r.severity(), To: StatePending, Value: v})
 		}
-		ep := &e.episodes[st.episode]
+		ep := e.episodes.At(st.episode)
 		if r.Op == OpDip || r.Op == OpBelow {
 			if v < ep.Peak {
 				ep.Peak = v
@@ -334,7 +325,7 @@ func (e *Evaluator) lifecycle(st *seriesState, r Rule, atNs int64, v, baseline f
 		if ep.State == StatePending && atNs-ep.PendingNs >= r.ForNs {
 			ep.State = StateFiring
 			ep.FiringNs = atNs
-			e.event(Event{AtNs: atNs, Rule: r.Name, Series: st.series, Severity: r.severity(), From: StatePending, To: StateFiring, Value: v})
+			e.events.Add(Event{AtNs: atNs, Rule: r.Name, Series: st.series, Severity: r.severity(), From: StatePending, To: StateFiring, Value: v})
 		}
 		return
 	}
@@ -342,7 +333,7 @@ func (e *Evaluator) lifecycle(st *seriesState, r Rule, atNs int64, v, baseline f
 	if st.episode < 0 {
 		return
 	}
-	ep := &e.episodes[st.episode]
+	ep := e.episodes.At(st.episode)
 	to := StateResolved
 	if ep.State == StatePending {
 		to = StateCancelled
@@ -350,17 +341,8 @@ func (e *Evaluator) lifecycle(st *seriesState, r Rule, atNs int64, v, baseline f
 	from := ep.State
 	ep.State = to
 	ep.ResolvedNs = atNs
-	e.event(Event{AtNs: atNs, Rule: r.Name, Series: st.series, Severity: r.severity(), From: from, To: to, Value: v})
+	e.events.Add(Event{AtNs: atNs, Rule: r.Name, Series: st.series, Severity: r.severity(), From: from, To: to, Value: v})
 	st.episode = -1
-}
-
-// event appends one lifecycle edge, honoring the cap. Callers hold mu.
-func (e *Evaluator) event(ev Event) {
-	if len(e.events) >= e.maxEvents {
-		e.droppedEvents++
-		return
-	}
-	e.events = append(e.events, ev)
 }
 
 // SnapshotSince returns the current episodes plus the lifecycle events from
@@ -368,16 +350,10 @@ func (e *Evaluator) event(ev Event) {
 func (e *Evaluator) SnapshotSince(sinceEvent int) Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if sinceEvent < 0 || sinceEvent > len(e.events) {
-		sinceEvent = 0
-	}
-	s := Snapshot{
-		Alerts:        append([]Alert(nil), e.episodes...),
-		Events:        append([]Event(nil), e.events[sinceEvent:]...),
-		NextEvent:     len(e.events),
-		DroppedEvents: e.droppedEvents,
-	}
-	for _, a := range e.episodes {
+	var s Snapshot
+	s.Alerts, _, _ = e.episodes.Since(0)
+	s.Events, s.NextEvent, s.DroppedEvents = e.events.Since(sinceEvent)
+	for _, a := range s.Alerts {
 		switch a.State {
 		case StatePending:
 			s.Pending++
@@ -394,15 +370,13 @@ func (e *Evaluator) Report() *Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	rep := &Report{
-		Schema:        Schema,
-		IntervalNs:    e.intervalNs,
-		Rules:         append([]Rule(nil), e.rules...),
-		Alerts:        append([]Alert(nil), e.episodes...),
-		Events:        append([]Event(nil), e.events...),
-		DroppedEvents: e.droppedEvents,
-		DroppedAlerts: e.droppedAlerts,
+		Schema:     Schema,
+		IntervalNs: e.intervalNs,
+		Rules:      append([]Rule(nil), e.rules...),
 	}
-	for _, a := range e.episodes {
+	rep.Alerts, _, rep.DroppedAlerts = e.episodes.Since(0)
+	rep.Events, _, rep.DroppedEvents = e.events.Since(0)
+	for _, a := range rep.Alerts {
 		if a.FiringNs != 0 {
 			rep.Fired++
 		}

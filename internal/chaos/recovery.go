@@ -116,11 +116,11 @@ func Compute(rec *timeseries.Recorder, log []*Applied, opts Options) *Recovery {
 			TimeToDetectNs: -1, TimeToRerouteNs: -1,
 			DipDurationNs: -1, ReconvergeNs: -1, PathRestoreNs: -1,
 		}
-		er.TimeToDetectNs = detect(rec.Transitions(), a, opts.Cables)
+		er.TimeToDetectNs = detect(rec.Transitions.All(), a, opts.Cables)
 		er.TimeToRerouteNs = firstIncrease(times, reroutes, a.OnsetNs)
 		scoreDip(&er, times, goodput, opts)
 		if a.ClearNs >= 0 {
-			er.PathRestoreNs = restore(rec.Transitions(), a, opts.Cables)
+			er.PathRestoreNs = restore(rec.Transitions.All(), a, opts.Cables)
 		}
 		out.Events = append(out.Events, er)
 	}

@@ -13,7 +13,7 @@ import (
 func syntheticRecording(t *testing.T) *timeseries.Recorder {
 	t.Helper()
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, sim.Millisecond, 0, 0)
+	rec := timeseries.NewRecorder(eng, sim.Millisecond, 0)
 	now := func() int64 { return int64(eng.Now()) }
 	rec.Register("net.goodput_gbps", func() float64 {
 		if now() >= 10e6 && now() < 30e6 {
@@ -28,9 +28,9 @@ func syntheticRecording(t *testing.T) *timeseries.Recorder {
 		return 0
 	})
 	rec.Register("hermes.failure_reroutes_total", func() float64 { return 0 })
-	rec.AddTransition(timeseries.Transition{
+	rec.Transitions.Add(timeseries.Transition{
 		AtNs: 12e6, Leaf: 0, Dst: 1, Path: 0, From: "good", To: "failed", Cause: "timeout"})
-	rec.AddTransition(timeseries.Transition{
+	rec.Transitions.Add(timeseries.Transition{
 		AtNs: 42e6, Leaf: 0, Dst: 1, Path: 0, From: "failed", To: "good", Cause: "hold-expired"})
 	rec.Start()
 	eng.Run(60 * sim.Millisecond)
@@ -99,7 +99,7 @@ func TestComputeRecoveryOutOfScope(t *testing.T) {
 // TestComputeRecoveryNoDip: a scheme that rides through reports a zero dip.
 func TestComputeRecoveryNoDip(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, sim.Millisecond, 0, 0)
+	rec := timeseries.NewRecorder(eng, sim.Millisecond, 0)
 	rec.Register("net.goodput_gbps", func() float64 { return 10 })
 	rec.Start()
 	eng.Run(60 * sim.Millisecond)
@@ -159,10 +159,10 @@ func TestScopeHasPath(t *testing.T) {
 // sensing, not failure detection — only gray/failed count.
 func TestDetectIgnoresCongestion(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, sim.Millisecond, 0, 0)
-	rec.AddTransition(timeseries.Transition{
+	rec := timeseries.NewRecorder(eng, sim.Millisecond, 0)
+	rec.Transitions.Add(timeseries.Transition{
 		AtNs: 11e6, Leaf: 0, Dst: 1, Path: 0, From: "good", To: "congested", Cause: "ack"})
-	rec.AddTransition(timeseries.Transition{
+	rec.Transitions.Add(timeseries.Transition{
 		AtNs: 14e6, Leaf: 0, Dst: 1, Path: 0, From: "congested", To: "gray", Cause: "verdict"})
 	rec.Start()
 	eng.Run(20 * sim.Millisecond)
@@ -181,7 +181,7 @@ func TestDetectIgnoresCongestion(t *testing.T) {
 // "unknown" (-1/unset) instead of eviction artifacts.
 func TestComputeRecoveryEvictedOnset(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, sim.Millisecond, 8, 0) // keeps last 8 ms only
+	rec := timeseries.NewRecorder(eng, sim.Millisecond, 8) // keeps last 8 ms only
 	now := func() int64 { return int64(eng.Now()) }
 	rec.Register("net.goodput_gbps", func() float64 { return 10 })
 	rec.Register("hermes.timeout_reroutes_total", func() float64 {

@@ -22,7 +22,7 @@ import (
 func newTestWatchdog(t *testing.T) *alert.Evaluator {
 	t.Helper()
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, sim.Millisecond, 0, 16)
+	rec := timeseries.NewRecorder(eng, sim.Millisecond, 0)
 	vals := []float64{0, 10, 10, 0, 10}
 	i := 0
 	rec.Register("x", func() float64 {
@@ -36,7 +36,7 @@ func newTestWatchdog(t *testing.T) *alert.Evaluator {
 	ev, err := alert.New(rec, []alert.Rule{{
 		Name: "x-high", Series: "x", Op: alert.OpAbove, Value: 5,
 		Severity: alert.SeverityCritical,
-	}}, 0, 0)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestSnapshotSinceConcurrentSwap(t *testing.T) {
 
 	for g := 0; g < generations; g++ {
 		eng := sim.NewEngine()
-		rec := timeseries.NewRecorder(eng, sim.Millisecond, ringCap, 16)
+		rec := timeseries.NewRecorder(eng, sim.Millisecond, ringCap)
 		v := 0.0
 		rec.Register("x", func() float64 { return v })
 		rec.Register("y", func() float64 { return 2 * v })

@@ -298,7 +298,7 @@ func readAll(resp *http.Response) (string, error) {
 // newTestRecording builds a cap-4 recording holding rows 6..9 of 10.
 func newTestRecording() *timeseries.Recorder {
 	eng := sim.NewEngine()
-	rec := timeseries.NewRecorder(eng, sim.Millisecond, 4, 16)
+	rec := timeseries.NewRecorder(eng, sim.Millisecond, 4)
 	v := 0.0
 	rec.Register("x", func() float64 { return v })
 	for i := 0; i < 10; i++ {

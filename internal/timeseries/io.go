@@ -54,7 +54,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if err := enc.Encode(metaLine{
 		K: "meta", Meta: meta,
 		TruncatedSamples:   r.TruncatedSamples(),
-		DroppedTransitions: r.DroppedTransitions,
+		DroppedTransitions: r.Transitions.Dropped(),
 	}); err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	for _, t := range r.Transitions() {
+	for _, t := range r.Transitions.All() {
 		if err := enc.Encode(transitionLine{K: "transition", Transition: t}); err != nil {
 			return err
 		}
@@ -77,7 +77,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 // ReadJSONL reconstructs a recording written by WriteJSONL. The result is
 // read-only (no engine attached): accessors and writers work, Start does not.
 func ReadJSONL(rd io.Reader) (*Recorder, error) {
-	r := &Recorder{}
+	r := &Recorder{Transitions: NewLog[Transition](MaxTransitions)}
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
 	lineNo := 0
@@ -103,7 +103,7 @@ func ReadJSONL(rd io.Reader) (*Recorder, error) {
 			r.Cap = m.Cap
 			r.cols.Cap = m.Cap
 			r.cols.truncated = m.TruncatedSamples
-			r.DroppedTransitions = m.DroppedTransitions
+			r.Transitions.AddDropped(m.DroppedTransitions)
 		case "times":
 			var t timesLine
 			if err := json.Unmarshal(line, &t); err != nil {
@@ -125,7 +125,7 @@ func ReadJSONL(rd io.Reader) (*Recorder, error) {
 			if err := json.Unmarshal(line, &t); err != nil {
 				return nil, fmt.Errorf("timeseries: line %d: %w", lineNo, err)
 			}
-			r.transitions = append(r.transitions, t.Transition)
+			r.Transitions.Add(t.Transition)
 		default:
 			return nil, fmt.Errorf("timeseries: line %d: unknown record kind %q", lineNo, kind.K)
 		}
@@ -181,7 +181,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	write("meta", "cap", "0", strconv.Itoa(meta.Cap))
 	write("meta", "sim_duration_ns", "0", strconv.FormatInt(meta.SimDurationNs, 10))
 	write("meta", "truncated_samples", "0", strconv.Itoa(r.TruncatedSamples()))
-	write("meta", "dropped_transitions", "0", strconv.Itoa(r.DroppedTransitions))
+	write("meta", "dropped_transitions", "0", strconv.Itoa(r.Transitions.Dropped()))
 	times := r.Times()
 	for _, ns := range times {
 		write("time", "", strconv.FormatInt(ns, 10), "")
@@ -192,7 +192,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 			write("series", name, strconv.FormatInt(ns, 10), fmtF(vals[i]))
 		}
 	}
-	for _, t := range r.Transitions() {
+	for _, t := range r.Transitions.All() {
 		tuple := fmt.Sprintf("%d;%d;%d;%s;%s;%s", t.Leaf, t.Dst, t.Path, t.From, t.To, t.Cause)
 		write("transition", tuple, strconv.FormatInt(t.AtNs, 10), "")
 	}
@@ -211,7 +211,7 @@ func ReadCSV(rd io.Reader) (*Recorder, error) {
 	if len(recs) == 0 || recs[0][0] != "section" {
 		return nil, fmt.Errorf("timeseries: missing CSV header")
 	}
-	r := &Recorder{}
+	r := &Recorder{Transitions: NewLog[Transition](MaxTransitions)}
 	series := map[string][]float64{}
 	var order []string
 	for _, rec := range recs[1:] {
@@ -245,7 +245,7 @@ func ReadCSV(rd io.Reader) (*Recorder, error) {
 			if err != nil {
 				return nil, fmt.Errorf("timeseries: bad transition time %q: %w", tns, err)
 			}
-			r.transitions = append(r.transitions, t)
+			r.Transitions.Add(t)
 		default:
 			return nil, fmt.Errorf("timeseries: unknown CSV section %q", section)
 		}
@@ -287,7 +287,9 @@ func (r *Recorder) applyMetaCSV(field, val string) error {
 	case "truncated_samples":
 		r.cols.truncated, err = strconv.Atoi(val)
 	case "dropped_transitions":
-		r.DroppedTransitions, err = strconv.Atoi(val)
+		var n int
+		n, err = strconv.Atoi(val)
+		r.Transitions.AddDropped(n)
 	default:
 		return fmt.Errorf("timeseries: unknown meta field %q", field)
 	}

@@ -14,8 +14,8 @@ const (
 	DefaultInterval = 100 * sim.Microsecond
 	// DefaultCap bounds the retained samples per series.
 	DefaultCap = 8192
-	// DefaultMaxTransitions bounds the path-state transition log.
-	DefaultMaxTransitions = 65536
+	// MaxTransitions bounds a flight ring's path-state transition log.
+	MaxTransitions = 65536
 )
 
 // Schema identifies the recording layout; bump on breaking changes.
@@ -104,8 +104,8 @@ func (p *probe) sample(iv float64) float64 {
 }
 
 // Recorder is the simulator's one periodic sampler. Registered probes are
-// sampled every Interval of virtual time into aligned series; transitions
-// are appended as they happen, bounded by MaxTransitions. A run's flight
+// sampled every Interval of virtual time into aligned series; a flight
+// ring also keeps the Hermes path-state transition log. A run's flight
 // ring is a ring-capped Recorder (NewRecorder); the report sweep, the Table
 // 2 visibility sampler and the Fig 2-4 queue samplers are uncapped ones
 // (NewSweep).
@@ -122,42 +122,38 @@ type Recorder struct {
 	Eng      *sim.Engine
 	Interval sim.Time // sampling period (<= 0 picks DefaultInterval)
 	Cap      int      // retained samples per series (<= 0 picks DefaultCap)
-	// MaxTransitions caps the transition log (<= 0 picks the default;
-	// negative after New means unbounded is not supported).
-	MaxTransitions int
+
+	// Transitions is the path-state transition log the Hermes monitors
+	// write, capped at MaxTransitions; nil (disarmed) on an uncapped
+	// recorder.
+	Transitions *Log[Transition]
 
 	// Meta is stamped by the run harness before export.
 	Meta Meta
 
 	started bool
 
-	mu          sync.Mutex
-	cols        Columns
-	probes      []probe
-	probeIdx    map[string]int
-	tickFns     []func()
-	onSample    []func(atNs int64)
-	scratch     []float64 // probe values staged outside the lock
-	transitions []Transition
-	// DroppedTransitions counts log entries discarded at the cap. Written
-	// under mu; read it only from the simulation goroutine or after the run.
-	DroppedTransitions int
-	stopped            bool
+	mu       sync.Mutex
+	cols     Columns
+	probes   []probe
+	probeIdx map[string]int
+	tickFns  []func()
+	onSample []func(atNs int64)
+	scratch  []float64 // probe values staged outside the lock
+	stopped  bool
 }
 
-// NewRecorder builds an enabled recorder on the engine with defaulted
-// interval and caps.
-func NewRecorder(eng *sim.Engine, interval sim.Time, cap, maxTransitions int) *Recorder {
+// NewRecorder builds an enabled flight ring on the engine with defaulted
+// interval and sample cap, and a transition log.
+func NewRecorder(eng *sim.Engine, interval sim.Time, cap int) *Recorder {
 	if interval <= 0 {
 		interval = DefaultInterval
 	}
 	if cap <= 0 {
 		cap = DefaultCap
 	}
-	if maxTransitions <= 0 {
-		maxTransitions = DefaultMaxTransitions
-	}
-	r := &Recorder{Eng: eng, Interval: interval, Cap: cap, MaxTransitions: maxTransitions}
+	r := &Recorder{Eng: eng, Interval: interval, Cap: cap,
+		Transitions: NewLog[Transition](MaxTransitions)}
 	r.cols.Cap = cap
 	return r
 }
@@ -269,20 +265,6 @@ func (r *Recorder) LatestValue(name string) (float64, bool) {
 		return 0, false
 	}
 	return r.cols.cols[i][r.cols.cur()], true
-}
-
-// AddTransition appends one path-state transition, honoring the cap.
-func (r *Recorder) AddTransition(t Transition) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.MaxTransitions > 0 && len(r.transitions) >= r.MaxTransitions {
-		r.DroppedTransitions++
-		return
-	}
-	r.transitions = append(r.transitions, t)
 }
 
 // Start takes each rate probe's counter reading as its baseline and
@@ -404,15 +386,4 @@ func (r *Recorder) Series(name string) []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cols.Series(name)
-}
-
-// Transitions returns the path-state transition log in record order. The
-// slice is shared with the recorder; do not mutate it.
-func (r *Recorder) Transitions() []Transition {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.transitions
 }

@@ -93,16 +93,7 @@ func (r *Recorder) SnapshotSince(c Cursor) Delta {
 	}
 	d.Cursor.Seq = newest
 
-	tfrom := c.Transition
-	if tfrom < 0 || tfrom > len(r.transitions) {
-		tfrom = 0
-	}
-	if tfrom < len(r.transitions) {
-		d.Transitions = append([]Transition(nil), r.transitions[tfrom:]...)
-	}
-	d.Cursor.Transition = len(r.transitions)
-
+	d.Transitions, d.Cursor.Transition, d.DroppedTransitions = r.Transitions.Since(c.Transition)
 	d.TruncatedSamples = r.cols.Truncated()
-	d.DroppedTransitions = r.DroppedTransitions
 	return d
 }

@@ -11,7 +11,7 @@ import (
 // every row exactly once, with cursors that chain.
 func TestSnapshotSinceIncremental(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRecorder(eng, sim.Millisecond, 100, 0)
+	r := NewRecorder(eng, sim.Millisecond, 100)
 	v := 0.0
 	r.Register("x", func() float64 { return v })
 
@@ -54,7 +54,7 @@ func TestSnapshotSinceIncremental(t *testing.T) {
 // at the oldest retained row with Reset set — the SSE resume contract.
 func TestSnapshotSinceRingTruncation(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRecorder(eng, sim.Millisecond, 4, 0)
+	r := NewRecorder(eng, sim.Millisecond, 4)
 	v := 0.0
 	r.Register("x", func() float64 { return v })
 
@@ -99,15 +99,16 @@ func TestSnapshotSinceRingTruncation(t *testing.T) {
 // row cursor and survives row truncation.
 func TestSnapshotSinceTransitions(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRecorder(eng, sim.Millisecond, 4, 3)
-	r.AddTransition(Transition{AtNs: 1, Path: 0, From: "good", To: "gray"})
+	r := NewRecorder(eng, sim.Millisecond, 4)
+	r.Transitions = NewLog[Transition](3)
+	r.Transitions.Add(Transition{AtNs: 1, Path: 0, From: "good", To: "gray"})
 	d := r.SnapshotSince(Cursor{})
 	if len(d.Transitions) != 1 || d.Cursor.Transition != 1 {
 		t.Fatalf("first transition delta: %+v", d)
 	}
-	r.AddTransition(Transition{AtNs: 2, Path: 1, From: "gray", To: "failed"})
-	r.AddTransition(Transition{AtNs: 3, Path: 2, From: "good", To: "gray"})
-	r.AddTransition(Transition{AtNs: 4, Path: 3, From: "good", To: "gray"}) // over cap: dropped
+	r.Transitions.Add(Transition{AtNs: 2, Path: 1, From: "gray", To: "failed"})
+	r.Transitions.Add(Transition{AtNs: 3, Path: 2, From: "good", To: "gray"})
+	r.Transitions.Add(Transition{AtNs: 4, Path: 3, From: "good", To: "gray"}) // over cap: dropped
 	d = r.SnapshotSince(d.Cursor)
 	if len(d.Transitions) != 2 || d.Cursor.Transition != 3 {
 		t.Fatalf("second transition delta: %+v", d)
@@ -124,7 +125,7 @@ func TestSnapshotSinceTransitions(t *testing.T) {
 // is a torn read. Run under -race this also proves the locking is sound.
 func TestConcurrentSnapshotNoTornRows(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRecorder(eng, sim.Millisecond, 64, 0) // small cap: wrap constantly
+	r := NewRecorder(eng, sim.Millisecond, 64) // small cap: wrap constantly
 	v := 0.0
 	r.Register("a", func() float64 { return v })
 	r.Register("b", func() float64 { return v })
@@ -140,7 +141,7 @@ func TestConcurrentSnapshotNoTornRows(t *testing.T) {
 			v = float64(i + 1)
 			r.Snap()
 			if i%64 == 0 {
-				r.AddTransition(Transition{AtNs: int64(i), Path: i % 4, From: "good", To: "gray", Cause: CauseProbe})
+				r.Transitions.Add(Transition{AtNs: int64(i), Path: i % 4, From: "good", To: "gray", Cause: CauseProbe})
 			}
 		}
 	}()

@@ -82,7 +82,7 @@ func TestColumnsRingTruncation(t *testing.T) {
 // is zero-backfilled so every series keeps one value per retained row.
 func TestRecorderCapRingAndBackfill(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := NewRecorder(eng, sim.Millisecond, 3, 0)
+	rec := NewRecorder(eng, sim.Millisecond, 3)
 	var events float64
 	rec.Register("events", func() float64 { return events })
 	rec.Start()
@@ -153,7 +153,7 @@ func TestColumnsPutBeforeAppendIsNoop(t *testing.T) {
 
 func TestRecorderSamplesOnSimClock(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRecorder(eng, 100, 0, 0)
+	r := NewRecorder(eng, 100, 0)
 	n := 0.0
 	r.Register("n", func() float64 { n++; return n })
 	ticks := 0
@@ -184,11 +184,10 @@ func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Register("x", func() float64 { return 0 })
 	r.AtTick(func() {})
-	r.AddTransition(Transition{})
 	r.Start()
 	r.Stop()
 	r.Snap()
-	if r.Len() != 0 || r.Times() != nil || r.Names() != nil || r.Series("x") != nil || r.Transitions() != nil {
+	if r.Len() != 0 || r.Times() != nil || r.Names() != nil || r.Series("x") != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 	var buf bytes.Buffer
@@ -202,7 +201,7 @@ func TestRecorderNilSafe(t *testing.T) {
 
 func TestRecorderRegisterReplaces(t *testing.T) {
 	eng := sim.NewEngine()
-	r := NewRecorder(eng, 100, 0, 0)
+	r := NewRecorder(eng, 100, 0)
 	r.Register("x", func() float64 { return 1 })
 	r.Register("x", func() float64 { return 2 })
 	r.Snap()
@@ -215,22 +214,23 @@ func TestRecorderRegisterReplaces(t *testing.T) {
 }
 
 func TestTransitionLogCap(t *testing.T) {
-	r := NewRecorder(sim.NewEngine(), 100, 0, 3)
+	r := NewRecorder(sim.NewEngine(), 100, 0)
+	r.Transitions = NewLog[Transition](3)
 	for i := 0; i < 5; i++ {
-		r.AddTransition(Transition{AtNs: int64(i)})
+		r.Transitions.Add(Transition{AtNs: int64(i)})
 	}
-	if got := len(r.Transitions()); got != 3 {
+	if got := len(r.Transitions.All()); got != 3 {
 		t.Fatalf("kept %d transitions, want 3", got)
 	}
-	if r.DroppedTransitions != 2 {
-		t.Fatalf("DroppedTransitions = %d, want 2", r.DroppedTransitions)
+	if r.Transitions.Dropped() != 2 {
+		t.Fatalf("dropped transitions = %d, want 2", r.Transitions.Dropped())
 	}
 }
 
 func sampleRecorder(t *testing.T) *Recorder {
 	t.Helper()
 	eng := sim.NewEngine()
-	r := NewRecorder(eng, 100, 6, 0)
+	r := NewRecorder(eng, 100, 6)
 	r.Meta = Meta{
 		Scheme: "hermes", Workload: "websearch", Load: 0.6, Seed: 42,
 		Failure: "flap", IntervalNs: 100, Cap: 6, SimDurationNs: 900,
@@ -240,8 +240,8 @@ func sampleRecorder(t *testing.T) *Recorder {
 	r.Register("hermes.paths_good{leaf=0}", func() float64 { return 4 - i/4 })
 	r.Start()
 	eng.Run(950)
-	r.AddTransition(Transition{AtNs: 300, Leaf: 0, Dst: 1, Path: 2, From: "gray", To: "good", Cause: CauseAck})
-	r.AddTransition(Transition{AtNs: 700, Leaf: 0, Dst: 1, Path: 2, From: "good", To: "failed", Cause: CauseVerdict + "probe-loss"})
+	r.Transitions.Add(Transition{AtNs: 300, Leaf: 0, Dst: 1, Path: 2, From: "gray", To: "good", Cause: CauseAck})
+	r.Transitions.Add(Transition{AtNs: 700, Leaf: 0, Dst: 1, Path: 2, From: "good", To: "failed", Cause: CauseVerdict + "probe-loss"})
 	return r
 }
 
@@ -265,8 +265,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got.TruncatedSamples() != r.TruncatedSamples() {
 		t.Fatalf("truncated = %d, want %d", got.TruncatedSamples(), r.TruncatedSamples())
 	}
-	if len(got.Transitions()) != 2 || got.Transitions()[1].Cause != "verdict:probe-loss" {
-		t.Fatalf("transitions = %+v", got.Transitions())
+	if len(got.Transitions.All()) != 2 || got.Transitions.All()[1].Cause != "verdict:probe-loss" {
+		t.Fatalf("transitions = %+v", got.Transitions.All())
 	}
 }
 

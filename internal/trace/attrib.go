@@ -47,8 +47,8 @@ type FlowBreakdown struct {
 	// legitimately exceed QueueNs).
 	SumPktQueueNs sim.Time
 
-	// Paths visited, in order, and the audit reasons for entering them
-	// (reasons only for annotated Hermes traces).
+	// Paths visited, in order, and the decision-log reasons for entering
+	// them (reasons only for Hermes traces with a decision log).
 	Paths   []int
 	Reasons []string
 }
@@ -81,7 +81,7 @@ func (r *Recorder) Attribution() []FlowBreakdown {
 		}
 		return m
 	}
-	for _, e := range r.Events {
+	for _, e := range r.Events.All() {
 		switch e.Kind {
 		case FlowStart:
 			m := get(e.Flow)
@@ -97,7 +97,7 @@ func (r *Recorder) Attribution() []FlowBreakdown {
 
 	spans := map[uint64][]Span{}
 	order := []uint64{}
-	for _, s := range r.Spans {
+	for _, s := range r.Spans.All() {
 		if _, ok := spans[s.Flow]; !ok {
 			order = append(order, s.Flow)
 		}

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"github.com/hermes-repro/hermes/internal/net"
-	"github.com/hermes-repro/hermes/internal/sim"
-	"github.com/hermes-repro/hermes/internal/telemetry"
-)
+import "github.com/hermes-repro/hermes/internal/net"
 
 // SchemaV2 identifies the span-bearing trace format. v1 traces (flat event
 // lists with no meta line) are still readable; they simply lack spans and
@@ -78,48 +74,5 @@ func (r *Recorder) SetFlowHops(acct *net.DelayAccount) {
 	r.FlowHops = make([]FlowHops, 0, len(flows))
 	for _, fd := range flows {
 		r.FlowHops = append(r.FlowHops, FlowHopsFrom(fd))
-	}
-}
-
-// Verdict is a Hermes monitor path-condemnation, lifted from the audit log
-// so trace consumers see failure detections on the same timeline as flow
-// spans.
-type Verdict struct {
-	At      sim.Time `json:"at_ns"`
-	Host    int      `json:"host"`
-	DstLeaf int      `json:"dst_leaf"`
-	Path    int      `json:"path"`
-	Reason  string   `json:"reason"`
-}
-
-// AnnotateFromAudit correlates the recorder's spans with a Hermes audit log:
-// each placement/reroute entry stamps its Algorithm-1 reason onto the span
-// it opened (matched by flow, target path and time order), and each verdict
-// becomes a Verdict record. Safe to call with entries from any scheme —
-// non-Hermes logs are empty.
-func (r *Recorder) AnnotateFromAudit(entries []telemetry.AuditEntry) {
-	byFlow := map[uint64][]int{}
-	for i, sp := range r.Spans {
-		byFlow[sp.Flow] = append(byFlow[sp.Flow], i)
-	}
-	for _, e := range entries {
-		switch e.Kind {
-		case telemetry.AuditVerdict:
-			r.Verdicts = append(r.Verdicts, Verdict{
-				At: sim.Time(e.At), Host: e.Host, DstLeaf: e.DstLeaf,
-				Path: e.FromPath, Reason: e.Reason,
-			})
-		case telemetry.AuditPlace, telemetry.AuditReroute:
-			if e.Flow == 0 {
-				continue
-			}
-			for _, idx := range byFlow[e.Flow] {
-				sp := &r.Spans[idx]
-				if sp.Reason == "" && sp.Path == e.ToPath && sp.Start >= sim.Time(e.At) {
-					sp.Reason = e.Reason
-					break
-				}
-			}
-		}
 	}
 }

@@ -427,12 +427,7 @@ func (st *hermesState) declare(pl telemetry.Plane) {
 			pl.Declare(telemetry.Metric{Name: c.name, Sinks: flight},
 				func() float64 { return float64(pick(m.PathCensus())) }, "leaf", strconv.Itoa(l))
 		}
-		m.OnTransition = func(dstLeaf, path int, from, to core.PathType, cause string) {
-			rec.AddTransition(timeseries.Transition{
-				AtNs: int64(m.Net.Eng.Now()), Leaf: l, Dst: dstLeaf, Path: path,
-				From: from.String(), To: to.String(), Cause: cause,
-			})
-		}
+		m.Transitions = rec.Transitions
 		rec.AtTick(func() { m.ScanTransitions(timeseries.CauseHoldExpired) })
 	}
 }
