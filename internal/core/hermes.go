@@ -63,7 +63,7 @@ func (h *Hermes) Name() string { return "Hermes" }
 func (h *Hermes) audit(at sim.Time, kind telemetry.AuditKind, reason string, f *transport.Flow, from, to int) {
 	h.Audit.Add(telemetry.AuditEntry{
 		At: at, Kind: kind, Reason: reason,
-		Host: h.Host, Flow: f.ID, DstLeaf: f.DstLeaf,
+		Host: h.Host, Flow: f.ID, SrcLeaf: f.SrcLeaf, DstLeaf: f.DstLeaf,
 		FromPath: from, ToPath: to,
 	})
 }
