@@ -5,7 +5,9 @@
 // with their cause. It is the temporal complement of internal/telemetry
 // (end-of-run aggregates) and internal/trace (per-flow spans): the layer
 // that answers "what did the fabric look like at t, and when did Algorithm 1
-// change its mind".
+// change its mind". It also holds Log, the bounded append-only log that
+// every event sink (decision log, trace, transitions, alert edges) stores
+// its records in.
 //
 // Everything is driven by the virtual clock and bounded by ring caps, so a
 // recording is a pure function of (config, seed) with O(cap) memory no
