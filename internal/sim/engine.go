@@ -16,6 +16,14 @@
 // so fire order is exactly (at, seq) however events are split between
 // lanes and heap.
 //
+// Neither choosing nor filing an event scans the lanes. The busy lanes are
+// kept in a short array ordered by head key, so the next lane event is
+// always the first lane's head; taking it moves that lane back past the
+// lanes whose heads are now earlier than its new head, which is seldom more
+// than one. A small open-addressing hash index maps each keyed delay to its
+// lane, so a schedule finds its lane, or learns that its delay has none, in
+// about one probe.
+//
 // A lane ring holds each event's (at, seq) key inline next to its pointer.
 // Cancelling an event in a lane replaces its pointer with a tombstone and
 // recycles the event at once, so a backlog of cancelled timers costs one
@@ -119,10 +127,18 @@ const smallQueue = 64
 // inHeap is Event.lane for an event queued in the heap.
 const inHeap = numLanes
 
+// indexBits sizes the delay index at 2^indexBits slots, four per lane: at
+// most a quarter of the slots are used, so a probe for a delay without a
+// lane meets an empty slot after about 1.4 slots on average.
+const (
+	indexBits = 6
+	indexSize = 1 << indexBits
+)
+
 // lane is a FIFO ring of events that were all scheduled with the same
 // relative delay, and so are queued in (at, seq) order. It caches its
-// head's (at, seq), so choosing the next event reads the lanes (one cache
-// line each) instead of the rings.
+// head's (at, seq), so ordering the busy lanes reads the lanes instead of
+// the rings.
 type lane struct {
 	ring  []slot // power-of-two capacity; position p is ring[p&(len-1)]
 	head  uint32 // absolute position of the oldest slot
@@ -153,11 +169,16 @@ type Engine struct {
 
 	// The pending queue: delay lanes, and the heap for shallow queues and
 	// for delays without a lane.
-	lanes   [numLanes]lane
-	nLanes  int    // lanes keyed so far
-	busy    uint32 // bit i set while lane i is non-empty
-	hint    int    // lane the last schedule landed in
-	minLane int    // non-empty lane with the smallest head, -1 if none
+	lanes  [numLanes]lane
+	nLanes int    // lanes keyed so far
+	busy   uint32 // bit i set while lane i is non-empty
+	// order[:nBusy] lists the non-empty lanes by head key, smallest first.
+	order [numLanes]uint8
+	nBusy int
+	// index maps each keyed lane's delay to the lane: slot s holds lane+1,
+	// or 0 when empty. A delay sits at its home slot or, on a collision, at
+	// the next free slot after it (linear probing).
+	index [indexSize]uint8
 
 	heap []*Event // fallback 4-ary min-heap ordered by (at, seq)
 
@@ -180,7 +201,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{minLane: -1}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -340,9 +361,9 @@ func (e *Engine) enqueue(ev *Event, t Time, k Kind) {
 	e.pending++
 	if e.pending > smallQueue {
 		d := t - e.now
-		i := e.hint
-		if i >= e.nLanes || e.lanes[i].delay != d {
-			i = e.laneFor(d)
+		i := e.laneOf(d)
+		if i < 0 {
+			i = e.keyLane(d)
 		}
 		if i >= 0 {
 			e.lanePush(i, ev)
@@ -352,33 +373,71 @@ func (e *Engine) enqueue(ev *Event, t Time, k Kind) {
 	e.heapPush(ev)
 }
 
-// laneFor returns the lane for delay d when the last-hit lane has another
-// delay: d's lane if one exists, else a lane keyed to d (a never-used one
-// first, then one that has drained), else -1 for the heap.
-func (e *Engine) laneFor(d Time) int {
-	for i := 0; i < e.nLanes; i++ {
-		if e.lanes[i].delay == d {
-			e.hint = i
-			return i
+// home returns delay d's home slot in the index (Fibonacci hashing).
+func home(d Time) uint32 {
+	return uint32(uint64(d) * 0x9e3779b97f4a7c15 >> (64 - indexBits))
+}
+
+// laneOf returns the lane keyed to delay d, or -1 if d has none.
+func (e *Engine) laneOf(d Time) int {
+	for s := home(d); ; s = (s + 1) & (indexSize - 1) {
+		k := e.index[s]
+		if k == 0 {
+			return -1
+		}
+		if e.lanes[k-1].delay == d {
+			return int(k - 1)
 		}
 	}
+}
+
+// keyLane keys a lane to delay d, which has none, and returns it: a
+// never-used lane first, then the lowest-numbered drained one, whose old
+// delay leaves the index. It returns -1, for the heap, when every lane is
+// busy.
+func (e *Engine) keyLane(d Time) int {
 	var i int
 	if e.nLanes < numLanes {
 		i = e.nLanes
 		e.nLanes++
 	} else if drained := ^e.busy & (1<<numLanes - 1); drained != 0 {
 		i = bits.TrailingZeros32(drained)
+		e.unindex(i)
 	} else {
 		return -1
 	}
 	e.lanes[i].delay = d
-	e.hint = i
+	s := home(d)
+	for e.index[s] != 0 {
+		s = (s + 1) & (indexSize - 1)
+	}
+	e.index[s] = uint8(i + 1)
 	return i
+}
+
+// unindex removes lane i's delay from the index. Each later entry of the
+// probe run whose home slot does not lie between the hole and the entry
+// moves back into the hole, so every delay stays reachable from its home
+// slot with no deleted markers left behind.
+func (e *Engine) unindex(i int) {
+	const mask = indexSize - 1
+	s := home(e.lanes[i].delay)
+	for e.index[s] != uint8(i+1) {
+		s = (s + 1) & mask
+	}
+	for j := (s + 1) & mask; e.index[j] != 0; j = (j + 1) & mask {
+		if h := home(e.lanes[e.index[j]-1].delay); (j-h)&mask >= (j-s)&mask {
+			e.index[s] = e.index[j]
+			s = j
+		}
+	}
+	e.index[s] = 0
 }
 
 // lanePush appends ev to lane i. Its key is at least every queued key of the
 // lane (same delay, later or equal now, larger seq), so the ring stays
-// sorted.
+// sorted. A lane that was empty joins order behind every busy lane whose
+// head is earlier.
 func (e *Engine) lanePush(i int, ev *Event) {
 	l := &e.lanes[i]
 	if int(l.n) == len(l.ring) {
@@ -391,9 +450,16 @@ func (e *Engine) lanePush(i int, ev *Event) {
 	if l.n == 1 {
 		e.busy |= 1 << i
 		l.at, l.seq = ev.at, ev.seq
-		if m := e.minLane; m < 0 || before(ev.at, ev.seq, e.lanes[m].at, e.lanes[m].seq) {
-			e.minLane = i
+		j := e.nBusy
+		for ; j > 0; j-- {
+			o := &e.lanes[e.order[j-1]]
+			if !before(ev.at, ev.seq, o.at, o.seq) {
+				break
+			}
+			e.order[j] = e.order[j-1]
 		}
+		e.order[j] = uint8(i)
+		e.nBusy++
 	}
 }
 
@@ -413,45 +479,51 @@ func (l *lane) grow() {
 }
 
 // peek returns the key time of the next queue entry due, the smallest
-// (at, seq) among the lane heads and the heap root, and where it sits: a
-// lane index, or -1 for the heap. The queue must not be empty.
-func (e *Engine) peek() (Time, int) {
-	m := e.minLane
+// (at, seq) among the lane heads and the heap root, and whether it is the
+// first lane's head rather than the heap root. The queue must not be empty.
+func (e *Engine) peek() (Time, bool) {
 	if len(e.heap) > 0 {
 		h := e.heap[0]
-		if m < 0 || before(h.at, h.seq, e.lanes[m].at, e.lanes[m].seq) {
-			return h.at, -1
+		if e.nBusy == 0 {
+			return h.at, false
+		}
+		if l := &e.lanes[e.order[0]]; before(h.at, h.seq, l.at, l.seq) {
+			return h.at, false
 		}
 	}
-	return e.lanes[m].at, m
+	return e.lanes[e.order[0]].at, true
 }
 
-// laneTake removes lane src's head and returns its event, nil for a
-// tombstone.
-func (e *Engine) laneTake(src int) *Event {
-	l := &e.lanes[src]
+// laneTake removes the head of the first lane in order, the smallest lane
+// head, and returns its event, nil for a tombstone. A drained lane leaves
+// order. Otherwise its new head is later, and the lane moves back past
+// every lane whose head is earlier than that.
+func (e *Engine) laneTake() *Event {
+	i := e.order[0]
+	l := &e.lanes[i]
 	mask := uint32(len(l.ring) - 1)
 	ev := l.ring[l.head&mask].ev
 	l.head++
 	l.n--
-	if l.n > 0 {
-		s := &l.ring[l.head&mask]
-		l.at, l.seq = s.at, s.seq
-	} else {
-		e.busy &^= 1 << src
+	n := e.nBusy
+	if l.n == 0 {
+		e.busy &^= 1 << i
+		copy(e.order[:n-1], e.order[1:n])
+		e.nBusy--
+		return ev
 	}
-	// The lane's head moved later or the lane drained: find the new
-	// smallest head.
-	m := -1
-	var at Time
-	var seq uint64
-	for b := e.busy; b != 0; b &= b - 1 {
-		i := bits.TrailingZeros32(b)
-		if l := &e.lanes[i]; m < 0 || before(l.at, l.seq, at, seq) {
-			m, at, seq = i, l.at, l.seq
+	s := &l.ring[l.head&mask]
+	at, seq := s.at, s.seq
+	l.at, l.seq = at, seq
+	j := 0
+	for ; j+1 < n; j++ {
+		o := &e.lanes[e.order[j+1]]
+		if before(at, seq, o.at, o.seq) {
+			break
 		}
+		e.order[j] = e.order[j+1]
 	}
-	e.minLane = m
+	e.order[j] = i
 	return ev
 }
 
@@ -479,15 +551,15 @@ func (e *Engine) run(until Time) uint64 {
 	start := e.fired
 	e.stopped = false
 	for e.pending > 0 && !e.stopped {
-		at, src := e.peek()
+		at, inLane := e.peek()
 		if at > until {
 			break
 		}
 		e.pending--
 		var ev *Event
-		if src < 0 {
+		if !inLane {
 			ev = e.heapPop()
-		} else if ev = e.laneTake(src); ev == nil {
+		} else if ev = e.laneTake(); ev == nil {
 			continue // a tombstone
 		}
 		e.fire(ev)

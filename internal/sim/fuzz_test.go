@@ -90,6 +90,30 @@ func FuzzEventOps(f *testing.F) {
 		wrap = append(wrap, ops...)
 	}
 	f.Add(deep(wrap...))
+	// Five busy lanes with interleaved heads: delays 20, 30, 31, 32 and 50
+	// scheduled at t=0, then a second delay-20 event at t=15. Taking the
+	// head at 20 leaves that lane's new head at 35, which moves back three
+	// places, between the heads at 32 and 50.
+	f.Add(deep(op(opSchedule, 20), op(opSchedule, 30), op(opSchedule, 31), op(opSchedule, 32),
+		op(opSchedule, 50), op(opRun, 15), op(opSchedule, 20), op(opRun, 5), op(opRun, 63)))
+	// allLanes keys every lane, to delay 1 and delays 40 to 54; at t=1 the
+	// delay-1 lane drains.
+	allLanes := func(ops ...byte) []byte {
+		b := []byte{op(opSchedule, 1)}
+		for d := 40; d <= 54; d++ {
+			b = append(b, op(opSchedule, d))
+		}
+		return deep(append(b, ops...)...)
+	}
+	// A delay-2 event re-keys the drained lane, and its head at 3 goes ahead
+	// of every busy lane's. A delay-1 event then finds no lane and, with
+	// every lane busy, goes to the heap.
+	f.Add(allLanes(op(opRun, 1), op(opSchedule, 2), op(opSchedule, 1), op(opRun, 63)))
+	// A 17th delay, 60, arrives while every lane is busy and goes to the
+	// heap. Its next event, after the delay-1 lane drains, claims that lane,
+	// and delay 1, which no longer maps to it, goes to the heap.
+	f.Add(allLanes(op(opSchedule, 60), op(opRun, 1), op(opSchedule, 60), op(opSchedule, 1),
+		op(opRun, 63), op(opRun, 63)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewEngine()
 		e.EnableChecks()
@@ -151,6 +175,9 @@ func FuzzEventOps(f *testing.F) {
 			if gotCancelled != cancelled || byKind[KindOther] != len(live) {
 				t.Fatalf("%s: PendingCensus() = %d live, %d cancelled; model %d live, %d cancelled",
 					when, byKind[KindOther], gotCancelled, len(live), cancelled)
+			}
+			if err := checkLanes(e); err != nil {
+				t.Fatalf("%s: %v", when, err)
 			}
 		}
 		for i, b := range data {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -123,6 +125,9 @@ func TestLaneFireOrderMatchesSort(t *testing.T) {
 		// lane.
 		sawFallback = sawFallback || len(e.heap) > smallQueue
 		sawLanes = sawLanes || e.busy != 0
+		if err := checkLanes(e); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
 	}
 
 	for _, d := range delays {
@@ -205,6 +210,128 @@ func TestLaneFireOrderMatchesSort(t *testing.T) {
 	}
 	if vs := e.Violations(); len(vs) > 0 {
 		t.Fatalf("invariant violations: %v", vs[0])
+	}
+}
+
+// checkLanes checks the engine's lane bookkeeping against the lanes: busy
+// and order name exactly the non-empty lanes, order lists them by strictly
+// increasing head key, each lane caches its ring head's key, and the index
+// holds one entry per keyed lane, which finds the lane from its delay.
+func checkLanes(e *Engine) error {
+	var busy uint32
+	for i := 0; i < e.nLanes; i++ {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		busy |= 1 << i
+		if s := l.ring[l.head&uint32(len(l.ring)-1)]; s.at != l.at || s.seq != l.seq {
+			return fmt.Errorf("lane %d caches head (%d, %d), its ring head is (%d, %d)", i, l.at, l.seq, s.at, s.seq)
+		}
+	}
+	if e.busy != busy {
+		return fmt.Errorf("busy = %#x, non-empty lanes %#x", e.busy, busy)
+	}
+	order := e.order[:e.nBusy]
+	var listed uint32
+	for j, i := range order {
+		listed |= 1 << i
+		if j == 0 {
+			continue
+		}
+		if p, l := &e.lanes[order[j-1]], &e.lanes[i]; !before(p.at, p.seq, l.at, l.seq) {
+			return fmt.Errorf("order %v: lane %d's head (%d, %d) is not after lane %d's (%d, %d)",
+				order, i, l.at, l.seq, order[j-1], p.at, p.seq)
+		}
+	}
+	if listed != busy || len(order) != bits.OnesCount32(busy) {
+		return fmt.Errorf("order %v, non-empty lanes %#x", order, busy)
+	}
+	entries := 0
+	for _, k := range e.index {
+		if k != 0 {
+			entries++
+		}
+	}
+	if entries != e.nLanes {
+		return fmt.Errorf("index holds %d entries for %d keyed lanes", entries, e.nLanes)
+	}
+	for i := 0; i < e.nLanes; i++ {
+		if d := e.lanes[i].delay; e.laneOf(d) != i {
+			return fmt.Errorf("index finds lane %d for lane %d's delay %d", e.laneOf(d), i, d)
+		}
+	}
+	return nil
+}
+
+// TestLaneIndexProbeRuns keys every lane, six of them to delays whose home
+// is the index's last slot, so their probe run wraps to the front of the
+// index. Those six lanes then drain one at a time, by delay, and each is
+// re-keyed to a fresh delay at once. The six were keyed in an order that
+// makes the first removals take the run's first, last and middle entries.
+// Every keyed delay must stay reachable, a re-keyed lane's old delay must
+// lose it, and events must keep firing in (at, seq) order.
+func TestLaneIndexProbeRuns(t *testing.T) {
+	var wrapped, fresh, other []Time
+	for d := Time(1); len(wrapped) < 6; d++ {
+		if home(d) == indexSize-1 {
+			wrapped = append(wrapped, d)
+		}
+	}
+	for d := Time(1e6); len(other) < numLanes-6 || len(fresh) < 6; d++ {
+		if h := home(d); h < 8 || h == indexSize-1 {
+			continue
+		}
+		if len(other) < numLanes-6 {
+			other = append(other, d)
+		} else {
+			fresh = append(fresh, d)
+		}
+	}
+	e := NewEngine()
+	e.EnableChecks()
+	fired := 0
+	count := func() { fired++ }
+	for i := 0; i < smallQueue; i++ {
+		e.Schedule(1<<40, count) // keeps every later event past smallQueue
+	}
+	// Run positions 0 to 5 hold wrapped[0, 3, 2, 5, 4, 1]: the lanes drain
+	// from the run's first entry, then its last, then its middle.
+	for _, k := range []int{0, 3, 2, 5, 4, 1} {
+		e.Schedule(wrapped[k], count)
+	}
+	for _, d := range other {
+		e.Schedule(d, count)
+	}
+	if err := checkLanes(e); err != nil {
+		t.Fatal(err)
+	}
+	if e.busy != 1<<numLanes-1 {
+		t.Fatalf("busy %#x; want every lane busy", e.busy)
+	}
+	for k, d := range wrapped {
+		i := e.laneOf(d)
+		e.Run(d)
+		if e.lanes[i].n != 0 {
+			t.Fatalf("lane %d of delay %d did not drain at t=%d", i, d, d)
+		}
+		e.Schedule(fresh[k], count)
+		if got := e.laneOf(fresh[k]); got != i {
+			t.Fatalf("delay %d keyed lane %d, want the drained lane %d", fresh[k], got, i)
+		}
+		if got := e.laneOf(d); got >= 0 {
+			t.Fatalf("delay %d still maps to lane %d after its lane was re-keyed", d, got)
+		}
+		if err := checkLanes(e); err != nil {
+			t.Fatalf("after re-keying delay %d's lane: %v", d, err)
+		}
+	}
+	e.RunAll()
+	if want := smallQueue + numLanes + len(fresh); fired != want {
+		t.Fatalf("fired %d events, want %d", fired, want)
+	}
+	if vs := e.Violations(); len(vs) > 0 {
+		t.Fatalf("invariant violations: %v", vs)
 	}
 }
 
