@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Fuzz ops: each input byte is one operation. The low two bits select the
+// Fuzz ops: each data byte is one operation. The low two bits select the
 // op, the high six bits are its argument.
 const (
 	opSchedule   = 0 // schedule at now+arg
@@ -17,17 +17,31 @@ const (
 
 func op(code, arg int) byte { return byte(arg<<2 | code) }
 
-// FuzzEventOps drives the engine through an arbitrary stream of
-// schedule / cancel / cancel-then-reschedule / partial-run operations and
-// asserts that the invariant checker stays clean, that exactly the
-// non-cancelled events fire, and that after every op Pending and
-// PendingCensus match a model in which a cancelled event stays pending until
-// a Run passes its time.
+// A move is a Reschedule op, three bytes of the moves stream: after skip
+// more data ops, move live[target%len(live)] by int8(offset) ns from its
+// current time. A negative offset moves it earlier; a time before now means
+// now.
+func move(skip, target, offset int) []byte {
+	return []byte{byte(skip), byte(target), byte(int8(offset))}
+}
+
+// FuzzEventOps drives the engine through an arbitrary stream of schedule /
+// cancel / cancel-then-reschedule / partial-run operations, merged with a
+// stream of Reschedule moves. It asserts that the invariant checker stays
+// clean and that events fire in the order of a model in which a move is a
+// cancel followed by a schedule: each event fires once, at its model time,
+// in (time, seq) order, and the engine's Seq matches the model's after every
+// op. Pending and PendingCensus must match the model too, in which a
+// cancelled event stays pending until a Run passes its queue entry's time,
+// and a move follows the rule Reschedule documents: an event in a lane that
+// moves no earlier keeps its entry, at its lane slot's time until a Run
+// passes that, and leaves no cancelled entry.
 func FuzzEventOps(f *testing.F) {
-	f.Add([]byte{0x00, 0x14, 0x41, 0x02, 0x83, 0xc4, 0x10, 0xff})
-	f.Add([]byte{0x01, 0x01, 0x01})                         // cancels with nothing live
-	f.Add([]byte{0x00, 0x00, 0x02, 0x02, 0x06, 0x03})       // same-instant churn
-	f.Add([]byte{0xfc, 0x00, 0x04, 0x08, 0x07, 0x0b, 0x0f}) // run interleaved with ops
+	var none []byte // no moves: the data ops alone
+	f.Add([]byte{0x00, 0x14, 0x41, 0x02, 0x83, 0xc4, 0x10, 0xff}, none)
+	f.Add([]byte{0x01, 0x01, 0x01}, none)                         // cancels with nothing live
+	f.Add([]byte{0x00, 0x00, 0x02, 0x02, 0x06, 0x03}, none)       // same-instant churn
+	f.Add([]byte{0xfc, 0x00, 0x04, 0x08, 0x07, 0x0b, 0x0f}, none) // run interleaved with ops
 	// More distinct delays than the engine has lanes, on a queue deeper than
 	// smallQueue: 40 delays three times over fill every lane and spill the
 	// rest into the fallback heap, then cancels, a cancel-then-reschedule and
@@ -41,7 +55,7 @@ func FuzzEventOps(f *testing.F) {
 	for d := 63; d > 20; d-- {
 		spill = append(spill, byte(d)<<2, 0x03|2<<2)
 	}
-	f.Add(spill)
+	f.Add(spill, none)
 	// A deep backlog on one delay, then schedule/run rounds across 32 more
 	// delays: lanes drain and are re-keyed one at a time.
 	var rekey []byte
@@ -51,7 +65,7 @@ func FuzzEventOps(f *testing.F) {
 	for d := 0; d < 32; d++ {
 		rekey = append(rekey, byte(62-d)<<2, byte(d)<<2, 0x03|byte(d)<<2)
 	}
-	f.Add(rekey)
+	f.Add(rekey, none)
 	// deep fills the heap with smallQueue events due at 63 and cancels them
 	// all (they stay pending), so the events scheduled next go to lanes and
 	// sit at the front of the live list, where cancel arguments reach them.
@@ -73,7 +87,7 @@ func FuzzEventOps(f *testing.F) {
 		lane = append(lane, op(opSchedule, 1))
 	}
 	lane = append(lane, op(opCancel, 0), op(opCancel, 9), op(opReschedule, 0), op(opRun, 0), op(opRun, 1))
-	f.Add(deep(lane...))
+	f.Add(deep(lane...), none)
 	// A lane ring that wraps and then grows: 4 events at t=2, 4 at t=3 and
 	// a run pop the first 4, so 4 more at t=4 fill the 8-slot ring past its
 	// end. One of those is cancelled before the ring grows to 16, then the
@@ -89,13 +103,13 @@ func FuzzEventOps(f *testing.F) {
 	} {
 		wrap = append(wrap, ops...)
 	}
-	f.Add(deep(wrap...))
+	f.Add(deep(wrap...), none)
 	// Five busy lanes with interleaved heads: delays 20, 30, 31, 32 and 50
 	// scheduled at t=0, then a second delay-20 event at t=15. Taking the
 	// head at 20 leaves that lane's new head at 35, which moves back three
 	// places, between the heads at 32 and 50.
 	f.Add(deep(op(opSchedule, 20), op(opSchedule, 30), op(opSchedule, 31), op(opSchedule, 32),
-		op(opSchedule, 50), op(opRun, 15), op(opSchedule, 20), op(opRun, 5), op(opRun, 63)))
+		op(opSchedule, 50), op(opRun, 15), op(opSchedule, 20), op(opRun, 5), op(opRun, 63)), none)
 	// allLanes keys every lane, to delay 1 and delays 40 to 54; at t=1 the
 	// delay-1 lane drains.
 	allLanes := func(ops ...byte) []byte {
@@ -108,35 +122,71 @@ func FuzzEventOps(f *testing.F) {
 	// A delay-2 event re-keys the drained lane, and its head at 3 goes ahead
 	// of every busy lane's. A delay-1 event then finds no lane and, with
 	// every lane busy, goes to the heap.
-	f.Add(allLanes(op(opRun, 1), op(opSchedule, 2), op(opSchedule, 1), op(opRun, 63)))
+	f.Add(allLanes(op(opRun, 1), op(opSchedule, 2), op(opSchedule, 1), op(opRun, 63)), none)
 	// A 17th delay, 60, arrives while every lane is busy and goes to the
 	// heap. Its next event, after the delay-1 lane drains, claims that lane,
 	// and delay 1, which no longer maps to it, goes to the heap.
 	f.Add(allLanes(op(opSchedule, 60), op(opRun, 1), op(opSchedule, 60), op(opSchedule, 1),
-		op(opRun, 63), op(opRun, 63)))
-	f.Fuzz(func(t *testing.T, data []byte) {
+		op(opRun, 63), op(opRun, 63)), none)
+	// Moves on a shallow queue, all in the heap: later, to the same time,
+	// earlier, and, after a run, to before now.
+	f.Add([]byte{op(opSchedule, 10), op(opSchedule, 20), op(opSchedule, 30), op(opSchedule, 10),
+		op(opRun, 5), op(opRun, 10), op(opRun, 63)},
+		slices.Concat(move(4, 0, 5), move(0, 1, 0), move(0, 2, -25), move(1, 2, -10)))
+	// Moves on one lane of 20 events at t=10, past smallQueue. Events 0, 3
+	// and 7 move in place (later, to the same time, and event 7 twice);
+	// event 5 moves earlier, out of the lane; event 9 moves later in place
+	// and is then cancelled, leaving its tombstone at its slot's time. The
+	// run to 10 sends the re-keyed events to the heap, where the last two
+	// moves find events 0 and 7 and move them later and earlier.
+	var rekeyed []byte
+	for i := 0; i < 20; i++ {
+		rekeyed = append(rekeyed, op(opSchedule, 10))
+	}
+	rekeyed = append(rekeyed, op(opCancel, 9), op(opRun, 8), op(opRun, 2), op(opRun, 63), op(opRun, 63))
+	f.Add(deep(rekeyed...), slices.Concat(move(2*smallQueue+20, 0, 7), move(0, 3, 0), move(0, 5, -4),
+		move(0, 7, 2), move(0, 7, 1), move(0, 9, 3), move(3, 0, 3), move(0, 1, -2)))
+	// The wrapped ring above, with moves in place on both sides of the wrap
+	// point before it grows: 4 events at t=3 sit before the wrap, 4 at t=4
+	// after it. The one at t=3 moves twice, once after the ring grows; of
+	// the two at t=4, one is cancelled after its move, and the other moves
+	// to its own time and fires before the events scheduled after it.
+	f.Add(deep(wrap...), slices.Concat(move(2*smallQueue+14, 1, 2), move(0, 6, 1), move(0, 7, 0),
+		move(5, 1, 0)))
+	f.Fuzz(func(t *testing.T, data, moves []byte) {
 		e := NewEngine()
 		e.EnableChecks()
 		type tracked struct {
-			ev        *Event // dead once the event fires or is cancelled
-			at        Time
+			ev  *Event // dead once the event fires or is cancelled
+			at  Time   // when the event fires
+			seq uint64 // the model's sequence number for it
+			// key is when its queue entry comes due: at, except for an
+			// event a move re-keyed in its lane, whose entry stays at its
+			// slot's time until a Run passes that.
+			key       Time
 			cancelled bool
 		}
 		// live holds events that are queued and not cancelled; fire callbacks
 		// remove their own entry, mirroring the handle-clearing discipline
 		// real timer holders (transport RTO, reorder timer) follow. queue
-		// holds every event no Run has passed yet, cancelled ones included.
-		var live, queue []*tracked
-		fired, expect := 0, 0
+		// holds every entry no Run has passed yet, cancelled ones included.
+		// fired lists the events in fire order.
+		var live, queue, fired []*tracked
+		var seq uint64
+		expect := 0
 		remove := func(tr *tracked) {
 			if i := slices.Index(live, tr); i >= 0 {
 				live = slices.Delete(live, i, i+1)
 			}
 		}
 		track := func(at Time, abs bool) {
-			tr := &tracked{}
+			tr := &tracked{seq: seq}
+			seq++
 			fn := func() {
-				fired++
+				if e.Now() != tr.at {
+					t.Fatalf("event of model seq %d fired at %d, model time %d", tr.seq, e.Now(), tr.at)
+				}
+				fired = append(fired, tr)
 				remove(tr)
 			}
 			if abs {
@@ -145,6 +195,7 @@ func FuzzEventOps(f *testing.F) {
 				tr.ev = e.Schedule(at, fn)
 			}
 			tr.at = tr.ev.At()
+			tr.key = tr.at
 			live = append(live, tr)
 			queue = append(queue, tr)
 		}
@@ -155,18 +206,38 @@ func FuzzEventOps(f *testing.F) {
 			remove(tr)
 			return tr
 		}
-		// check compares the engine with the model after op i (-1: RunAll).
-		check := func(i int) {
-			t.Helper()
-			when := "after RunAll"
-			if i >= 0 {
-				when = fmt.Sprintf("op %d (%#02x)", i, data[i])
+		// reschedule applies a move. In place, the event keeps its queue
+		// entry; otherwise its entry stays behind, cancelled, and the event
+		// takes a new one.
+		reschedule := func(target, offset byte) {
+			if len(live) == 0 {
+				return
 			}
+			tr := live[int(target)%len(live)]
+			at := tr.at + Time(int8(offset))
+			if tr.ev.lane == inHeap || at < tr.at {
+				queue = append(queue, &tracked{key: tr.key, cancelled: true})
+				tr.key = max(at, e.Now())
+			}
+			tr.at = max(at, e.Now())
+			tr.seq = seq
+			seq++
+			tr.ev = e.Reschedule(tr.ev, at-e.Now())
+			if tr.ev.At() != tr.at {
+				t.Fatalf("Reschedule to %d: event at %d", at, tr.ev.At())
+			}
+		}
+		// check compares the engine with the model after an op.
+		check := func(when string) {
+			t.Helper()
 			cancelled := 0
 			for _, tr := range queue {
 				if tr.cancelled {
 					cancelled++
 				}
+			}
+			if got := e.Seq(); got != seq {
+				t.Fatalf("%s: Seq() = %d, model %d", when, got, seq)
 			}
 			if got := e.Pending(); got != len(queue) {
 				t.Fatalf("%s: Pending() = %d, model %d", when, got, len(queue))
@@ -180,7 +251,8 @@ func FuzzEventOps(f *testing.F) {
 				t.Fatalf("%s: %v", when, err)
 			}
 		}
-		for i, b := range data {
+		step := func(i int) {
+			b := data[i]
 			arg := int(b >> 2)
 			switch b & 3 {
 			case opSchedule:
@@ -188,33 +260,59 @@ func FuzzEventOps(f *testing.F) {
 				expect++
 			case opCancel:
 				if len(live) == 0 {
-					continue
+					return
 				}
 				cancel(arg)
 				expect--
 			case opReschedule:
 				if len(live) == 0 {
-					continue
+					return
 				}
 				track(cancel(arg).at, true)
 			case opRun:
 				until := e.Now() + Time(arg)
 				e.Run(until)
-				queue = slices.DeleteFunc(queue, func(tr *tracked) bool { return tr.at <= until })
+				queue = slices.DeleteFunc(queue, func(tr *tracked) bool {
+					if tr.cancelled {
+						return tr.key <= until
+					}
+					return tr.at <= until
+				})
+				for _, tr := range queue {
+					if tr.key <= until {
+						tr.key = tr.at // its slot came due: the event went to the heap
+					}
+				}
 			}
-			check(i)
+			check(fmt.Sprintf("op %d (%#02x)", i, b))
+		}
+		i := 0
+		for m := 0; m+3 <= len(moves); m += 3 {
+			for end := min(i+int(moves[m]), len(data)); i < end; i++ {
+				step(i)
+			}
+			reschedule(moves[m+1], moves[m+2])
+			check(fmt.Sprintf("move %d after op %d", m/3, i-1))
+		}
+		for ; i < len(data); i++ {
+			step(i)
 		}
 		e.RunAll()
 		queue = nil
-		check(-1)
+		check("after RunAll")
 		if vs := e.Violations(); len(vs) > 0 {
 			t.Fatalf("invariant violations: %v", vs)
 		}
-		if fired != expect {
-			t.Fatalf("fired %d events, want %d", fired, expect)
+		if len(fired) != expect {
+			t.Fatalf("fired %d events, want %d", len(fired), expect)
 		}
 		if len(live) != 0 {
 			t.Fatalf("%d tracked events never fired", len(live))
+		}
+		for j := 1; j < len(fired); j++ {
+			if p, q := fired[j-1], fired[j]; !before(p.at, p.seq, q.at, q.seq) {
+				t.Fatalf("fire %d: model (%d, %d) after (%d, %d)", j, q.at, q.seq, p.at, p.seq)
+			}
 		}
 	})
 }
