@@ -92,20 +92,28 @@ func (f *Flow) rto() sim.Time {
 func (f *Flow) armRTO() {
 	eng := f.ep.tr.Eng
 	// ScheduleCall with a package-level trampoline: no closure and (with a
-	// warm engine free list) no event allocation per re-arm, which happens
-	// on every ACK that advances the window.
+	// warm engine free list) no event allocation per arm.
 	f.rtoTimer = eng.ScheduleCallKind(f.rto(), sim.KindRTO, flowRTO, f, nil)
 }
 
 func flowRTO(a1, _ any) { a1.(*Flow).onRTO() }
 
+// rearmRTO restarts the retransmission timer while the flow has data
+// outstanding or unsent, and cancels it otherwise. Reschedule moves the
+// armed timer in place, so the engine's queue keeps one entry per flow
+// instead of one cancelled timer per ACK.
 func (f *Flow) rearmRTO() {
+	if f.cumAck < f.sndNxt || f.sndNxt < f.Size {
+		if f.rtoTimer != nil {
+			f.rtoTimer = f.ep.tr.Eng.Reschedule(f.rtoTimer, f.rto())
+		} else {
+			f.armRTO()
+		}
+		return
+	}
 	if f.rtoTimer != nil {
 		f.rtoTimer.Cancel()
 		f.rtoTimer = nil
-	}
-	if f.cumAck < f.sndNxt || f.sndNxt < f.Size {
-		f.armRTO()
 	}
 }
 

@@ -218,3 +218,26 @@ func TestPerfConcurrentSweep(t *testing.T) {
 		t.Fatalf("RunsProfiled = %d, want %d", s.RunsProfiled, len(seeds))
 	}
 }
+
+// TestRearmedTimersKeepQueueShallow guards the engine's queue depth on the
+// 4x4x8, 10 Gbps fabric that `hermes-sim -topology small` builds. A flow
+// re-arms its 10 ms retransmission timer on every ACK that advances its
+// window; moved in place, the timer keeps one queue entry, and this run's
+// queue peaks at 797 entries. Cancelled and scheduled anew, each re-arm
+// left a cancelled entry queued for the whole timeout, and the queue peaked
+// at 35,831.
+func TestRearmedTimersKeepQueueShallow(t *testing.T) {
+	cfg := Config{
+		Topology: Topology{Leaves: 4, Spines: 4, HostsPerLeaf: 8,
+			HostRateBps: 10e9, FabricRateBps: 10e9, HostDelayNs: 2000, FabricDelayNs: 2000},
+		Scheme: SchemeHermes, Workload: "web-search", Load: 0.6, Flows: 100, Seed: 1,
+		Perf: &PerfOptions{},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak := res.Perf.QueuePeak; peak >= 2000 {
+		t.Fatalf("queue peak %d entries, want under 2,000", peak)
+	}
+}
