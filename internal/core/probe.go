@@ -26,6 +26,8 @@ type Prober struct {
 	prevBest []int // per destination leaf
 	nextID   uint64
 	pending  map[uint64]*pendingProbe
+	free     []*pendingProbe // resolved measurements, for reuse
+	probeSet [3]int          // chooseProbeSet's result
 
 	// ProbesSent / ProbeBytes quantify the Table 6 overhead.
 	ProbesSent uint64
@@ -36,6 +38,7 @@ type Prober struct {
 }
 
 type pendingProbe struct {
+	id      uint64
 	dstLeaf int
 	path    int
 	timer   *sim.Event
@@ -61,7 +64,7 @@ func NewProber(mon *Monitor, rng *sim.RNG, agents []*net.Host) *Prober {
 	// reaching it resolves a pending measurement.
 	p.Agent.Handle(net.ProbeEcho, p.onEcho)
 	if p.interval > 0 {
-		mon.Net.Eng.ScheduleKind(p.interval, sim.KindProbe, p.tick)
+		mon.Net.Eng.ScheduleCallKind(p.interval, sim.KindProbe, proberTick, p, nil)
 	}
 	return p
 }
@@ -106,6 +109,13 @@ func (p *Prober) Stop() {
 	}
 }
 
+// proberTick and probeTimeout are the prober's event callbacks: package-level
+// functions with the prober and the measurement as arguments, so scheduling
+// them allocates no closure.
+func proberTick(a1, _ any) { a1.(*Prober).tick() }
+
+func probeTimeout(a1, a2 any) { a1.(*Prober).onTimeout(a2.(*pendingProbe)) }
+
 func (p *Prober) tick() {
 	if p.stopped {
 		return
@@ -122,11 +132,12 @@ func (p *Prober) tick() {
 			p.sendProbe(d, path, now)
 		}
 	}
-	p.Mon.Net.Eng.ScheduleKind(p.interval, sim.KindProbe, p.tick)
+	p.Mon.Net.Eng.ScheduleCallKind(p.interval, sim.KindProbe, proberTick, p, nil)
 }
 
 // chooseProbeSet returns two random distinct paths plus the previously best
-// one (deduplicated), per the power-of-two-choices-with-memory design.
+// one (deduplicated), per the power-of-two-choices-with-memory design. The
+// result is valid until the next call.
 func (p *Prober) chooseProbeSet(paths []int, dstLeaf int) []int {
 	switch len(paths) {
 	case 0:
@@ -137,7 +148,7 @@ func (p *Prober) chooseProbeSet(paths []int, dstLeaf int) []int {
 		return paths
 	}
 	a, b := p.Rng.TwoDistinct(len(paths))
-	set := []int{paths[a], paths[b]}
+	set := append(p.probeSet[:0], paths[a], paths[b])
 	if best := p.prevBest[dstLeaf]; best >= 0 && best != set[0] && best != set[1] {
 		for _, q := range paths {
 			if q == best {
@@ -153,12 +164,15 @@ func (p *Prober) sendProbe(dstLeaf, path int, now sim.Time) {
 	p.nextID++
 	id := p.nextID
 	dst := p.RemoteAgents[dstLeaf]
-	pp := &pendingProbe{dstLeaf: dstLeaf, path: path}
-	pp.timer = p.Mon.Net.Eng.ScheduleKind(p.timeout, sim.KindProbe, func() {
-		delete(p.pending, id)
-		p.ProbesLost++
-		p.Mon.OnProbeResult(dstLeaf, path, true, false, 0)
-	})
+	var pp *pendingProbe
+	if n := len(p.free); n > 0 {
+		pp = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		pp = new(pendingProbe)
+	}
+	*pp = pendingProbe{id: id, dstLeaf: dstLeaf, path: path}
+	pp.timer = p.Mon.Net.Eng.ScheduleCallKind(p.timeout, sim.KindProbe, probeTimeout, p, pp)
 	p.pending[id] = pp
 	p.ProbesSent++
 	p.ProbeBytes += net.ProbeBytes
@@ -176,6 +190,20 @@ func (p *Prober) sendProbe(dstLeaf, path int, now sim.Time) {
 	p.Agent.Send(pkt)
 }
 
+// onTimeout counts a probe whose echo did not return in time as lost.
+func (p *Prober) onTimeout(pp *pendingProbe) {
+	delete(p.pending, pp.id)
+	p.ProbesLost++
+	p.Mon.OnProbeResult(pp.dstLeaf, pp.path, true, false, 0)
+	p.release(pp)
+}
+
+// release returns a resolved measurement for reuse by the next probe.
+func (p *Prober) release(pp *pendingProbe) {
+	pp.timer = nil
+	p.free = append(p.free, pp)
+}
+
 func (p *Prober) onEcho(pkt *net.Packet) {
 	pp, ok := p.pending[pkt.Flow]
 	if !ok {
@@ -191,4 +219,5 @@ func (p *Prober) onEcho(pkt *net.Packet) {
 	if best < 0 || p.Mon.State(pp.dstLeaf, pp.path).RTT() <= p.Mon.State(pp.dstLeaf, best).RTT() {
 		p.prevBest[pp.dstLeaf] = pp.path
 	}
+	p.release(pp)
 }
