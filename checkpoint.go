@@ -14,10 +14,14 @@
 // config. A restored run keeps Config.Checkpoint, so it walks the identical
 // boundary sequence, re-writes byte-identical checkpoint files over the
 // originals, and ends with a byte-identical Result — the property the CI
-// soak-smoke job asserts with cmp(1).
+// soak-smoke job asserts with cmp(1). Until its replay verifies, a restored
+// run overwrites no checkpoint file: one that already exists must hold
+// exactly the bytes the replay would write, or the restore fails with a
+// StateMismatchError and leaves the file as it was.
 package hermes
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -261,15 +265,54 @@ func (r *run) writeCheckpoint(kind string) (CheckpointInfo, error) {
 		State:     state,
 	}
 	path := filepath.Join(r.ckpt.cfg.Dir, checkpoint.Filename(r.ckpt.cfgSHA, f.SimTimeNs))
-	n, err := checkpoint.WriteFile(path, f)
-	if err != nil {
-		return CheckpointInfo{}, fmt.Errorf("hermes: %w", err)
+	n := 0
+	if r.replay != nil && !r.replay.done {
+		if n, err = keepCheckpoint(path, f, snap); err != nil {
+			return CheckpointInfo{}, err
+		}
+	}
+	if n == 0 {
+		if n, err = checkpoint.WriteFile(path, f); err != nil {
+			return CheckpointInfo{}, fmt.Errorf("hermes: %w", err)
+		}
 	}
 	info := CheckpointInfo{SimTimeNs: f.SimTimeNs, Path: path, Bytes: n, StateSHA: f.StateSHA}
 	r.st.RecordCheckpoint(statusd.CheckpointEvent{
 		Run: r.runLabel, Kind: kind, SimTimeNs: f.SimTimeNs, Path: path, Bytes: n,
 	})
 	return info, nil
+}
+
+// keepCheckpoint guards the checkpoint files of a run that has not yet
+// verified its replay. A file already at path must hold the bytes f encodes
+// to; keepCheckpoint then leaves it as it is and returns its size. A file
+// holding other state means the replay diverged before reaching its target:
+// the error is a StateMismatchError naming the sections that differ, and
+// the file stays untouched. It returns 0 when there is no file to keep.
+func keepCheckpoint(path string, f *checkpoint.File, snap *checkpoint.Snapshot) (int, error) {
+	old, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("hermes: %w", err)
+	}
+	b, err := f.Encode()
+	if err != nil {
+		return 0, fmt.Errorf("hermes: %w", err)
+	}
+	if bytes.Equal(old, b) {
+		return len(old), nil
+	}
+	kept, err := checkpoint.Decode(old)
+	if err != nil {
+		return 0, fmt.Errorf("hermes: %s: %w", path, err)
+	}
+	want, err := kept.DecodeState()
+	if err != nil {
+		return 0, fmt.Errorf("hermes: %s: %w", path, err)
+	}
+	return 0, &checkpoint.StateMismatchError{SimTimeNs: f.SimTimeNs, Sections: checkpoint.Diff(want, snap)}
 }
 
 // fireDueCheckpoints writes every scheduled checkpoint whose instant has
@@ -452,8 +495,11 @@ func decodeForReplay(f *checkpoint.File) (Config, *replayPlan, error) {
 // rebuilt from the embedded config, replayed to the captured instant,
 // verified section-by-section against the stored state, and then continued
 // to completion; the returned Result is byte-identical to the uninterrupted
-// run's. Checkpointing stays armed, so the resumed run re-writes the
-// schedule's files (byte-identical collisions with the originals).
+// run's. Checkpointing stays armed: until the replay verifies, each
+// scheduled file that already exists is checked byte for byte and kept, and
+// a file that differs fails the restore with a StateMismatchError and is
+// left untouched; after it, the resumed run re-writes the schedule's files
+// (byte-identical collisions with the originals).
 func Restore(path string) (*Result, error) {
 	f, err := loadCheckpointFile(path)
 	if err != nil {

@@ -276,6 +276,67 @@ func TestCheckpointRestoreRejections(t *testing.T) {
 	})
 }
 
+// TestFailedRestoreKeepsCheckpoints: a restore whose replay diverges leaves
+// every checkpoint file as it found it. The replay passes the run's
+// scheduled instants on its way to the one it restores, and a file already
+// at one of them is compared with the replay's state, not overwritten. Each
+// case tampers one file's rng section in place, at its own path, and
+// restores the later file: the restore must fail at the tampered instant
+// with the rng section named, and no file's bytes may change. Writing each
+// due file before verifying used to replace the tampered file with the
+// replay's own state, so a second resume from it would succeed.
+func TestFailedRestoreKeepsCheckpoints(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper int // index into Result.Checkpoints
+	}{{"restored file", 1}, {"earlier file", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chaosConfig(SchemeECMP, nil)
+			cfg.Checkpoint = &CheckpointConfig{Dir: t.TempDir(), AtNs: []int64{1e6, 2e6}}
+			res := mustRun(t, cfg)
+			if len(res.Checkpoints) != 2 {
+				t.Fatalf("Result.Checkpoints = %+v, want 2 entries", res.Checkpoints)
+			}
+			bad := res.Checkpoints[tc.tamper]
+			f, err := checkpoint.ReadFile(bad.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered := strings.Replace(string(f.State), `"rng":{"draws":`, `"rng":{"draws":9`, 1)
+			if tampered == string(f.State) {
+				t.Fatal("tamper target not found in state section")
+			}
+			f.State = json.RawMessage(tampered)
+			if _, err := checkpoint.WriteFile(bad.Path, f); err != nil {
+				t.Fatal(err)
+			}
+			before := map[string][]byte{}
+			for _, ci := range res.Checkpoints {
+				if before[ci.Path], err = os.ReadFile(ci.Path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = Restore(res.Checkpoints[1].Path)
+			var sm *checkpoint.StateMismatchError
+			if !errors.As(err, &sm) {
+				t.Fatalf("Restore = %v, want *StateMismatchError", err)
+			}
+			if sm.SimTimeNs != bad.SimTimeNs || len(sm.Sections) != 1 || sm.Sections[0].Section != "rng" {
+				t.Errorf("mismatch at t=%dns in %+v, want t=%dns in the rng section", sm.SimTimeNs, sm.Sections, bad.SimTimeNs)
+			}
+			for path, want := range before {
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Errorf("failed resume rewrote %s (%d -> %d bytes)", path, len(want), len(got))
+				}
+			}
+		})
+	}
+}
+
 // TestForkRateSamplesStartAtFork: a flight ring that exists only for a
 // grafted scenario starts at the fork instant, so each rate series' first
 // sample covers one interval, not the replayed prefix. Before the recorder
