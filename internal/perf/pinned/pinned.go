@@ -28,6 +28,7 @@ func Benchmarks() []Benchmark {
 		{Name: "net.BenchmarkPacketForwardPipelined", Fn: PacketForwardPipelined},
 		{Name: "sim.BenchmarkEngineScheduleRun", Fn: EngineScheduleRun},
 		{Name: "sim.BenchmarkEngineFixedDelays", Fn: EngineFixedDelays},
+		{Name: "sim.BenchmarkEngineRearm", Fn: EngineRearm},
 	}
 }
 
@@ -47,12 +48,14 @@ func EngineScheduleRun(b *testing.B) {
 	e.RunAll()
 }
 
-// EngineFixedDelays measures the engine on the event mix of the 8x8
-// web-search runs. Packets hop with a few fixed delays (the serialization
-// times of 1500 B and 64 B at 10 Gbps and the 2 µs link propagation delay),
-// and every hop cancels and re-arms its flow's 10 ms retransmission timer,
-// so about 170k mostly-cancelled timers stay pending, as at those runs'
-// queue peak. One op is one packet hop.
+// EngineFixedDelays measures the engine on a queue of cancelled timers.
+// Packets hop with a few fixed delays (the serialization times of 1500 B and
+// 64 B at 10 Gbps and the 2 µs link propagation delay), and every hop
+// cancels its flow's 10 ms retransmission timer and schedules a new one, so
+// about 170k mostly-cancelled timers stay pending. The simulator cancels
+// timers this way for probe timeouts and finished flows; it moves
+// retransmission timers with Reschedule instead, which EngineRearm
+// measures. One op is one packet hop.
 func EngineFixedDelays(b *testing.B) {
 	s := newFixedDelays()
 	// Warm up past one timeout so the timer backlog is at its steady size.
@@ -86,11 +89,14 @@ type fixedDelays struct {
 
 type fixedDelayPacket struct{ flow, hop int }
 
-func newFixedDelays() *fixedDelays {
+func newFixedDelays() *fixedDelays { return newHopLoop(fixedDelayHop) }
+
+// newHopLoop starts the packets, each hopping with hop.
+func newHopLoop(hop func(a1, a2 any)) *fixedDelays {
 	s := &fixedDelays{e: sim.NewEngine()}
 	for i := range s.pkts {
 		s.pkts[i].flow = i
-		s.e.ScheduleCallKind(fixedDelaySet[i%len(fixedDelaySet)], sim.KindPortTx, fixedDelayHop, s, &s.pkts[i])
+		s.e.ScheduleCallKind(fixedDelaySet[i%len(fixedDelaySet)], sim.KindPortTx, hop, s, &s.pkts[i])
 	}
 	return s
 }
@@ -122,6 +128,44 @@ func fixedDelayHop(a1, a2 any) {
 // fixedDelayTimeout clears the flow's handle. Every flow is re-armed every
 // ~61 µs, so in steady state no timer fires.
 func fixedDelayTimeout(a1, _ any) { *a1.(**sim.Event) = nil }
+
+// EngineRearm is EngineFixedDelays' hop loop with each flow's timer moved by
+// Reschedule, as the transport re-arms its retransmission timers. A timer
+// keeps its queue entry while it moves, so about two entries per flow stay
+// pending, not one per re-arm: the live timer, and once its first slot has
+// come due and sent it to the heap, the cancelled heap entry its next move
+// leaves there. One op is one packet hop.
+func EngineRearm(b *testing.B) {
+	s := newHopLoop(rearmHop)
+	s.run(2 * fixedDelayOpsPerRTO)
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.run(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(s.e.Pending()), "pending")
+}
+
+// rearmHop is fixedDelayHop with the timer moved in place. fixedDelayHop
+// keeps its own copy of the forwarding tail, so EngineFixedDelays still
+// measures the code its ledger entries measured.
+func rearmHop(a1, a2 any) {
+	s, p := a1.(*fixedDelays), a2.(*fixedDelayPacket)
+	timer := &s.rto[p.flow]
+	if *timer != nil {
+		*timer = s.e.Reschedule(*timer, fixedDelayRTO)
+	} else {
+		*timer = s.e.ScheduleCallKind(fixedDelayRTO, sim.KindRTO, fixedDelayTimeout, timer, nil)
+	}
+	if s.left == 0 {
+		return // draining: the packet leaves, its timer stays armed
+	}
+	p.hop++
+	p.flow = (p.flow + fixedDelayInFlight) % fixedDelayFlows
+	s.e.ScheduleCallKind(fixedDelaySet[p.hop%len(fixedDelaySet)], sim.KindPropagate, rearmHop, s, p)
+	if s.left--; s.left == 0 {
+		s.e.Stop()
+	}
+}
 
 // benchFabric builds the smallest cross-leaf fabric that exercises the full
 // forwarding hot path: host uplink -> leaf -> spine -> leaf -> host, four

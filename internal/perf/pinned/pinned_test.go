@@ -25,3 +25,27 @@ func TestFixedDelaysEventMemory(t *testing.T) {
 		t.Fatalf("the engine handed out %d events for %d live ones, want at most %d", got, live, 2*live)
 	}
 }
+
+// TestRearmEventMemory is the memory guard for timers moved in place.
+// EngineRearm's hop loop moves a flow's timer on every hop, so its queue
+// must stay near its 1,046 live timers and packets, where cancelling and
+// scheduling anew keeps ~167k entries. Once the queue drains, the engine
+// must have handed out at most two events per live one.
+func TestRearmEventMemory(t *testing.T) {
+	s := newHopLoop(rearmHop)
+	live := fixedDelayFlows + fixedDelayInFlight
+	for i := 0; i < 4; i++ {
+		s.run(fixedDelayOpsPerRTO / 2)
+		if p := s.e.Pending(); p > 3*live {
+			t.Fatalf("Pending() = %d after %d ops, want at most %d", p, (i+1)*fixedDelayOpsPerRTO/2, 3*live)
+		}
+	}
+	s.left = 0
+	s.e.RunAll()
+	if p := s.e.Pending(); p != 0 {
+		t.Fatalf("Pending() = %d after draining, want 0", p)
+	}
+	if got := s.e.FreeEvents(); got > 2*live {
+		t.Fatalf("the engine handed out %d events for %d live ones, want at most %d", got, live, 2*live)
+	}
+}

@@ -13,6 +13,8 @@ func BenchmarkEngineScheduleRun(b *testing.B) { pinned.EngineScheduleRun(b) }
 
 func BenchmarkEngineFixedDelays(b *testing.B) { pinned.EngineFixedDelays(b) }
 
+func BenchmarkEngineRearm(b *testing.B) { pinned.EngineRearm(b) }
+
 // TestEngineScheduleAllocGuard pins the engine's zero-allocation contract
 // mechanically: a warm engine schedules and fires without touching the heap,
 // with profiling off AND on (the profiled fire path uses only fixed arrays
