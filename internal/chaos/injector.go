@@ -1,21 +1,22 @@
-// Package chaos turns the static failure injectors of internal/failure into
-// a declarative scenario engine: a Scenario is a timeline of events — inject
-// a failure at t1, clear it at t2, repeat a flap every period — over
-// composable injectors that may overlap on the same switch or link. Every
-// injector snapshots exactly what it changes and restores it on revert, so
-// mid-run recovery is first-class, and all randomness flows through the
-// run's seeded RNG, so a scenario is deterministic per seed. The recovery
-// analysis (Compute) reads the flight recorder back out to score how fast a
-// load balancing scheme detected, rerouted around, and re-converged after
-// each activation — the §5.3 resilience questions the paper answers with
-// testbed experiments.
+// Package chaos injects the failures of §2.1 and §5.3 — silent random
+// drops and blackholes at a spine switch, cut and degraded links, whole
+// switches down — as composable injectors, and runs them on a declarative
+// scenario engine: a Scenario is a timeline of events — inject a failure at
+// t1, clear it at t2, repeat a flap every period — over injectors that may
+// overlap on the same switch or link. A run's static failure is one
+// injector applied before traffic. Every injector snapshots exactly what it
+// changes and restores it on revert, so mid-run recovery is first-class,
+// and all randomness flows through the run's seeded RNG, so a scenario is
+// deterministic per seed. The recovery analysis (Compute) reads the flight
+// recorder back out to score how fast a load balancing scheme detected,
+// rerouted around, and re-converged after each activation — the §5.3
+// resilience questions the paper answers with testbed experiments.
 package chaos
 
 import (
 	"fmt"
 	"sort"
 
-	"github.com/hermes-repro/hermes/internal/failure"
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
 )
@@ -100,6 +101,9 @@ func pickSpine(env Env, spine int) int {
 	return spine
 }
 
+// dropAll is the drop hook of a switch that forwards nothing.
+func dropAll(*net.Packet) bool { return true }
+
 func checkSpine(env Env, spine int, kind string) error {
 	if spine < -1 || spine >= env.Net.Cfg.Spines {
 		return fmt.Errorf("chaos: %s: spine %d out of range [0, %d) (-1 = random)",
@@ -123,7 +127,7 @@ type Blackhole struct {
 	SrcLeaf, DstLeaf int
 
 	spine int
-	inner *failure.Blackhole
+	hook  int
 }
 
 func (b *Blackhole) Kind() string { return "blackhole" }
@@ -148,17 +152,21 @@ func (b *Blackhole) Validate(env Env) error {
 	return nil
 }
 
+// Apply hooks the spine to drop the packets of every host pair between the
+// two racks whose ids have an even sum: half of the pairs, in a fixed
+// pattern as a faulty TCAM entry would match them, and in both directions,
+// so the ACKs of affected flows die too.
 func (b *Blackhole) Apply(env Env) error {
+	nw, src, dst := env.Net, b.SrcLeaf, b.DstLeaf
 	b.spine = pickSpine(env, b.Spine)
-	b.inner = &failure.Blackhole{
-		Spine: env.Net.Spines[b.spine],
-		Match: failure.RackPairBlackhole(env.Net, b.SrcLeaf, b.DstLeaf),
-	}
-	b.inner.Install()
+	b.hook = nw.Spines[b.spine].AddDropFn(func(p *net.Packet) bool {
+		s, d := nw.LeafOf(p.Src), nw.LeafOf(p.Dst)
+		return ((s == src && d == dst) || (s == dst && d == src)) && (p.Src+p.Dst)%2 == 0
+	})
 	return nil
 }
 
-func (b *Blackhole) Revert(env Env) { b.inner.Uninstall() }
+func (b *Blackhole) Revert(env Env) { env.Net.Spines[b.spine].RemoveDropFn(b.hook) }
 
 func (b *Blackhole) Scope() Scope {
 	return Scope{Spines: []int{b.spine}, Leaves: []int{b.SrcLeaf, b.DstLeaf}}
@@ -172,7 +180,7 @@ type SpineBlackhole struct {
 	Spine int // -1 = random at apply time
 
 	spine int
-	inner *failure.Blackhole
+	hook  int
 }
 
 func (b *SpineBlackhole) Kind() string { return "spine-blackhole" }
@@ -187,26 +195,24 @@ func (b *SpineBlackhole) Validate(env Env) error {
 
 func (b *SpineBlackhole) Apply(env Env) error {
 	b.spine = pickSpine(env, b.Spine)
-	b.inner = &failure.Blackhole{
-		Spine: env.Net.Spines[b.spine],
-		Match: func(src, dst int) bool { return true },
-	}
-	b.inner.Install()
+	b.hook = env.Net.Spines[b.spine].AddDropFn(dropAll)
 	return nil
 }
 
-func (b *SpineBlackhole) Revert(env Env) { b.inner.Uninstall() }
+func (b *SpineBlackhole) Revert(env Env) { env.Net.Spines[b.spine].RemoveDropFn(b.hook) }
 
 func (b *SpineBlackhole) Scope() Scope { return Scope{Spines: []int{b.spine}} }
 
 // RandomDrop silently drops each packet transiting one spine with the given
-// probability (§5.3.3's 2% malfunction).
+// probability (§5.3.3's 2% malfunction). High-priority control traffic
+// (ACKs, probe echoes) is dropped too: the malfunction is below the
+// queueing layer.
 type RandomDrop struct {
 	Spine int // -1 = random at apply time
 	Rate  float64
 
 	spine int
-	inner *failure.RandomDrop
+	hook  int
 }
 
 func (r *RandomDrop) Kind() string { return "random-drop" }
@@ -225,14 +231,17 @@ func (r *RandomDrop) Validate(env Env) error {
 	return nil
 }
 
+// Apply's hook draws once from the run RNG for every packet; the switch
+// consults every hook on every packet, so a co-resident failure never
+// changes how many draws this one makes.
 func (r *RandomDrop) Apply(env Env) error {
+	rng, rate := env.Rng, r.Rate
 	r.spine = pickSpine(env, r.Spine)
-	r.inner = &failure.RandomDrop{Spine: env.Net.Spines[r.spine], Rate: r.Rate, Rng: env.Rng}
-	r.inner.Install()
+	r.hook = env.Net.Spines[r.spine].AddDropFn(func(*net.Packet) bool { return rng.Float64() < rate })
 	return nil
 }
 
-func (r *RandomDrop) Revert(env Env) { r.inner.Uninstall() }
+func (r *RandomDrop) Revert(env Env) { env.Net.Spines[r.spine].RemoveDropFn(r.hook) }
 
 func (r *RandomDrop) Scope() Scope { return Scope{Spines: []int{r.spine}} }
 
@@ -525,7 +534,7 @@ func (s *SwitchDown) Apply(env Env) error {
 			nw.SetFabricLink(l, s.index, 0)
 		}
 	}
-	s.hook = sw.AddDropFn(func(*net.Packet) bool { return true })
+	s.hook = sw.AddDropFn(dropAll)
 	return nil
 }
 

@@ -3,7 +3,6 @@ package metrics
 import (
 	"testing"
 
-	"github.com/hermes-repro/hermes/internal/failure"
 	"github.com/hermes-repro/hermes/internal/lb"
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
@@ -84,7 +83,7 @@ func TestSamplersUnderLinkCut(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.StartFlow(i%2, 2+i%2, 4_000_000)
 	}
-	eng.Schedule(5*sim.Millisecond, func() { failure.CutLink(nw, 0, 0) })
+	eng.Schedule(5*sim.Millisecond, func() { nw.SetFabricLink(0, 0, 0) })
 	eng.Run(15 * sim.Millisecond)
 	qs.Stop()
 	ts.Stop()

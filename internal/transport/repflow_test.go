@@ -3,7 +3,6 @@ package transport
 import (
 	"testing"
 
-	"github.com/hermes-repro/hermes/internal/failure"
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
 )
@@ -78,10 +77,7 @@ func TestRepFlowFirstCompletionWins(t *testing.T) {
 func TestRepFlowEscapesBlackholedPath(t *testing.T) {
 	eng, nw, tr := repflowFabric(t)
 	// Kill spine 0 silently: links stay up, everything transiting it drops.
-	(&failure.Blackhole{
-		Spine: nw.Spines[0],
-		Match: func(src, dst int) bool { return true },
-	}).Install()
+	nw.Spines[0].AddDropFn(func(*net.Packet) bool { return true })
 
 	// Flow ids start at 1: the first copy (id 1) pins to the live spine 1,
 	// the replica (id 2) to the dead spine 0. Swap roles by starting a
@@ -164,11 +160,7 @@ func TestMPTCPSubflowsNeverRerouted(t *testing.T) {
 		}
 		paths[i] = sf.CurPath
 	}
-	bh := &failure.Blackhole{
-		Spine: nw.Spines[0],
-		Match: func(src, dst int) bool { return true },
-	}
-	bh.Install()
+	nw.Spines[0].AddDropFn(func(*net.Packet) bool { return true })
 	eng.Run(500 * sim.Millisecond)
 
 	for i, sf := range g.Subflows {

@@ -7,7 +7,6 @@ package hermes
 import (
 	"testing"
 
-	"github.com/hermes-repro/hermes/internal/failure"
 	"github.com/hermes-repro/hermes/internal/lb"
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
@@ -189,10 +188,7 @@ func TestPhenomenonRepsRecyclesAwayFromBlackhole(t *testing.T) {
 
 	// Spine 0 dies silently: links stay up, routing unchanged, no signal
 	// except the missing ACKs.
-	(&failure.Blackhole{
-		Spine: nw.Spines[0],
-		Match: func(src, dst int) bool { return true },
-	}).Install()
+	nw.Spines[0].AddDropFn(func(*net.Packet) bool { return true })
 
 	// Settle for a few RTTs — long enough for in-flight ACKs from the dead
 	// spine to drain and the ~32-entry cache to turn over.
