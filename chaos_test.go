@@ -166,6 +166,25 @@ func TestChaosScenarioValidation(t *testing.T) {
 	bad.Failure = FailureSpec{Kind: FailureFlap, FlapPeriodNs: 10e6, FlapDownNs: 20e6}
 	expectErr("flap down >= period", bad, "FlapDownNs")
 
+	// A degradation never raises a link above the fabric rate, whether
+	// static, lowered from flap sugar, or a scenario event; kinds that do
+	// not read DegradedBps ignore it.
+	for _, kind := range []FailureKind{FailureDegrade, FailureDegradeLink, FailureDegradeSpine, FailureFlap} {
+		bad = base
+		bad.Failure = FailureSpec{Kind: kind, DegradedBps: chaosTopo().FabricRateBps + 1}
+		expectErr("static "+string(kind)+" above the fabric rate", bad, "DegradedBps")
+	}
+	bad = base
+	bad.Scenario = &Scenario{Name: "bad", Events: []ScenarioEvent{
+		{AtNs: 1e6, Name: "x", Failure: FailureSpec{Kind: FailureDegradeLink, DegradedBps: 4e9}},
+	}}
+	expectErr("scenario degrade-link above the fabric rate", bad, "DegradedBps")
+	ok := base
+	ok.Failure = FailureSpec{Kind: FailureRandomDrop, DegradedBps: 4e9}
+	if _, err := Run(ok); err != nil {
+		t.Errorf("random-drop carrying an unread DegradedBps: %v", err)
+	}
+
 	bad = base
 	bad.Scenario = &Scenario{Name: "bad", Events: []ScenarioEvent{
 		{AtNs: 1e6, Name: "x", Failure: FailureSpec{Kind: FailureRandomDrop, Spine: -2}},
