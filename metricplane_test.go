@@ -114,3 +114,86 @@ func TestMetricPlanePins(t *testing.T) {
 		}
 	}
 }
+
+// flightRingPinsPath holds the digests TestFlightRingPins compares against.
+// Regenerate with `go test -run FlightRingPins -update` and review the diff.
+var flightRingPinsPath = filepath.Join("testdata", "flight_ring_pins.json")
+
+// flightRingDigests are the SHA-256 digests of one run's flight exports and
+// alert log, with the recording's shape.
+type flightRingDigests struct {
+	Rows       int    `json:"rows"`
+	Truncated  int    `json:"truncated"`
+	Series     int    `json:"series"`
+	FlightJSON string `json:"flight_jsonl"`
+	FlightCSV  string `json:"flight_csv"`
+	Alerts     string `json:"alerts"`
+}
+
+// TestFlightRingPins pins the flight ring at its default 100 µs interval
+// on TestMetricPlanePins' Hermes spine-blackhole cell: ten times the rows
+// of that test's 1 ms ring, once at the scenario's default cap and once at
+// a cap of 1000, which the run's 3,201 rows overflow three times over.
+func TestFlightRingPins(t *testing.T) {
+	caps := []int{0, 1000}
+	got := map[string]flightRingDigests{}
+	for _, c := range caps {
+		sc, err := BuiltinScenario("spine-blackhole", chaosTopo())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := chaosConfig(SchemeHermes, sc)
+		cfg.Flows = 40
+		cfg.TimeSeries = true
+		cfg.TimeSeriesCap = c
+		cfg.Alerts = &AlertsConfig{Builtin: true}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := res.TimeSeries
+		d := flightRingDigests{Rows: rec.Len(), Truncated: rec.TruncatedSamples(), Series: len(rec.Names())}
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		d.FlightJSON = sha256Hex(buf.Bytes())
+		buf.Reset()
+		if err := rec.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		d.FlightCSV = sha256Hex(buf.Bytes())
+		buf.Reset()
+		if err := WriteAlertLog(&buf, string(SchemeHermes), res.Alerts); err != nil {
+			t.Fatal(err)
+		}
+		d.Alerts = sha256Hex(buf.Bytes())
+		got["cap="+strconv.Itoa(c)] = d
+	}
+	if *update {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(flightRingPinsPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(flightRingPinsPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	var want map[string]flightRingDigests
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d pinned recordings, want %d", len(got), len(want))
+	}
+	for k, g := range got {
+		if g != want[k] {
+			t.Errorf("%s: flight artifacts differ from %s:\n got %+v\nwant %+v",
+				k, flightRingPinsPath, g, want[k])
+		}
+	}
+}
