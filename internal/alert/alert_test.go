@@ -3,6 +3,7 @@ package alert
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -330,5 +331,38 @@ func TestRenderText(t *testing.T) {
 	buf.Reset()
 	if err := RenderText(&buf, nil, 0); err != nil || !strings.Contains(buf.String(), "none") {
 		t.Fatalf("nil render = %q err=%v", buf.String(), err)
+	}
+}
+
+// TestSampleAllocatesNothing: with 50 series breaching and their episodes
+// open, and healthy dip and rate rules over the same series, one
+// steady-state Sample allocates nothing. A breach's cause is formatted
+// only when its episode opens, and the probe names are read only when
+// their count changes.
+func TestSampleAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	rec := timeseries.NewRecorder(eng, 100, 0)
+	for i := range 50 {
+		rec.Register("q{port="+strconv.Itoa(i)+"}", func() float64 { return 10 })
+	}
+	ev, err := New(rec, []Rule{
+		{Name: "hot", Series: "q*", Op: OpAbove, Value: 5, ForNs: 200},
+		{Name: "sag", Series: "q*", Op: OpDip, Value: 0.5, WindowNs: 300},
+		{Name: "climb", Series: "q*", Op: OpRateAbove, Value: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Start()
+	eng.Run(1000)
+	if rep := ev.Report(); len(rep.Alerts) != 50 || rep.Firing != 50 {
+		t.Fatalf("%d episodes, %d firing; want 50 firing", len(rep.Alerts), rep.Firing)
+	}
+	at := int64(eng.Now())
+	if n := testing.AllocsPerRun(100, func() {
+		at += 100
+		ev.Sample(at)
+	}); n != 0 {
+		t.Fatalf("Sample allocated %v times, want 0", n)
 	}
 }

@@ -157,12 +157,11 @@ func stateKey(ruleIdx int, series string) string {
 // bind to the currently registered probes, re-checked whenever the probe
 // count changes so late-registered series still get watched.
 func (e *Evaluator) resolve() {
-	names := e.rec.ProbeNames()
-	if len(names) == e.nProbes {
+	if e.rec.NumProbes() == e.nProbes {
 		return
 	}
-	e.nProbes = len(names)
-	sorted := append([]string(nil), names...)
+	sorted := e.rec.ProbeNames()
+	e.nProbes = len(sorted)
 	sort.Strings(sorted)
 	for i, r := range e.rules {
 		var matched []string
@@ -217,26 +216,16 @@ func (e *Evaluator) evalState(st *seriesState, atNs int64) {
 	v, ok := e.rec.LatestValue(st.series)
 
 	breach := false
-	baseline := 0.0
-	cause := ""
+	baseline, rate := 0.0, 0.0
 	switch r.Op {
 	case OpAbove:
 		breach = ok && v > r.Value
-		if breach {
-			cause = st.series + "=" + fmtF(v) + " above " + fmtF(r.Value)
-		}
 	case OpBelow:
 		breach = ok && v < r.Value
-		if breach {
-			cause = st.series + "=" + fmtF(v) + " below " + fmtF(r.Value)
-		}
 	case OpRateAbove:
 		if ok && st.hasPrev && atNs > st.prevNs {
-			rate := (v - st.prev) / (float64(atNs-st.prevNs) / 1e9)
+			rate = (v - st.prev) / (float64(atNs-st.prevNs) / 1e9)
 			breach = rate > r.Value
-			if breach {
-				cause = st.series + " rate " + fmtF(rate) + "/s above " + fmtF(r.Value) + "/s"
-			}
 		}
 		if ok {
 			st.prev, st.prevNs, st.hasPrev = v, atNs, true
@@ -255,24 +244,15 @@ func (e *Evaluator) evalState(st *seriesState, atNs int64) {
 		if (open || st.ringFull) && baseline > r.MinValue {
 			if r.Op == OpDip {
 				breach = ok && v < (1-r.Value)*baseline
-				if breach {
-					cause = st.series + "=" + fmtF(v) + " dipped below " + fmtF((1-r.Value)*baseline) + " (baseline " + fmtF(baseline) + ")"
-				}
 			} else {
 				breach = ok && v > (1+r.Value)*baseline
-				if breach {
-					cause = st.series + "=" + fmtF(v) + " spiked above " + fmtF((1+r.Value)*baseline) + " (baseline " + fmtF(baseline) + ")"
-				}
 			}
 		}
 	case OpAbsent:
 		breach = !ok
-		if breach {
-			cause = st.series + " absent from the recorder"
-		}
 	}
 
-	e.lifecycle(st, r, atNs, v, baseline, breach, cause)
+	e.lifecycle(st, r, atNs, v, rate, baseline, breach)
 
 	// Feed the trailing baseline only with healthy samples outside an
 	// episode, so a long dip cannot drag its own baseline down.
@@ -286,8 +266,27 @@ func (e *Evaluator) evalState(st *seriesState, atNs int64) {
 	}
 }
 
+// cause describes a breaching sample of value v (with its rate for a
+// rate-above rule, and its baseline for dip and spike). Only an opening
+// episode keeps its cause, so it is formatted then and never per sample.
+func cause(r Rule, series string, v, rate, baseline float64) string {
+	switch r.Op {
+	case OpAbove:
+		return series + "=" + fmtF(v) + " above " + fmtF(r.Value)
+	case OpBelow:
+		return series + "=" + fmtF(v) + " below " + fmtF(r.Value)
+	case OpRateAbove:
+		return series + " rate " + fmtF(rate) + "/s above " + fmtF(r.Value) + "/s"
+	case OpDip:
+		return series + "=" + fmtF(v) + " dipped below " + fmtF((1-r.Value)*baseline) + " (baseline " + fmtF(baseline) + ")"
+	case OpSpike:
+		return series + "=" + fmtF(v) + " spiked above " + fmtF((1+r.Value)*baseline) + " (baseline " + fmtF(baseline) + ")"
+	}
+	return series + " absent from the recorder"
+}
+
 // lifecycle advances the episode state machine for one sample.
-func (e *Evaluator) lifecycle(st *seriesState, r Rule, atNs int64, v, baseline float64, breach bool, cause string) {
+func (e *Evaluator) lifecycle(st *seriesState, r Rule, atNs int64, v, rate, baseline float64, breach bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if breach {
@@ -304,7 +303,7 @@ func (e *Evaluator) lifecycle(st *seriesState, r Rule, atNs int64, v, baseline f
 				Value:     v,
 				Peak:      v,
 				Baseline:  baseline,
-				Cause:     cause,
+				Cause:     cause(r, st.series, v, rate, baseline),
 			})
 			if i < 0 {
 				st.dropped = true

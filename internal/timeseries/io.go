@@ -119,7 +119,7 @@ func ReadJSONL(rd io.Reader) (*Recorder, error) {
 				return nil, fmt.Errorf("timeseries: line %d: series %q has %d values, want %d",
 					lineNo, s.Name, len(s.V), len(r.cols.times))
 			}
-			r.cols.addColumn(s.Name, s.V)
+			r.cols.load(s.Name, s.V)
 		case "transition":
 			var t transitionLine
 			if err := json.Unmarshal(line, &t); err != nil {
@@ -134,21 +134,6 @@ func ReadJSONL(rd io.Reader) (*Recorder, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-// addColumn installs a fully-materialized chronological column (loader path;
-// the ring origin of a loaded recording is always 0).
-func (c *Columns) addColumn(name string, v []float64) {
-	if c.index == nil {
-		c.index = map[string]int{}
-	}
-	if i, ok := c.index[name]; ok {
-		c.cols[i] = v
-		return
-	}
-	c.index[name] = len(c.cols)
-	c.names = append(c.names, name)
-	c.cols = append(c.cols, v)
 }
 
 // CSV layout: header "section,metric,time_ns,value", then meta rows, one
@@ -256,7 +241,7 @@ func ReadCSV(rd io.Reader) (*Recorder, error) {
 			return nil, fmt.Errorf("timeseries: series %q has %d values, want %d",
 				name, len(v), len(r.cols.times))
 		}
-		r.cols.addColumn(name, v)
+		r.cols.load(name, v)
 	}
 	return r, nil
 }

@@ -235,6 +235,15 @@ func (r *Recorder) OnSample(fn func(atNs int64)) {
 	r.onSample = append(r.onSample, fn)
 }
 
+// NumProbes returns the number of registered probes. Only call from the
+// simulation goroutine.
+func (r *Recorder) NumProbes() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.probes)
+}
+
 // ProbeNames returns the registered probe names in registration order. Only
 // call from the simulation goroutine (the slice is appended to by Register).
 func (r *Recorder) ProbeNames() []string {
@@ -264,7 +273,7 @@ func (r *Recorder) LatestValue(name string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return r.cols.cols[i][r.cols.cur()], true
+	return r.cols.latest(i), true
 }
 
 // Start takes each rate probe's counter reading as its baseline and
@@ -322,13 +331,12 @@ func (r *Recorder) Snap() {
 	at := int64(r.Eng.Now())
 	r.mu.Lock()
 	r.cols.Append(at)
-	cur := r.cols.cur()
 	for i := range r.probes {
 		p := &r.probes[i]
 		if p.col < 0 {
 			p.col = r.cols.column(p.name)
 		}
-		r.cols.cols[p.col][cur] = r.scratch[i]
+		r.cols.set(p.col, r.scratch[i])
 	}
 	r.mu.Unlock()
 	// Sample hooks (the alert evaluator) run after the row is sealed and

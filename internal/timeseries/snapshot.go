@@ -82,13 +82,11 @@ func (r *Recorder) SnapshotSince(c Cursor) Delta {
 		from = oldest
 	}
 	if off := int(from - oldest); off < n {
-		d.TimesNs = make([]int64, 0, n-off)
-		times := r.cols.Times()
-		d.TimesNs = append(d.TimesNs, times[off:]...)
+		// Decode only the rows after the cursor.
+		d.TimesNs = r.cols.timesFrom(off)
 		d.Series = make(map[string][]float64, len(r.cols.names))
-		for _, name := range r.cols.Names() {
-			vals := r.cols.Series(name)
-			d.Series[name] = append([]float64(nil), vals[off:]...)
+		for i, name := range r.cols.names {
+			d.Series[name] = r.cols.seriesFrom(i, off)
 		}
 	}
 	d.Cursor.Seq = newest

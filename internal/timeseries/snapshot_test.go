@@ -48,6 +48,68 @@ func TestSnapshotSinceIncremental(t *testing.T) {
 	if full.Meta.IntervalNs != int64(sim.Millisecond) || full.Meta.Cap != 100 {
 		t.Fatalf("meta not defaulted: %+v", full.Meta)
 	}
+
+	// Past the first sealed blocks, a cursor on either side of a block
+	// boundary reads exactly the rows after it.
+	u := NewSweep(eng, sim.Millisecond)
+	blockSeries(u)
+	for range 3*blockRows + 5 {
+		u.Snap()
+	}
+	for _, seq := range []uint64{1, blockRows - 1, blockRows, blockRows + 1, 2*blockRows - 1, 2 * blockRows, 3 * blockRows, 3*blockRows + 4} {
+		checkSuffix(t, u, seq, false)
+	}
+}
+
+// blockSeries registers one series of each sealed block form on r: all
+// zero, constant, float32-exact and raw, plus one that changes form from
+// block to block.
+func blockSeries(r *Recorder) {
+	n := 0.0
+	r.Register("zero", func() float64 { return 0 })
+	r.Register("const", func() float64 { return -7.25 })
+	r.Register("f32", func() float64 { n++; return n })
+	r.Register("raw", func() float64 { return n / 3 })
+	r.Register("mixed", func() float64 {
+		if int(n)/blockRows%2 == 0 {
+			return 0
+		}
+		return n / 7
+	})
+}
+
+// checkSuffix requires the delta from cursor seq to be the matching suffix
+// of a full read: the rows after seq, or, with Reset, the whole window.
+func checkSuffix(t *testing.T, r *Recorder, seq uint64, reset bool) {
+	t.Helper()
+	full := r.SnapshotSince(Cursor{})
+	d := r.SnapshotSince(Cursor{Seq: seq})
+	if d.Reset != reset {
+		t.Fatalf("cursor %d: Reset = %v, want %v", seq, d.Reset, reset)
+	}
+	off := 0
+	if !reset {
+		off = int(seq) - full.TruncatedSamples
+	}
+	if d.Cursor != full.Cursor || d.Rows() != full.Rows()-off {
+		t.Fatalf("cursor %d: %d rows to %+v, want %d to %+v", seq, d.Rows(), d.Cursor, full.Rows()-off, full.Cursor)
+	}
+	for i, at := range d.TimesNs {
+		if at != full.TimesNs[off+i] {
+			t.Fatalf("cursor %d: TimesNs = %v, want %v", seq, d.TimesNs, full.TimesNs[off:])
+		}
+	}
+	for name, want := range full.Series {
+		got := d.Series[name]
+		if len(got) != len(want)-off {
+			t.Fatalf("cursor %d: series %q has %d rows, want %d", seq, name, len(got), len(want)-off)
+		}
+		for i, v := range got {
+			if v != want[off+i] {
+				t.Fatalf("cursor %d: series %q = %v, want %v", seq, name, got, want[off:])
+			}
+		}
+	}
 }
 
 // TestSnapshotSinceRingTruncation: a cursor that fell off the ring resumes
@@ -92,6 +154,28 @@ func TestSnapshotSinceRingTruncation(t *testing.T) {
 	// Resuming from the new cursor is clean again.
 	if nxt := r.SnapshotSince(d.Cursor); nxt.Rows() != 0 || nxt.Reset {
 		t.Fatalf("resume after reset not clean: %+v", nxt)
+	}
+
+	// A ring of one block and one row evicts whole blocks. After 4.5
+	// blocks of rows, rows 0-223 are discarded, the retained window starts
+	// inside block 3, and blocks 0-2 are gone from storage.
+	e := NewRecorder(eng, sim.Millisecond, blockRows+1)
+	blockSeries(e)
+	for range 4*blockRows + blockRows/2 {
+		e.Snap()
+	}
+	oldest := uint64(e.TruncatedSamples())
+	if oldest != 3*blockRows+blockRows/2-1 {
+		t.Fatalf("truncated %d rows, want %d", oldest, 3*blockRows+blockRows/2-1)
+	}
+	if got := len(e.cols.cols[0].sealed); got != 1 {
+		t.Fatalf("%d sealed blocks stored, want block 3 alone", got)
+	}
+	for _, seq := range []uint64{1, blockRows, 3 * blockRows, oldest - 1} {
+		checkSuffix(t, e, seq, true)
+	}
+	for _, seq := range []uint64{oldest, oldest + 1, 4*blockRows - 1, 4 * blockRows, 4*blockRows + 1, oldest + blockRows} {
+		checkSuffix(t, e, seq, false)
 	}
 }
 

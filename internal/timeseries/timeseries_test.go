@@ -143,6 +143,62 @@ func TestRecorderRates(t *testing.T) {
 	}
 }
 
+// TestColumnsBlockStorage guards the sealed block forms after ten blocks
+// of rows: an all-zero column shares one word per sealed block, a constant
+// column holds one word per block, a float32-exact column at most 4 B per
+// row and any other column at most 8 B per row. A column created late
+// backfills with the shared zero word.
+func TestColumnsBlockStorage(t *testing.T) {
+	var c Columns
+	for i := range 10 * blockRows {
+		c.Append(int64(i))
+		c.Put("zero", 0)
+		c.Put("const", 1e-300)
+		c.Put("f32", float64(i%1000)-500.5)
+		c.Put("raw", float64(i)/10)
+		if i == 5*blockRows {
+			c.Put("late", 1)
+		}
+	}
+	words := func(name string) (perBlock []int) {
+		col := c.cols[c.index[name]]
+		if len(col.sealed) != 9 {
+			t.Fatalf("%s: %d sealed blocks, want 9", name, len(col.sealed))
+		}
+		for _, b := range col.sealed {
+			perBlock = append(perBlock, len(b))
+		}
+		return perBlock
+	}
+	for _, name := range []string{"zero", "const"} {
+		for b, n := range words(name) {
+			if n != 1 {
+				t.Fatalf("%s: block %d holds %d words, want 1", name, b, n)
+			}
+		}
+	}
+	for _, name := range []string{"zero", "late"} {
+		for b, blk := range c.cols[c.index[name]].sealed[:5] {
+			if &blk[0] != &zeroBlock[0] {
+				t.Fatalf("%s: all-zero block %d does not share the zero word", name, b)
+			}
+		}
+	}
+	for b, n := range words("f32") {
+		if n*8 > 4*blockRows {
+			t.Fatalf("f32: block %d holds %d B for %d rows", b, n*8, blockRows)
+		}
+	}
+	for b, n := range words("raw") {
+		if n*8 > 8*blockRows {
+			t.Fatalf("raw: block %d holds %d B for %d rows", b, n*8, blockRows)
+		}
+	}
+	if got := c.Series("const"); got[0] != 1e-300 || got[len(got)-1] != 1e-300 {
+		t.Fatalf("const series reads %v", got)
+	}
+}
+
 func TestColumnsPutBeforeAppendIsNoop(t *testing.T) {
 	var c Columns
 	c.Put("a", 1)
