@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,6 +158,25 @@ func TestChaosScenarioValidation(t *testing.T) {
 	bad = base
 	bad.Failure = FailureSpec{Kind: FailureRandomDrop, DropRate: -0.5}
 	expectErr("static negative rate", bad, "DropRate")
+
+	// NaN passes every ordered comparison's negation, so the range checks
+	// must reject it explicitly, statically and inside a scenario.
+	bad = base
+	bad.Failure = FailureSpec{Kind: FailureRandomDrop, DropRate: math.NaN()}
+	expectErr("static NaN rate", bad, "DropRate")
+	bad = base
+	bad.Failure = FailureSpec{Kind: FailureDegrade, Fraction: math.NaN()}
+	expectErr("static NaN fraction", bad, "Fraction")
+	bad = base
+	bad.Scenario = &Scenario{Name: "bad", Events: []ScenarioEvent{
+		{AtNs: 1e6, Name: "x", Failure: FailureSpec{Kind: FailureRandomDrop, DropRate: math.NaN()}},
+	}}
+	expectErr("scenario NaN rate", bad, "DropRate")
+	bad = base
+	bad.Scenario = &Scenario{Name: "bad", Events: []ScenarioEvent{
+		{AtNs: 1e6, Name: "x", Failure: FailureSpec{Kind: FailureDegrade, Fraction: math.NaN()}},
+	}}
+	expectErr("scenario NaN fraction", bad, "Fraction")
 
 	bad = base
 	bad.Failure = FailureSpec{Kind: FailureCutLink, CutLeaf: 7, CutSpine: 0}
@@ -409,6 +429,14 @@ func TestRandomScenarioDeterministic(t *testing.T) {
 		return bytes.Equal(ja, jc)
 	}() {
 		t.Error("different seeds produced identical scenarios")
+	}
+	// A NaN intensity clamps to 0, as a negative one does: one failure.
+	for _, x := range []float64{math.NaN(), -1} {
+		jn, _ := json.Marshal(RandomScenario(chaosTopo(), 42, x))
+		j0, _ := json.Marshal(RandomScenario(chaosTopo(), 42, 0))
+		if !bytes.Equal(jn, j0) || !bytes.Contains(j0, []byte(`"failure"`)) {
+			t.Errorf("intensity %v: %s, want the intensity-0 timeline %s", x, jn, j0)
+		}
 	}
 
 	cfg := chaosConfig(SchemeHermes, a)

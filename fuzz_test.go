@@ -1,6 +1,9 @@
 package hermes
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // fuzzKinds are the failure kinds FuzzFailureSpec draws from, by index.
 var fuzzKinds = []FailureKind{
@@ -15,12 +18,15 @@ var fuzzKinds = []FailureKind{
 // leaves (SrcLeaf/CutLeaf and DstLeaf), a cable, a drop rate, a fraction
 // and a degraded rate. Every input must either fail validation with an
 // error, or run with no engine-invariant or conservation error and no
-// panic. A flap's fixed 1 ms period puts its first onset at 0.5 ms, well
-// inside the run.
+// panic; a NaN drop rate or fraction must fail. A flap's fixed 1 ms period
+// puts its first onset at 0.5 ms, well inside the run.
 func FuzzFailureSpec(f *testing.F) {
 	for i := range fuzzKinds {
 		f.Add(uint8(i), int8(1), int8(0), int8(1), int8(1), 0.05, 0.5, int64(5e9), uint8(2))
 	}
+	// NaN drop rate and fraction: random-drop and degrade must reject them.
+	f.Add(uint8(0), int8(1), int8(0), int8(1), int8(1), math.NaN(), math.NaN(), int64(5e9), uint8(2))
+	f.Add(uint8(3), int8(1), int8(0), int8(1), int8(1), math.NaN(), math.NaN(), int64(5e9), uint8(2))
 	f.Fuzz(func(t *testing.T, kind uint8, spine, leafA, leafB, cable int8,
 		rate, fraction float64, bps int64, cables uint8) {
 		cfg := Config{
@@ -43,6 +49,9 @@ func FuzzFailureSpec(f *testing.F) {
 		}
 		if err := (&run{cfg: cfg}).validate(); err != nil {
 			return
+		}
+		if k := cfg.Failure.Kind; k == FailureRandomDrop && math.IsNaN(rate) || k == FailureDegrade && math.IsNaN(fraction) {
+			t.Fatalf("%+v: a NaN rate or fraction passed validation", cfg.Failure)
 		}
 		if _, err := Run(cfg); err != nil {
 			t.Fatalf("%+v passed validation, then the run failed: %v", cfg.Failure, err)

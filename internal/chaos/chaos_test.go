@@ -122,12 +122,14 @@ func TestInjectorValidation(t *testing.T) {
 		&SpineBlackhole{Spine: -2},
 		&RandomDrop{Spine: 0, Rate: -0.1},
 		&RandomDrop{Spine: 0, Rate: 1.5},
+		&RandomDrop{Spine: 0, Rate: math.NaN()},
 		&Link{Leaf: -1, Spine: 0, Bps: 0},
 		&Link{Leaf: 0, Spine: 9, Bps: 0},
 		&Link{Leaf: 0, Spine: 0, Bps: -5},
 		&CutCable{Leaf: 0, Spine: 0, Cable: 2}, // only 2 cables
 		&DegradeFraction{Fraction: 0, Bps: 1e8},
 		&DegradeFraction{Fraction: 1.2, Bps: 1e8},
+		&DegradeFraction{Fraction: math.NaN(), Bps: 1e8},
 		&DegradeSpine{Spine: 0, Bps: -1},
 		&SwitchDown{Leaf: true, Index: 4},
 		&SwitchDown{Leaf: false, Index: 17},

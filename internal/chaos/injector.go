@@ -225,7 +225,7 @@ func (r *RandomDrop) Validate(env Env) error {
 	if err := checkSpine(env, r.Spine, "random-drop"); err != nil {
 		return err
 	}
-	if r.Rate <= 0 || r.Rate > 1 {
+	if !(r.Rate > 0 && r.Rate <= 1) { // NaN too
 		return fmt.Errorf("chaos: random-drop: rate %g out of range (0, 1]", r.Rate)
 	}
 	return nil
@@ -360,7 +360,7 @@ func (d *DegradeFraction) Label() string {
 }
 
 func (d *DegradeFraction) Validate(env Env) error {
-	if d.Fraction <= 0 || d.Fraction > 1 {
+	if !(d.Fraction > 0 && d.Fraction <= 1) { // NaN too
 		return fmt.Errorf("chaos: degrade: fraction %g out of range (0, 1]", d.Fraction)
 	}
 	if d.Bps < 0 {

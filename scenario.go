@@ -178,7 +178,7 @@ func validateFailureSpec(spec FailureSpec, topo Topology) error {
 	case FailureNone:
 		return nil
 	case FailureRandomDrop:
-		if spec.DropRate < 0 || spec.DropRate > 1 {
+		if !(spec.DropRate >= 0 && spec.DropRate <= 1) { // NaN too
 			return fmt.Errorf("random-drop: DropRate %g out of range [0, 1]", spec.DropRate)
 		}
 		return spineRange(spec.Spine, "random-drop")
@@ -191,7 +191,7 @@ func validateFailureSpec(spec FailureSpec, topo Topology) error {
 		}
 		return leafRange(spec.DstLeaf, "blackhole", "DstLeaf")
 	case FailureDegrade:
-		if spec.Fraction < 0 || spec.Fraction > 1 {
+		if !(spec.Fraction >= 0 && spec.Fraction <= 1) { // NaN too
 			return fmt.Errorf("degrade: Fraction %g out of range [0, 1]", spec.Fraction)
 		}
 		return nil
@@ -370,7 +370,7 @@ var builtinScenarios = map[string]func(Topology) *Scenario{
 // past run end is an error by design. Rate-changing failures get distinct
 // spines so their snapshots never collide; extras degrade to random drops.
 func RandomScenario(topo Topology, seed int64, intensity float64) *Scenario {
-	if intensity < 0 {
+	if !(intensity >= 0) { // negative or NaN
 		intensity = 0
 	}
 	if intensity > 1 {
