@@ -43,9 +43,9 @@ func main() {
 
 		failKind = flag.String("failure", "", "''|random-drop|blackhole|spine-blackhole|degrade|cut-link|cut-cable|degrade-link|degrade-spine|flap|spine-down|leaf-down")
 		spine    = flag.Int("spine", -1, "failed spine index (-1 = random)")
-		dropRate = flag.Float64("drop-rate", 0.02, "silent random drop probability")
-		frac     = flag.Float64("degrade-fraction", 0.2, "fraction of fabric links degraded")
-		degBps   = flag.Int64("degrade-bps", 2e9, "degraded link rate")
+		dropRate = flag.Float64("drop-rate", 0, "silent random drop probability (0 = the kind's default, 0.02)")
+		frac     = flag.Float64("degrade-fraction", 0, "fraction of fabric links degraded (0 = the kind's default, 0.2)")
+		degBps   = flag.Int64("degrade-bps", 0, "degraded rate per cable in bps (0 = the kind's default: a fifth of the fabric rate for degrade and degrade-spine, half for degrade-link, a cut for flap)")
 		cutLeaf  = flag.Int("cut-leaf", 0, "leaf side of the cut link")
 		cutSpine = flag.Int("cut-spine", 0, "spine side of the cut link")
 		flapUs   = flag.Int64("flap-period-us", 0, "flap cycle period in microseconds (failure=flap)")

@@ -280,6 +280,34 @@ func TestDegradeLinkDefaultHalvesEachCable(t *testing.T) {
 	}
 }
 
+// TestDegradeDefaultsNeverAddCapacity: at its default rate no degrade kind
+// raises the bisection, on a 1, 2 or 10 Gbps fabric, and degrade-link and
+// degrade-spine lower it. A fixed 2 Gbps default used to re-rate the
+// testbed's 1 Gbps spine to 2 Gbps and raise its bisection from 4 to 6
+// Gbps.
+func TestDegradeDefaultsNeverAddCapacity(t *testing.T) {
+	for _, topo := range []Topology{TestbedTopology(), chaosTopo(), LargeScaleTopology()} {
+		for _, kind := range []FailureKind{FailureDegrade, FailureDegradeLink, FailureDegradeSpine} {
+			r := &run{cfg: Config{
+				Topology: topo, Scheme: SchemeECMP,
+				Workload: "web-search", Load: 0.5, Flows: 10, Seed: 1,
+				Failure: FailureSpec{Kind: kind, Spine: 1, CutLeaf: 0, CutSpine: 1},
+			}}
+			if err := r.validate(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.setup(); err != nil {
+				t.Fatal(err)
+			}
+			base, got := r.baseBisection, r.nw.BisectionBps()
+			if got > base || got == base && kind != FailureDegrade {
+				t.Errorf("%d Gbps fabric, %s at its default rate: bisection %d -> %d bps",
+					topo.FabricRateBps/1e9, kind, base, got)
+			}
+		}
+	}
+}
+
 func TestSeedsDiffer(t *testing.T) {
 	cfg := Config{
 		Topology: smallTopo(), Scheme: SchemeECMP,

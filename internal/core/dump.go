@@ -1,8 +1,8 @@
 package core
 
 // PathStateDump is one (dstLeaf, path) entry of a monitor's sensing table —
-// the Table 3 variables plus the quarantine horizon and last reported
-// characterization, in checkpoint-comparable form.
+// the Table 3 variables plus the quarantine horizon, in checkpoint-comparable
+// form.
 type PathStateDump struct {
 	DstLeaf         int     `json:"dst_leaf"`
 	Path            int     `json:"path"`
@@ -15,7 +15,6 @@ type PathStateDump struct {
 	ConsecTimeouts  int     `json:"consec_timeouts"`
 	ConsecProbeLoss int     `json:"consec_probe_loss"`
 	FailedUntilNs   int64   `json:"failed_until_ns"`
-	LastType        string  `json:"last_type"`
 }
 
 // MonitorDump is one rack monitor's full path-state table plus its event
@@ -72,7 +71,6 @@ func (m *Monitor) Dump() *MonitorDump {
 				ConsecTimeouts:  ps.consecTimeouts,
 				ConsecProbeLoss: ps.consecProbeLoss,
 				FailedUntilNs:   ps.failedUntil,
-				LastType:        ps.lastType.String(),
 			})
 		}
 	}

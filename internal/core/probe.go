@@ -94,9 +94,6 @@ func InstallProbeResponders(nw *net.Network) {
 	}
 }
 
-// PendingProbes returns the number of in-flight probe measurements.
-func (p *Prober) PendingProbes() int { return len(p.pending) }
-
 // Stop retires the prober: the periodic tick stops rescheduling and any
 // in-flight probe timeouts resolve as no-ops. A what-if fork calls this on
 // the outgoing scheme's probers; echo handlers stay installed but find no

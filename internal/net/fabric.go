@@ -502,10 +502,6 @@ func (n *Network) SetCable(leaf, spine, cable int, rateBps int64) {
 	n.pathCache = map[int][]int{}
 }
 
-// DeliveredPayloadBytes returns the cumulative application payload bytes
-// delivered to destination hosts (goodput numerator).
-func (n *Network) DeliveredPayloadBytes() uint64 { return n.deliveredPayload }
-
 // Cables returns the number of parallel physical cables per leaf-spine pair.
 func (n *Network) Cables() int { return n.Cfg.cables() }
 

@@ -169,9 +169,6 @@ func (p *Port) Down() bool { return p.rateBps <= 0 }
 // QueuedBytes returns the bytes waiting in the data queue (DRILL's signal).
 func (p *Port) QueuedBytes() int { return p.loBytes }
 
-// QueueHiWater returns the high-watermark of the data-queue depth in bytes.
-func (p *Port) QueueHiWater() int { return p.hiWater }
-
 // BusyTime returns the cumulative virtual time this port spent transmitting
 // (its utilization integral; divide by elapsed time for mean utilization).
 func (p *Port) BusyTime() sim.Time { return p.busyTime }

@@ -44,6 +44,12 @@
 // its new key. Moving an event that waits in the heap cancels it there and
 // files it anew, so a timer that keeps being re-armed holds one or two queue
 // entries at a time, not one per re-arm.
+//
+// Observers (Every) sample a run without being part of it. An observer runs
+// at the instants a self-rescheduling event would fire, between events, but
+// it is not an event: it takes no sequence number, and Fired, Pending and
+// PendingCensus never count it. Arming or stopping one therefore leaves
+// every event's (at, seq) key, and the engine's fingerprint, as it was.
 package sim
 
 import (
@@ -231,11 +237,18 @@ type Engine struct {
 	// Self-profiling (EnableProfile): nil by default so the hot loop pays
 	// one predictable nil check.
 	prof *Profile
+
+	// Observers (Every): the armed ones in the order they come due. obsAt
+	// caches the first one's instant, math.MaxInt64 with none armed, so the
+	// run loop pays one compare per event for them.
+	obs      []*Observer
+	obsAt    Time
+	observed uint64
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{obsAt: math.MaxInt64}
 }
 
 // Now returns the current virtual time.
@@ -574,11 +587,13 @@ func (e *Engine) laneTake() *Event {
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Run executes events in timestamp order until the queue is empty, the
-// engine is stopped, or the next event is later than until. Events exactly
-// at until are executed. It returns the number of events fired by this call.
+// Run executes events in timestamp order, and the observer instants due
+// between them, until the engine is stopped or the next event and the next
+// instant are both later than until. Events and instants exactly at until
+// run, and instants due by until run even once the queue is empty. It
+// returns the number of events fired by this call.
 func (e *Engine) Run(until Time) uint64 {
-	n := e.run(until)
+	n := e.run(until, false)
 	if e.now < until && !e.stopped {
 		// Advance the clock to the horizon even if no event lands on it, so
 		// repeated Run calls observe monotonic time.
@@ -587,15 +602,32 @@ func (e *Engine) Run(until Time) uint64 {
 	return n
 }
 
-// RunAll executes events until the queue drains or the engine is stopped.
-func (e *Engine) RunAll() uint64 { return e.run(math.MaxInt64) }
+// RunAll executes events, and the observer instants due between them, until
+// the queue drains or the engine is stopped.
+func (e *Engine) RunAll() uint64 { return e.run(math.MaxInt64, true) }
 
-// run is the event loop shared by Run and RunAll.
-func (e *Engine) run(until Time) uint64 {
+// run is the event loop shared by Run and RunAll. With drain set it returns
+// when the queue drains; otherwise it runs the observer instants due by until
+// over an empty queue too.
+func (e *Engine) run(until Time, drain bool) uint64 {
 	start := e.fired
 	e.stopped = false
-	for e.pending > 0 && !e.stopped {
+	for !e.stopped {
+		if e.pending == 0 {
+			if drain || len(e.obs) == 0 || e.obsAt > until {
+				break
+			}
+			e.observe()
+			continue
+		}
 		at, inLane := e.peek()
+		if at >= e.obsAt && e.observerFirst(at, inLane) {
+			if e.obsAt > until {
+				break
+			}
+			e.observe()
+			continue
+		}
 		if at > until {
 			break
 		}

@@ -17,7 +17,7 @@ const (
 	KindTimer                 // protocol timers (reorder, flowlet age, table decay)
 	KindProbe                 // path probing and monitor scans
 	KindArrival               // workload flow/packet arrivals
-	KindSample                // telemetry sweeps and flight-recorder sampling
+	KindSample                // observer instants: report sweeps and flight-recorder sampling
 	KindChaos                 // chaos scenario injections and reverts
 
 	// NumKinds is the number of distinct event kinds (array sizing).
@@ -36,9 +36,6 @@ func (k Kind) String() string {
 	}
 	return "other"
 }
-
-// KindNames returns the stable kind name table indexed by Kind.
-func KindNames() [NumKinds]string { return kindNames }
 
 // DefaultSampleEvery is the default wall-time sampling stride: one in every
 // N fired events is timed with the wall clock. Counting is exact for every
@@ -91,19 +88,16 @@ func (e *Engine) Profile() *Profile { return e.prof }
 func (e *Engine) profiledFire(ev *Event) {
 	p := e.prof
 	k := ev.kind
-	p.counts[k]++
 	// +1: the fired event just left the queue, so pending underestimates the
 	// instantaneous depth by one.
 	if d := e.pending + 1; d > p.queuePeak {
 		p.queuePeak = d
 	}
-	p.countdown--
-	if p.countdown > 0 {
+	if !p.count(k) {
 		ev.fn(ev.a1, ev.a2)
 		e.recycle(ev)
 		return
 	}
-	p.countdown = p.sampleEvery
 	start := time.Now()
 	ev.fn(ev.a1, ev.a2)
 	p.sampledNs[k] += int64(time.Since(start))
@@ -111,10 +105,23 @@ func (e *Engine) profiledFire(ev *Event) {
 	e.recycle(ev)
 }
 
+// count accounts one fire of kind k and reports whether to wall-time it: one
+// in every sampleEvery fires is timed.
+func (p *Profile) count(k Kind) bool {
+	p.counts[k]++
+	p.countdown--
+	if p.countdown > 0 {
+		return false
+	}
+	p.countdown = p.sampleEvery
+	return true
+}
+
 // SampleEvery returns the wall-time sampling stride.
 func (p *Profile) SampleEvery() int { return int(p.sampleEvery) }
 
-// Count returns the exact number of fired events of kind k.
+// Count returns the exact number of fired events of kind k. Observer
+// instants count as KindSample fires.
 func (p *Profile) Count(k Kind) uint64 { return p.counts[k] }
 
 // SampledNs returns the total wall nanoseconds measured across the sampled
@@ -129,7 +136,8 @@ func (p *Profile) SampledFires(k Kind) uint64 { return p.sampledFires[k] }
 // while profiling (including the event being fired).
 func (p *Profile) QueuePeak() int { return p.queuePeak }
 
-// Total returns the exact total number of profiled event fires.
+// Total returns the exact total number of profiled event fires, observer
+// instants included.
 func (p *Profile) Total() uint64 {
 	var t uint64
 	for _, c := range p.counts {

@@ -73,17 +73,6 @@ func (p Plane) Histogram(name string, bounds []float64) *Histogram {
 	return p.Run.Registry.Histogram(name, bounds)
 }
 
-// Only returns the plane with every sink outside s unarmed.
-func (p Plane) Only(s Sink) Plane {
-	if s&SinkReport == 0 {
-		p.Run = nil
-	}
-	if s&SinkFlight == 0 {
-		p.Flight = nil
-	}
-	return p
-}
-
 // Probe declares one metric read off an owner of type T: a port, a
 // transport, a rack monitor. A layer lists its probes in a table, one row
 // per metric, in flight registration order.

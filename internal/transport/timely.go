@@ -98,6 +98,3 @@ func (f *Flow) timelyUpdate(rtt sim.Time) {
 	f.cwnd = maxf(ts.rateBps*f.srtt/8e9, net.MSS)
 	f.ssthresh = f.cwnd
 }
-
-// TimelyRateBps exposes the controller's current rate (for tests).
-func (f *Flow) TimelyRateBps() float64 { return f.timely.rateBps }

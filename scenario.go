@@ -2,6 +2,7 @@ package hermes
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/hermes-repro/hermes/internal/chaos"
@@ -75,7 +76,8 @@ func (s *Scenario) toChaos(topo Topology) (*chaos.Scenario, error) {
 
 // injectorFor builds the chaos injector for one failure spec, static or a
 // scenario event's, applying the facade's defaulting rules (zero rate ->
-// 2%, same racks -> first/last...). Each kind's defaults live only here.
+// 2%, same racks -> first/last, zero degraded rate -> a fifth of the cable
+// rate...). Each kind's defaults live only here.
 func injectorFor(spec FailureSpec, topo Topology) (chaos.Injector, error) {
 	switch spec.Kind {
 	case FailureRandomDrop:
@@ -98,7 +100,7 @@ func injectorFor(spec FailureSpec, topo Topology) (chaos.Injector, error) {
 			frac = 0.2
 		}
 		if bps == 0 {
-			bps = 2_000_000_000
+			bps = topo.FabricRateBps / 5
 		}
 		return &chaos.DegradeFraction{Fraction: frac, Bps: bps}, nil
 	case FailureCutLink:
@@ -118,7 +120,7 @@ func injectorFor(spec FailureSpec, topo Topology) (chaos.Injector, error) {
 	case FailureDegradeSpine:
 		bps := spec.DegradedBps
 		if bps == 0 {
-			bps = 2_000_000_000
+			bps = topo.FabricRateBps / 5
 		}
 		return &chaos.DegradeSpine{Spine: spec.Spine, Bps: bps}, nil
 	case FailureSpineDown:
@@ -132,9 +134,9 @@ func injectorFor(spec FailureSpec, topo Topology) (chaos.Injector, error) {
 }
 
 // validateFailureSpec hardens the facade against malformed failure
-// parameters: out-of-range indices, negative rates and fractions, and
-// degraded rates above the fabric's are errors, never panics or silent
-// clamps. Zero values keep their documented defaulting (rate 0 -> 2%,
+// parameters: out-of-range indices, negative or non-finite rates and
+// fractions, and degraded rates above the fabric's are errors, never panics
+// or silent clamps. Zero values keep their documented defaulting (rate 0 -> 2%,
 // racks 0/0 -> first/last, spine -1 -> random).
 func validateFailureSpec(spec FailureSpec, topo Topology) error {
 	cables := topo.CablesPerLink
@@ -165,6 +167,12 @@ func validateFailureSpec(spec FailureSpec, topo Topology) error {
 	}
 	if spec.DegradedBps < 0 {
 		return fmt.Errorf("%s: negative DegradedBps %d", spec.Kind, spec.DegradedBps)
+	}
+	// JSON has no NaN or infinity, so a config holding one could be neither
+	// checkpointed nor reported, even where its kind ignores the field.
+	if math.IsNaN(spec.DropRate) || math.IsInf(spec.DropRate, 0) ||
+		math.IsNaN(spec.Fraction) || math.IsInf(spec.Fraction, 0) {
+		return fmt.Errorf("%s: DropRate %g and Fraction %g must be finite", spec.Kind, spec.DropRate, spec.Fraction)
 	}
 	switch spec.Kind {
 	case FailureDegrade, FailureDegradeLink, FailureDegradeSpine, FailureFlap:

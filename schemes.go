@@ -27,12 +27,6 @@ type wiring struct {
 	// stop retires the scheme's periodic machinery (monitor windows, probe
 	// loops) when a what-if fork replaces it mid-run. nil = nothing to stop.
 	stop func()
-	// declare declares the scheme's metrics on a plane. Kept separate from
-	// construction because hooking a scheme into the flight ring can change
-	// checkpoint-visible state (Hermes transition tracking): a fork replay
-	// declares the scheme on the report sink only, to match the parent run,
-	// and on the flight ring at the fork instant.
-	declare func(telemetry.Plane)
 }
 
 const (
@@ -42,16 +36,15 @@ const (
 
 func noAfter(*net.Network, *sim.RNG)   {}
 func noTelemetry(*Result, *sim.Engine) {}
-func noDeclare(telemetry.Plane)        {}
 
-// buildScheme assembles cfg.Scheme on nw. audit, when non-nil, receives
-// Hermes' decisions and verdicts.
-func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog) (*wiring, error) {
+// buildScheme assembles cfg.Scheme on nw and declares its metrics on pl.
+// audit, when non-nil, receives Hermes' decisions and verdicts.
+func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog, pl telemetry.Plane) (*wiring, error) {
 	flowlet := sim.Time(cfg.FlowletTimeoutNs)
 	if flowlet <= 0 {
 		flowlet = 150 * sim.Microsecond
 	}
-	w := &wiring{afterTransport: noAfter, fillTelemetry: noTelemetry, declare: noDeclare}
+	w := &wiring{afterTransport: noAfter, fillTelemetry: noTelemetry}
 	switch cfg.Scheme {
 	case SchemeECMP:
 		e := &lb.ECMP{Net: nw}
@@ -121,7 +114,7 @@ func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.Aud
 		w.balancerFor = func(*net.Host) transport.Balancer { return e }
 
 	case SchemeREPS:
-		return buildReps(nw), nil
+		return buildReps(nw, pl), nil
 
 	case SchemeRepFlow:
 		// Path selection is plain ECMP; the replication machinery lives in
@@ -131,7 +124,7 @@ func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.Aud
 		w.balancerFor = func(*net.Host) transport.Balancer { return e }
 
 	case SchemeHermes:
-		return buildHermes(nw, rng, cfg, audit)
+		return buildHermes(nw, rng, cfg, audit, pl), nil
 
 	default:
 		return nil, fmt.Errorf("hermes: unknown scheme %q", cfg.Scheme)
@@ -183,7 +176,7 @@ var repsMetrics = []telemetry.Probe[*repsHosts]{
 }
 
 // buildReps wires one REPS balancer per host.
-func buildReps(nw *net.Network) *wiring {
+func buildReps(nw *net.Network, pl telemetry.Plane) *wiring {
 	var instances repsHosts
 	w := &wiring{afterTransport: noAfter}
 	w.balancerFor = func(h *net.Host) transport.Balancer {
@@ -191,9 +184,7 @@ func buildReps(nw *net.Network) *wiring {
 		instances = append(instances, r)
 		return r
 	}
-	w.declare = func(pl telemetry.Plane) {
-		telemetry.DeclareAll(pl, &instances, repsMetrics)
-	}
+	telemetry.DeclareAll(pl, &instances, repsMetrics)
 	w.fillTelemetry = func(res *Result, eng *sim.Engine) {
 		for _, r := range instances {
 			res.RecycledSprays += r.RecycledSprays
@@ -211,7 +202,7 @@ func buildReps(nw *net.Network) *wiring {
 	return w
 }
 
-func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog) (*wiring, error) {
+func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog, pl telemetry.Plane) *wiring {
 	var params core.Params
 	if cfg.HermesParams != nil {
 		params = *cfg.HermesParams
@@ -233,7 +224,7 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.Aud
 		monitors[l].Audit = audit
 	}
 
-	w := &wiring{declare: st.declare}
+	w := &wiring{}
 	w.balancerFor = func(h *net.Host) transport.Balancer {
 		inst := core.New(monitors[h.Leaf], rng, h.ID)
 		inst.Audit = audit
@@ -304,7 +295,8 @@ func buildHermes(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.Aud
 			m.Stop()
 		}
 	}
-	return w, nil
+	st.declare(pl)
+	return w
 }
 
 // hermesSchemeDump is the Hermes control plane's checkpoint section: every
