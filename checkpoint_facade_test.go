@@ -337,11 +337,13 @@ func TestFailedRestoreKeepsCheckpoints(t *testing.T) {
 	}
 }
 
-// TestForkRateSamplesStartAtFork: a flight ring that exists only for a
-// grafted scenario starts at the fork instant, so each rate series' first
-// sample covers one interval, not the replayed prefix. Before the recorder
-// baselined its rate probes at Start, the first goodput sample here read
-// 1201.6 Gbps on a 12 x 1 Gbps fabric and inflated the recovery baseline.
+// TestForkRateSamplesStartAtFork: every rate sample of a fork's flight ring
+// covers one interval. The ring records from t=0, as any run's does, and a
+// rate probe registered after the ring starts, as a forked-in scheme's
+// are, takes its baseline when it registers. When a fork's ring started at
+// the fork instant and its rate probes took no baseline, the first goodput
+// sample here read 1201.6 Gbps on a 12 x 1 Gbps fabric and inflated the
+// recovery baseline.
 func TestForkRateSamplesStartAtFork(t *testing.T) {
 	dir := t.TempDir()
 	topo := TestbedTopology()
