@@ -49,7 +49,7 @@ func mustRun(cfg hermes.Config) *hermes.Result {
 		cfg.Telemetry = true
 	}
 	if perfRunsOn && cfg.Perf == nil {
-		// Reports go to the process-default observatory (set in main).
+		// Reports go to the process-default status tracker (set in main).
 		cfg.Perf = &hermes.PerfOptions{}
 	}
 	if traceDir != "" {

@@ -155,12 +155,6 @@ func main() {
 		runPerfLedger(*perfLedger, *perfCount, *perfNote, *perfBase)
 		return
 	}
-	if *perfRuns {
-		perfRunsOn = true
-		obs := hermes.NewPerfObservatory()
-		hermes.SetDefaultPerfObservatory(obs)
-		defer printPerfAggregate(obs)
-	}
 	plotTables = *plot
 	hermes.SetDefaultWorkers(*workers)
 
@@ -171,12 +165,17 @@ func main() {
 	defer stopSignals()
 	benchCtx = ctx
 	hermes.SetDefaultRunContext(ctx)
-	if *statusAddr != "" || *progress {
+	if *statusAddr != "" || *progress || *perfRuns {
 		// Experiments build their Configs internally, so observability rides
-		// the process-wide default tracker rather than Config.Status.
+		// the process-wide default tracker rather than Config.Status. The
+		// tracker also holds the -perf-runs aggregate.
 		st := hermes.NewStatus()
 		statusTracker = st
 		hermes.SetDefaultStatus(st)
+		if *perfRuns {
+			perfRunsOn = true
+			defer printPerfAggregate(st)
+		}
 		if *statusAddr != "" {
 			srv, err := hermes.ServeStatus(*statusAddr, st)
 			if err != nil {
@@ -258,7 +257,8 @@ func main() {
 	log.Fatalf("unknown experiment %q (use -list)", *exp)
 }
 
-// statusTracker is the -status/-progress tracker (nil when neither is set).
+// statusTracker is the -status/-progress/-perf-runs tracker (nil when none
+// is set).
 var statusTracker *hermes.Status
 
 // benchCtx carries the SIGINT/SIGTERM cancellation into every experiment

@@ -93,11 +93,11 @@ func medianOf(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// printPerfAggregate renders the -perf-runs observatory summary after all
-// experiments finish: how much simulator work ran, at what throughput, and
-// what it cost the Go runtime.
-func printPerfAggregate(obs *hermes.PerfObservatory) {
-	s := obs.Summary()
+// printPerfAggregate renders the -perf-runs summary of the status tracker's
+// perf aggregate after all experiments finish: how much simulator work ran,
+// at what throughput, and what it cost the Go runtime.
+func printPerfAggregate(st *hermes.Status) {
+	s := st.PerfSummary()
 	if s.RunsProfiled == 0 {
 		return
 	}

@@ -170,12 +170,16 @@ func main() {
 		mc.Alerts = &hermes.AlertsConfig{Builtin: true}
 	}
 
-	var obs *hermes.PerfObservatory
+	// The status tracker also holds the -perf aggregate.
+	var st *hermes.Status
+	if *statusAddr != "" || *progress || *perfOn {
+		st = hermes.NewStatus()
+		mc.Base.Status = st
+	}
 	if *perfOn {
-		obs = hermes.NewPerfObservatory()
-		mc.Base.Perf = &hermes.PerfOptions{SampleEvery: *perfSample, Observatory: obs}
+		mc.Base.Perf = &hermes.PerfOptions{SampleEvery: *perfSample}
 		defer func() {
-			s := obs.Summary()
+			s := st.PerfSummary()
 			if s.RunsProfiled == 0 {
 				return
 			}
@@ -184,12 +188,6 @@ func main() {
 				s.RunsProfiled, s.EventsTotal, s.QueuePeak, s.SimPerWall,
 				float64(s.PeakHeapBytes)/(1<<20), s.Runtime.GCCycles)
 		}()
-	}
-
-	var st *hermes.Status
-	if *statusAddr != "" || *progress {
-		st = hermes.NewStatus()
-		mc.Base.Status = st
 	}
 	if *statusAddr != "" {
 		srv, err := hermes.ServeStatus(*statusAddr, st)

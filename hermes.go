@@ -329,8 +329,9 @@ type Config struct {
 	// Like every observability layer it is off by default and costs one nil
 	// check per event when disabled; when enabled it never changes
 	// simulation behavior or report bytes — perf data is wall-clock and
-	// machine-dependent, so it lives only in Result.Perf, the observatory
-	// and the perf ledger, never in deterministic artifacts. Like Status,
+	// machine-dependent, so it lives only in Result.Perf, the status
+	// tracker's perf aggregate (Status.PerfSummary) and the perf ledger,
+	// never in deterministic artifacts. Like Status,
 	// the field is excluded from serialized configs (and hence from report
 	// config hashes): profiling on vs off must not change artifact bytes.
 	Perf *PerfOptions `json:"-"`
@@ -685,6 +686,8 @@ func (r *run) setup() error {
 
 	if cfg.Telemetry {
 		r.rd = telemetry.NewRunData(eng, sim.Time(cfg.TelemetryIntervalNs))
+		// /metrics reads the rows this run's report sweep seals.
+		r.sh.SetRunData(r.rd)
 	}
 
 	// A scenario a Fork grafts on is scored like one set from the start.
@@ -992,9 +995,6 @@ func (r *run) loop() error {
 		}
 		if r.sh != nil {
 			r.sh.Update(int64(eng.Now()), int64(gen.Started()), r.flowsDone, r.events())
-			if r.rd != nil {
-				r.sh.SetMetrics(r.rd.Sweep.Values())
-			}
 		}
 	}
 	return nil
@@ -1146,16 +1146,6 @@ func (r *run) finish() (*Result, error) {
 		stats := r.sampler.Stop()
 		res.Perf = perf.BuildRunReport(r.prof, int64(eng.Now()),
 			time.Since(r.perfWallStart).Nanoseconds(), stats)
-		obs := cfg.Perf.Observatory
-		if obs == nil {
-			obs = perf.Default()
-		}
-		if obs != nil {
-			obs.AddRun(res.Perf)
-			// Make the aggregate visible on the status plane (/api/perf,
-			// perf.* metrics family) when a tracker is watching.
-			r.st.AttachPerf(obs)
-		}
 	}
 	if sh := r.sh; sh != nil {
 		sum := statusd.RunSummary{
@@ -1170,13 +1160,7 @@ func (r *run) finish() (*Result, error) {
 		} else if cfg.Failure.Kind != FailureNone {
 			sum.Scenario = string(cfg.Failure.Kind)
 		}
-		var finalVals map[string]float64
-		var finalHists map[string]telemetry.HistogramStats
-		if rd != nil {
-			finalVals = rd.Sweep.Values()
-			finalHists = rd.Registry.Histograms()
-		}
-		sh.Finish(sum, finalVals, finalHists)
+		sh.Finish(sum, res.Perf)
 	}
 	return res, nil
 }

@@ -3,17 +3,15 @@ package perf
 import (
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
-// Observatory aggregates perf run reports process-wide so a long-lived
-// process (a bench sweep, a chaos matrix, statusd) can expose cumulative
-// simulator performance: total events by kind, throughput of the last run,
-// and a live Go runtime snapshot. It is safe for concurrent use — parallel
-// sweeps publish from many goroutines.
+// Observatory aggregates the perf reports of finished runs so a long-lived
+// process (a bench sweep, a chaos matrix) can expose cumulative simulator
+// performance: total events by kind, throughput of the last run, and a live
+// Go runtime snapshot. The zero value is empty and ready. It has no lock of
+// its own: the status tracker that holds one serializes AddRun and Summary
+// under the lock it already takes for each finished run.
 type Observatory struct {
-	mu        sync.Mutex
 	runs      uint64
 	events    uint64
 	byKind    map[string]uint64
@@ -24,18 +22,14 @@ type Observatory struct {
 	last      *RunReport
 }
 
-// NewObservatory returns an empty observatory.
-func NewObservatory() *Observatory {
-	return &Observatory{byKind: map[string]uint64{}}
-}
-
 // AddRun folds one finished run's report into the aggregate.
 func (o *Observatory) AddRun(r *RunReport) {
 	if r == nil {
 		return
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	if o.byKind == nil {
+		o.byKind = map[string]uint64{}
+	}
 	o.runs++
 	o.events += r.EventsTotal
 	for _, ks := range r.ByKind {
@@ -95,10 +89,8 @@ type Summary struct {
 	LastRun       *RunReport `json:",omitempty"`
 }
 
-// Summary returns the aggregate view.
+// Summary returns the aggregate view with a fresh runtime snapshot.
 func (o *Observatory) Summary() Summary {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	s := Summary{
 		RunsProfiled:  o.runs,
 		EventsTotal:   o.events,
@@ -131,11 +123,10 @@ type Metric struct {
 	Value  float64
 }
 
-// Metrics returns the perf.* family in deterministic order: aggregate run
-// counters first, then per-kind counters sorted by kind, then the live
-// runtime gauges.
-func (o *Observatory) Metrics() []Metric {
-	s := o.Summary()
+// Metrics returns the summary as the perf.* family in deterministic order:
+// aggregate run counters first, then per-kind counters sorted by kind, then
+// the live runtime gauges.
+func (s Summary) Metrics() []Metric {
 	m := []Metric{
 		{Name: "perf.runs_profiled_total", Type: "counter", Value: float64(s.RunsProfiled)},
 		{Name: "perf.events_total", Type: "counter", Value: float64(s.EventsTotal)},
@@ -167,14 +158,3 @@ func (o *Observatory) Metrics() []Metric {
 	}
 	return m
 }
-
-// defaultObservatory is the process-wide fallback sink for runs whose
-// Options carry no explicit Observatory, mirroring status.SetDefaultStatus.
-var defaultObservatory atomic.Pointer[Observatory]
-
-// SetDefault installs (or, with nil, clears) the process default
-// observatory.
-func SetDefault(o *Observatory) { defaultObservatory.Store(o) }
-
-// Default returns the process default observatory, or nil.
-func Default() *Observatory { return defaultObservatory.Load() }

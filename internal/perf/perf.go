@@ -3,12 +3,13 @@
 // signal sources — the engine's per-event-kind self-profile (sim.Profile),
 // a wall-clock Go runtime sampler (heap, GC, goroutines, CPU), and a
 // persistent benchmark ledger (BENCH_perf.json) with a benchstat-style
-// significance comparator — into per-run reports, a process-wide
-// Observatory exported by internal/statusd, and regression verdicts for CI.
+// significance comparator — into per-run reports, the cross-run Observatory
+// aggregate that the internal/statusd tracker holds and exports, and
+// regression verdicts for CI.
 //
 // Everything here deals in wall-clock time and machine state, which is why
 // none of it may leak into the deterministic report/scorecard artifacts:
-// perf output lives only in Result.Perf, the observatory, and the ledger.
+// perf output lives only in Result.Perf, the status tracker, and the ledger.
 package perf
 
 import (
@@ -30,11 +31,6 @@ type Options struct {
 	// RuntimeIntervalMs is the wall-clock interval of the Go runtime
 	// sampler in milliseconds. <= 0 uses 50ms.
 	RuntimeIntervalMs int `json:",omitempty"`
-
-	// Observatory receives the finished run's report for process-wide
-	// aggregation and live export through statusd. Nil falls back to the
-	// process default observatory (SetDefault), if one is installed.
-	Observatory *Observatory `json:"-"`
 }
 
 // KindStat is one event kind's share of a profiled run.

@@ -151,14 +151,6 @@ func TestRuntimeSamplerStartStop(t *testing.T) {
 	if again.Samples != stats.Samples || again.WallNs != stats.WallNs {
 		t.Fatalf("second Stop changed stats: %+v vs %+v", again, stats)
 	}
-	// The series snapshot carries the sampled columns.
-	times, series := s.SeriesSnapshot()
-	if len(times) < 2 {
-		t.Fatalf("series snapshot has %d rows, want >= 2", len(times))
-	}
-	if vs := series["perf.heap_bytes"]; len(vs) != len(times) {
-		t.Fatalf("perf.heap_bytes series missing or ragged (%d values, %d rows)", len(vs), len(times))
-	}
 }
 
 func TestBuildRunReport(t *testing.T) {
@@ -204,7 +196,7 @@ func TestBuildRunReport(t *testing.T) {
 }
 
 func TestObservatoryAggregation(t *testing.T) {
-	o := NewObservatory()
+	var o Observatory
 	o.AddRun(&RunReport{EventsTotal: 10, QueuePeak: 5, SimNs: 100, WallNs: 50,
 		ByKind: []KindStat{{Kind: "port_tx", Count: 10}}})
 	o.AddRun(&RunReport{EventsTotal: 20, QueuePeak: 3, SimNs: 100, WallNs: 50,
@@ -222,7 +214,7 @@ func TestObservatoryAggregation(t *testing.T) {
 		t.Fatalf("SimPerWall = %v", s.SimPerWall)
 	}
 
-	ms := o.Metrics()
+	ms := s.Metrics()
 	byName := map[string]float64{}
 	for _, m := range ms {
 		key := m.Name

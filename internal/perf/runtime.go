@@ -5,17 +5,11 @@ import (
 	"runtime/metrics"
 	"sync"
 	"time"
-
-	"github.com/hermes-repro/hermes/internal/timeseries"
 )
 
 // DefaultRuntimeInterval is the wall-clock sampling interval of the Go
 // runtime sampler when Options.RuntimeIntervalMs is unset.
 const DefaultRuntimeInterval = 50 * time.Millisecond
-
-// runtimeSeriesCap bounds the sampler's flight-recorder ring: at the 50ms
-// default it retains the last ~3.4 minutes of runtime history.
-const runtimeSeriesCap = 4096
 
 // RuntimeStats are the aggregates of one sampler window (one run, usually):
 // peaks and deltas between Start and Stop.
@@ -31,10 +25,9 @@ type RuntimeStats struct {
 }
 
 // RuntimeSampler watches the Go runtime on a wall-clock ticker while a
-// simulation runs, recording heap bytes, GC activity, goroutine count and
-// CPU utilization into a ring-capped timeseries.Columns flight recording.
-// It is safe for concurrent use: the sampling goroutine owns the writes and
-// Snapshot/Stop take the mutex.
+// simulation runs, keeping the window's peak heap bytes and goroutine
+// count, its GC activity and, at Stop, its CPU utilization. It is safe for
+// concurrent use: the sampling goroutine and Stop take the mutex.
 //
 // The sampler deliberately reads only Go runtime APIs — never simulation
 // state — so it can run against the single-threaded engine without races.
@@ -42,7 +35,6 @@ type RuntimeSampler struct {
 	interval time.Duration
 
 	mu      sync.Mutex
-	cols    *timeseries.Columns
 	stats   RuntimeStats
 	stopped bool
 
@@ -83,7 +75,6 @@ func StartRuntimeSampler(interval time.Duration) *RuntimeSampler {
 	}
 	s := &RuntimeSampler{
 		interval: interval,
-		cols:     &timeseries.Columns{Cap: runtimeSeriesCap},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -117,19 +108,10 @@ func (s *RuntimeSampler) loop() {
 	}
 }
 
-// sampleLocked appends one row; callers hold mu (or own the sampler
-// exclusively, as Start does before the goroutine exists).
+// sampleLocked folds one sample into the stats; callers hold mu (or own
+// the sampler exclusively, as Start does before the goroutine exists).
 func (s *RuntimeSampler) sampleLocked(ms *runtime.MemStats) {
-	now := time.Now()
-	s.cols.Append(now.Sub(s.startWall).Nanoseconds())
-	s.cols.Put("perf.heap_bytes", float64(ms.HeapAlloc))
-	s.cols.Put("perf.gc_cycles", float64(ms.NumGC))
-	s.cols.Put("perf.gc_pause_ns", float64(ms.PauseTotalNs))
 	g := runtime.NumGoroutine()
-	s.cols.Put("perf.goroutines", float64(g))
-	if busy, ok := readCPUBusy(); ok && s.cpuOK {
-		s.cols.Put("perf.cpu_busy_seconds", busy-s.cpuStartBusy)
-	}
 	s.stats.Samples++
 	if ms.HeapAlloc > s.stats.PeakHeapBytes {
 		s.stats.PeakHeapBytes = ms.HeapAlloc
@@ -175,18 +157,4 @@ func (s *RuntimeSampler) Stop() *RuntimeStats {
 	}
 	st := s.stats
 	return &st
-}
-
-// SeriesSnapshot copies the sampler's flight recording: aligned sample
-// offsets (wall ns since Start) and named series, in Columns' sorted name
-// order. Safe to call while sampling.
-func (s *RuntimeSampler) SeriesSnapshot() (times []int64, series map[string][]float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	times = s.cols.Times()
-	series = make(map[string][]float64, len(s.cols.Names()))
-	for _, n := range s.cols.Names() {
-		series[n] = s.cols.Series(n)
-	}
-	return times, series
 }

@@ -10,9 +10,9 @@ import (
 	"github.com/hermes-repro/hermes/internal/perf"
 )
 
-// TestPerfExposition: the hermes_perf_* family is absent without an attached
-// observatory, present and well-formed with one, and /api/perf mirrors the
-// same observatory (404 before attach).
+// TestPerfExposition: the hermes_perf_* family is absent until a profiled
+// run has finished, present and well-formed after, and /api/perf mirrors
+// the same aggregate (404 before).
 func TestPerfExposition(t *testing.T) {
 	tr := NewTracker(testManifest())
 
@@ -21,7 +21,7 @@ func TestPerfExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	if strings.Contains(b.String(), "hermes_perf_") {
-		t.Fatalf("perf family present without an observatory:\n%s", b.String())
+		t.Fatalf("perf family present before a profiled run:\n%s", b.String())
 	}
 
 	srv := httptest.NewServer(Handler(tr, 0))
@@ -32,18 +32,16 @@ func TestPerfExposition(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/api/perf without observatory: status %d, want 404", resp.StatusCode)
+		t.Fatalf("/api/perf before a profiled run: status %d, want 404", resp.StatusCode)
 	}
 
-	obs := perf.NewObservatory()
-	obs.AddRun(&perf.RunReport{
+	tr.StartRun("p/seed 1", 1).Finish(RunSummary{}, &perf.RunReport{
 		EventsTotal: 42, QueuePeak: 7, SimNs: 1000, WallNs: 500,
 		ByKind: []perf.KindStat{
 			{Kind: "port_tx", Count: 30},
 			{Kind: "rto", Count: 12},
 		},
 	})
-	tr.AttachPerf(obs)
 
 	b.Reset()
 	if err := tr.WriteMetrics(&b); err != nil {
@@ -88,22 +86,15 @@ func TestPerfExposition(t *testing.T) {
 		t.Fatalf("/api/perf runtime snapshot not live: %+v", s.Runtime)
 	}
 
-	// A nil tracker accepts AttachPerf and keeps serving nothing.
-	var nilTr *Tracker
-	nilTr.AttachPerf(obs)
-	if nilTr.Perf() != nil {
-		t.Fatal("nil tracker returned an observatory")
-	}
-	// Attaching nil leaves the previous observatory in place only if one is
-	// given; a nil attach is ignored.
-	tr.AttachPerf(nil)
-	if tr.Perf() != obs {
-		t.Fatal("nil AttachPerf displaced the live observatory")
+	// An unprofiled run finishing leaves the aggregate as it was.
+	tr.StartRun("q/seed 1", 1).Finish(RunSummary{}, nil)
+	if s := tr.PerfSummary(); s.RunsProfiled != 1 || s.EventsTotal != 42 {
+		t.Fatalf("unprofiled run changed the aggregate: %+v", s)
 	}
 }
 
 func TestPerfSummaryJSONShape(t *testing.T) {
-	obs := perf.NewObservatory()
+	var obs perf.Observatory
 	data, err := json.Marshal(obs.Summary())
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,12 @@ import (
 )
 
 // WriteMetrics renders the tracker as Prometheus text exposition (format
-// version 0.0.4): the progress plane as typed hermes_* series, then every
-// telemetry-registry metric — completed-run totals summed across runs,
-// overlaid with each in-flight run's latest snapshot — and the accumulated
-// histograms. Registry keys like net.port.tx_bytes{port=l0-s1} become
-// hermes_net_port_tx_bytes{port="l0-s1"}.
+// version 0.0.4): the progress plane as typed hermes_* series, the ALERTS
+// and perf.* families when armed, then every telemetry-registry series once
+// per run, labelled run="<label>" and never summed across runs, and the
+// histograms accumulated over finished runs. Registry keys like
+// net.port.tx_bytes{port=l0-s1} become
+// hermes_net_port_tx_bytes{run="<label>",port="l0-s1"}.
 func (t *Tracker) WriteMetrics(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -71,13 +72,12 @@ func (t *Tracker) WriteMetrics(w io.Writer) error {
 		info("hermes_alerts_firing", "Alert episodes currently in the firing state.", "gauge", float64(s.Firing))
 	}
 
-	// Performance observatory: the perf.* family, present only when a run
-	// with Config.Perf attached its observatory. Samples arrive pre-sorted
-	// and grouped per family, so one HELP/TYPE pair per distinct name
-	// suffices.
-	if obs := t.Perf(); obs != nil {
+	// Perf aggregate: the perf.* family, present once a run with
+	// Config.Perf has finished. Samples arrive pre-sorted and grouped per
+	// family, so one HELP/TYPE pair per distinct name suffices.
+	if ps := t.PerfSummary(); ps.RunsProfiled > 0 {
 		lastName := ""
-		for _, pm := range obs.Metrics() {
+		for _, pm := range ps.Metrics() {
 			name := "hermes_" + sanitizeName(pm.Name)
 			if name != lastName {
 				fmt.Fprintf(&b, "# HELP %s Performance observatory aggregate %s.\n", name, pm.Name)
@@ -101,16 +101,19 @@ func (t *Tracker) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	// Registry metrics: completed-run sums plus live snapshots.
-	merged := map[string]float64{}
+	// Registry metrics, one sample per run and series: the latest sealed
+	// report-sweep row of every in-flight run, then the final row of the
+	// run that finished last. Values such as a cache hit rate or a queue
+	// high-water mark do not add up across runs, so nothing is summed.
+	var live []*RunHandle
 	t.mu.Lock()
-	for k, v := range t.doneMetrics {
-		merged[k] += v
-	}
-	handles := make([]*RunHandle, 0, len(t.active))
 	for h := range t.active {
-		handles = append(handles, h)
+		if h.rd != nil {
+			live = append(live, h)
+		}
 	}
+	// A finished row is replaced, never written, so it is read unlocked.
+	doneLabel, doneRow := t.lastDone, t.lastRow
 	hists := make(map[string]telemetry.HistogramStats, len(t.doneHists))
 	for k, v := range t.doneHists {
 		hs := v
@@ -118,32 +121,41 @@ func (t *Tracker) WriteMetrics(w io.Writer) error {
 		hists[k] = hs
 	}
 	t.mu.Unlock()
-	for _, h := range handles {
-		h.mu.Lock()
-		for k, v := range h.metrics {
-			merged[k] += v
-		}
-		h.mu.Unlock()
-	}
 
 	// Group by sanitized metric name so each family gets exactly one TYPE
 	// line with its samples contiguous, as the exposition format requires.
+	// A label set must be unique too, so of the runs that share a label
+	// only the first added exports: in-flight runs newest first, then the
+	// finished one.
 	type sample struct {
 		labels []string
 		value  float64
 	}
 	families := map[string][]sample{}
-	for k, v := range merged {
-		name, labels := splitKey(k)
-		families[name] = append(families[name], sample{labels, v})
+	seen := map[string]bool{}
+	add := func(run string, row map[string]float64) {
+		if seen[run] {
+			return
+		}
+		seen[run] = true
+		for k, v := range row {
+			name, labels := splitKey(k)
+			labels = append([]string{"run", run}, labels...)
+			families[name] = append(families[name], sample{labels, v})
+		}
 	}
+	sort.Slice(live, func(i, j int) bool { return live[i].start.After(live[j].start) })
+	for _, h := range live {
+		add(h.label, h.rd.Sweep.Latest())
+	}
+	add(doneLabel, doneRow)
 	names := make([]string, 0, len(families))
 	for name := range families {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Fprintf(&b, "# HELP %s Telemetry registry metric, summed over completed runs plus live snapshots.\n", name)
+		fmt.Fprintf(&b, "# HELP %s Telemetry registry metric: the latest report-sweep sample of each run.\n", name)
 		fmt.Fprintf(&b, "# TYPE %s untyped\n", name)
 		samples := families[name]
 		sort.Slice(samples, func(i, j int) bool {

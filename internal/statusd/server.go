@@ -56,9 +56,9 @@ func Handler(t *Tracker, pollInterval time.Duration) http.Handler {
 		fmt.Fprintln(w, "GET /api/series/stream  the same as live SSE deltas (resumes via Last-Event-ID)")
 		fmt.Fprintln(w, "GET /api/alerts         SLO watchdog state (?since=N for event deltas)")
 		fmt.Fprintln(w, "GET /api/alerts/stream  alert lifecycle edges as live SSE deltas")
-		fmt.Fprintln(w, "GET /api/perf           performance observatory summary (runs with Config.Perf)")
+		fmt.Fprintln(w, "GET /api/perf           perf aggregate of the finished runs with Config.Perf")
 		fmt.Fprintln(w, "GET /api/checkpoints    checkpoint files written so far (runs with Config.Checkpoint)")
-		fmt.Fprintln(w, "GET /metrics            Prometheus text exposition (includes ALERTS when armed)")
+		fmt.Fprintln(w, "GET /metrics            Prometheus text exposition, registry series per run (ALERTS when armed)")
 	})
 	mux.HandleFunc("/api/progress", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, t.Progress())
@@ -112,13 +112,13 @@ func Handler(t *Tracker, pollInterval time.Duration) http.Handler {
 		writeJSON(w, cks)
 	})
 	mux.HandleFunc("/api/perf", func(w http.ResponseWriter, r *http.Request) {
-		obs := t.Perf()
-		if obs == nil {
-			http.Error(w, `{"error":"no perf observatory attached (runs profile when Config.Perf is set)"}`,
+		s := t.PerfSummary()
+		if s.RunsProfiled == 0 {
+			http.Error(w, `{"error":"no profiled run has finished (runs profile when Config.Perf is set)"}`,
 				http.StatusNotFound)
 			return
 		}
-		writeJSON(w, obs.Summary())
+		writeJSON(w, s)
 	})
 	return mux
 }
@@ -150,13 +150,11 @@ func parseEventID(id string) (timeseries.Cursor, uint64, bool) {
 	return timeseries.Cursor{Seq: seq, Transition: tr}, gen, true
 }
 
-// streamSeries serves the flight recording as Server-Sent Events: one
-// "delta" event whenever the recording has sealed new rows or transitions,
-// keepalive comments otherwise. Event ids are "seq:transition:generation";
-// a reconnecting client resumes from Last-Event-ID (or ?seq=&transition=),
-// and a cursor that fell off the ring yields one delta with reset=true
-// carrying the whole retained window.
-func streamSeries(w http.ResponseWriter, r *http.Request, t *Tracker, pollInterval time.Duration) {
+// serveSSE runs one Server-Sent Events stream until the client goes away:
+// it sends the headers, then calls step every pollInterval. step writes
+// any news to w as events and reports whether there was news; after four
+// polls without news a keepalive comment goes out instead.
+func serveSSE(w http.ResponseWriter, r *http.Request, pollInterval time.Duration, step func() bool) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -168,37 +166,13 @@ func streamSeries(w http.ResponseWriter, r *http.Request, t *Tracker, pollInterv
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	cur := cursorFromQuery(r)
-	var haveGen uint64
-	if id := r.Header.Get("Last-Event-ID"); id != "" {
-		if c, gen, ok := parseEventID(id); ok {
-			cur, haveGen = c, gen
-		}
-	}
-
-	ctx := r.Context()
 	ticker := time.NewTicker(pollInterval)
 	defer ticker.Stop()
 	idle := 0
 	for {
-		rec, label, gen := t.Flight()
-		if rec != nil {
-			if haveGen != 0 && gen != haveGen {
-				// A new run's recording replaced the one the client was
-				// following; restart its cursor from the beginning.
-				cur = timeseries.Cursor{}
-			}
-			d := rec.SnapshotSince(cur)
-			if d.Rows() > 0 || len(d.Transitions) > 0 || d.Reset || haveGen != gen {
-				payload, err := json.Marshal(SeriesPayload{Label: label, Generation: gen, Delta: d})
-				if err == nil {
-					fmt.Fprintf(w, "id: %d:%d:%d\nevent: delta\ndata: %s\n\n",
-						d.Cursor.Seq, d.Cursor.Transition, gen, payload)
-					flusher.Flush()
-				}
-				idle = 0
-			}
-			cur, haveGen = d.Cursor, gen
+		if step() {
+			flusher.Flush()
+			idle = 0
 		}
 		idle++
 		if idle >= 4 {
@@ -208,11 +182,48 @@ func streamSeries(w http.ResponseWriter, r *http.Request, t *Tracker, pollInterv
 			idle = 0
 		}
 		select {
-		case <-ctx.Done():
+		case <-r.Context().Done():
 			return
 		case <-ticker.C:
 		}
 	}
+}
+
+// streamSeries serves the flight recording as Server-Sent Events: one
+// "delta" event whenever the recording has sealed new rows or transitions,
+// keepalive comments otherwise. Event ids are "seq:transition:generation";
+// a reconnecting client resumes from Last-Event-ID (or ?seq=&transition=),
+// and a cursor that fell off the ring yields one delta with reset=true
+// carrying the whole retained window.
+func streamSeries(w http.ResponseWriter, r *http.Request, t *Tracker, pollInterval time.Duration) {
+	cur := cursorFromQuery(r)
+	var haveGen uint64
+	if id := r.Header.Get("Last-Event-ID"); id != "" {
+		if c, gen, ok := parseEventID(id); ok {
+			cur, haveGen = c, gen
+		}
+	}
+	serveSSE(w, r, pollInterval, func() bool {
+		rec, label, gen := t.Flight()
+		if rec == nil {
+			return false
+		}
+		if haveGen != 0 && gen != haveGen {
+			// A new run's recording replaced the one the client was
+			// following; restart its cursor from the beginning.
+			cur = timeseries.Cursor{}
+		}
+		d := rec.SnapshotSince(cur)
+		news := d.Rows() > 0 || len(d.Transitions) > 0 || d.Reset || haveGen != gen
+		if news {
+			if payload, err := json.Marshal(SeriesPayload{Label: label, Generation: gen, Delta: d}); err == nil {
+				fmt.Fprintf(w, "id: %d:%d:%d\nevent: delta\ndata: %s\n\n",
+					d.Cursor.Seq, d.Cursor.Transition, gen, payload)
+			}
+		}
+		cur, haveGen = d.Cursor, gen
+		return news
+	})
 }
 
 // AlertsPayload wraps a watchdog snapshot with the identity of the run it
@@ -244,17 +255,6 @@ func parseAlertEventID(id string) (int, uint64, bool) {
 // comments otherwise. Event ids are "nextEvent:generation"; a reconnecting
 // client resumes from Last-Event-ID or ?since=N.
 func streamAlerts(w http.ResponseWriter, r *http.Request, t *Tracker, pollInterval time.Duration) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
 	since := 0
 	if v := r.URL.Query().Get("since"); v != "" {
 		since, _ = strconv.Atoi(v)
@@ -265,41 +265,25 @@ func streamAlerts(w http.ResponseWriter, r *http.Request, t *Tracker, pollInterv
 			since, haveGen = next, gen
 		}
 	}
-
-	ctx := r.Context()
-	ticker := time.NewTicker(pollInterval)
-	defer ticker.Stop()
-	idle := 0
-	for {
+	serveSSE(w, r, pollInterval, func() bool {
 		ev, label, gen := t.Alerts()
-		if ev != nil {
-			if haveGen != 0 && gen != haveGen {
-				since = 0
+		if ev == nil {
+			return false
+		}
+		if haveGen != 0 && gen != haveGen {
+			since = 0
+		}
+		s := ev.SnapshotSince(since)
+		news := len(s.Events) > 0 || haveGen != gen
+		if news {
+			if payload, err := json.Marshal(AlertsPayload{Label: label, Generation: gen, Snapshot: s}); err == nil {
+				fmt.Fprintf(w, "id: %d:%d\nevent: alerts\ndata: %s\n\n",
+					s.NextEvent, gen, payload)
 			}
-			s := ev.SnapshotSince(since)
-			if len(s.Events) > 0 || haveGen != gen {
-				payload, err := json.Marshal(AlertsPayload{Label: label, Generation: gen, Snapshot: s})
-				if err == nil {
-					fmt.Fprintf(w, "id: %d:%d\nevent: alerts\ndata: %s\n\n",
-						s.NextEvent, gen, payload)
-					flusher.Flush()
-				}
-				idle = 0
-			}
-			since, haveGen = s.NextEvent, gen
 		}
-		idle++
-		if idle >= 4 {
-			fmt.Fprint(w, ": keepalive\n\n")
-			flusher.Flush()
-			idle = 0
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-	}
+		since, haveGen = s.NextEvent, gen
+		return news
+	})
 }
 
 // Server is the embeddable HTTP status server: NewServer binds the address

@@ -1,17 +1,27 @@
 // Package statusd is the live run observatory: a Tracker that aggregates
-// progress, metrics and flight-recorder access across the runs of one
-// process, and an HTTP Server that exposes it while simulations execute —
-// /api/progress (completion and ETA), /metrics (Prometheus text
-// exposition), /api/series and /api/series/stream (flight-recorder
-// snapshots and SSE deltas), /api/manifest (build provenance) and
-// /api/report (per-run summaries so far).
+// progress, metrics, the perf aggregate and flight-recorder access across
+// the runs of one process, and an HTTP Server that exposes it while
+// simulations execute:
 //
-// The tracker is purely observational. Simulations publish to it at
-// scheduling-slice boundaries and run end — never from the per-packet hot
-// path — and readers only copy state under the tracker lock, so attaching a
-// tracker (or serving it over HTTP) cannot perturb results: reports are
-// byte-identical with the status plane on or off. A nil *Tracker is the
-// disabled state; every method is a no-op.
+//   - /api/progress: completion and ETA;
+//   - /api/report: per-run summaries so far;
+//   - /api/manifest: build provenance;
+//   - /api/series and /api/series/stream: flight-recorder snapshots and
+//     SSE deltas;
+//   - /api/alerts and /api/alerts/stream: SLO watchdog state and SSE
+//     lifecycle edges;
+//   - /api/perf: the perf aggregate of the finished profiled runs;
+//   - /api/checkpoints: checkpoint files written so far;
+//   - /metrics: Prometheus text exposition.
+//
+// The tracker is the process's one live sink. Simulations publish to it at
+// scheduling-slice boundaries and run end, never from the per-packet hot
+// path, and /metrics reads each run's registry values from the rows its
+// report sweep has already sealed. Readers only copy state under the
+// tracker's and the recorders' locks, so attaching a tracker (or serving it
+// over HTTP) cannot perturb results: reports are byte-identical with the
+// status plane on or off. A nil *Tracker is the disabled state; every
+// method is a no-op.
 package statusd
 
 import (
@@ -87,7 +97,7 @@ type Progress struct {
 }
 
 // RunHandle is one simulation's channel into the tracker. The owning run
-// goroutine calls Update/SetMetrics/Finish/Fail; everything is cheap enough
+// goroutine calls SetRunData/Update/Finish/Fail; everything is cheap enough
 // for slice-boundary cadence. A nil handle is a no-op.
 type RunHandle struct {
 	t     *Tracker
@@ -100,8 +110,7 @@ type RunHandle struct {
 	flowsTotal   int64
 	events       atomic.Uint64
 
-	mu      sync.Mutex
-	metrics map[string]float64 // latest live registry snapshot
+	rd *telemetry.RunData // the run's telemetry, if any; set under t.mu
 }
 
 // Tracker aggregates progress and metrics for every run that attaches to it.
@@ -118,16 +127,16 @@ type Tracker struct {
 	note        string
 	active      map[*RunHandle]struct{}
 	lastDone    string
+	lastRow     map[string]float64 // lastDone's final report-sweep row
 	summaries   []RunSummary
 	doneSimNs   int64
 	doneEvents  uint64
 	doneFlows   int64
-	doneMetrics map[string]float64
 	doneHists   map[string]telemetry.HistogramStats
+	perf        perf.Observatory
 	flight      *timeseries.Recorder
 	flightLabel string
 	flightGen   uint64 // bumped per attach so streams notice replacement
-	perfObs     *perf.Observatory
 	alerts      *alert.Evaluator
 	alertsLabel string
 	alertsGen   uint64 // bumped per attach so streams notice replacement
@@ -137,11 +146,10 @@ type Tracker struct {
 // NewTracker builds an enabled tracker stamped with the build manifest.
 func NewTracker(m telemetry.Manifest) *Tracker {
 	return &Tracker{
-		manifest:    m,
-		startWall:   time.Now(),
-		active:      map[*RunHandle]struct{}{},
-		doneMetrics: map[string]float64{},
-		doneHists:   map[string]telemetry.HistogramStats{},
+		manifest:  m,
+		startWall: time.Now(),
+		active:    map[*RunHandle]struct{}{},
+		doneHists: map[string]telemetry.HistogramStats{},
 	}
 }
 
@@ -196,15 +204,16 @@ func (h *RunHandle) Update(simNs, flowsStarted, flowsDone int64, events uint64) 
 	h.events.Store(events)
 }
 
-// SetMetrics publishes a live snapshot of the run's telemetry registry
-// values, replacing the previous one.
-func (h *RunHandle) SetMetrics(vals map[string]float64) {
-	if h == nil || vals == nil {
+// SetRunData makes rd the run's telemetry: while the run is in flight,
+// /metrics exports the latest row its report sweep has sealed, and Finish
+// takes the final row and the histograms. Call it once, at setup.
+func (h *RunHandle) SetRunData(rd *telemetry.RunData) {
+	if h == nil || rd == nil {
 		return
 	}
-	h.mu.Lock()
-	h.metrics = vals
-	h.mu.Unlock()
+	h.t.mu.Lock()
+	h.rd = rd
+	h.t.mu.Unlock()
 }
 
 func (h *RunHandle) frac() float64 {
@@ -218,28 +227,36 @@ func (h *RunHandle) frac() float64 {
 	return f
 }
 
-// Finish retires the run as successful: its summary joins /api/report, its
-// final registry totals and histograms accumulate into /metrics.
-func (h *RunHandle) Finish(sum RunSummary, finalMetrics map[string]float64, hists map[string]telemetry.HistogramStats) {
+// Finish retires the run as successful. Its summary joins /api/report, its
+// perf report (nil for an unprofiled run) joins the perf aggregate, its
+// histograms accumulate into /metrics, and its report sweep's final row
+// replaces the previous finished run's there.
+func (h *RunHandle) Finish(sum RunSummary, pr *perf.RunReport) {
 	if h == nil {
 		return
 	}
 	t := h.t
 	sum.Label = h.label
 	sum.WallMs = time.Since(h.start).Milliseconds()
+	// Only this goroutine sets h.rd, so it reads it without the lock.
+	var row map[string]float64
+	var hists map[string]telemetry.HistogramStats
+	if h.rd != nil {
+		row = h.rd.Sweep.Latest()
+		hists = h.rd.Registry.Histograms()
+	}
 	t.mu.Lock()
 	delete(t.active, h)
 	t.lastDone = h.label
+	t.lastRow = row
 	t.summaries = append(t.summaries, sum)
 	t.doneSimNs += sum.SimDurationNs
 	t.doneEvents += sum.Events
 	t.doneFlows += int64(sum.Flows)
-	for k, v := range finalMetrics {
-		t.doneMetrics[k] += v
-	}
 	for k, hs := range hists {
 		t.doneHists[k] = mergeHist(t.doneHists[k], hs)
 	}
+	t.perf.AddRun(pr)
 	t.mu.Unlock()
 	t.done.Add(1)
 }
@@ -300,26 +317,17 @@ func (t *Tracker) AttachFlight(rec *timeseries.Recorder, label string) {
 	t.mu.Unlock()
 }
 
-// AttachPerf makes obs the performance observatory served by /api/perf and
-// exported as the perf.* metrics family (latest attach wins). Runs with
-// Config.Perf attach their observatory automatically.
-func (t *Tracker) AttachPerf(obs *perf.Observatory) {
-	if t == nil || obs == nil {
-		return
-	}
-	t.mu.Lock()
-	t.perfObs = obs
-	t.mu.Unlock()
-}
-
-// Perf returns the attached performance observatory, or nil.
-func (t *Tracker) Perf() *perf.Observatory {
+// PerfSummary returns the perf aggregate of the profiled runs finished so
+// far, with a live Go runtime snapshot: the /api/perf payload and the
+// source of the perf.* metrics family. RunsProfiled is 0 until a run with
+// Config.Perf has finished.
+func (t *Tracker) PerfSummary() perf.Summary {
 	if t == nil {
-		return nil
+		return perf.Summary{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.perfObs
+	return t.perf.Summary()
 }
 
 // AttachAlerts makes ev the alert evaluator served by /api/alerts, streamed

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hermes-repro/hermes/internal/perf"
 	"github.com/hermes-repro/hermes/internal/sim"
 	"github.com/hermes-repro/hermes/internal/telemetry"
 	"github.com/hermes-repro/hermes/internal/timeseries"
@@ -38,12 +39,15 @@ func TestNilTrackerIsNoOp(t *testing.T) {
 		t.Fatalf("nil tracker returned a live handle")
 	}
 	h.Update(1, 2, 3, 4)
-	h.SetMetrics(map[string]float64{"a": 1})
-	h.Finish(RunSummary{}, nil, nil)
+	h.SetRunData(testRunData(map[string]float64{"a": 1}))
+	h.Finish(RunSummary{}, &perf.RunReport{EventsTotal: 1})
 	h.Fail(errors.New("boom"))
 	tr.AttachFlight(nil, "")
 	if p := tr.Progress(); p.ETAMs != -1 || p.RunsPlanned != 0 {
 		t.Fatalf("nil progress = %+v", p)
+	}
+	if s := tr.PerfSummary(); s.RunsProfiled != 0 {
+		t.Fatalf("nil perf summary = %+v", s)
 	}
 	if err := tr.WriteMetrics(&strings.Builder{}); err != nil {
 		t.Fatalf("nil WriteMetrics: %v", err)
@@ -60,8 +64,7 @@ func TestProgressMath(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		h := tr.StartRun(fmt.Sprintf("done-%d", i), 100)
 		h.Update(50_000_000, 100, 100, 5000)
-		h.Finish(RunSummary{Seed: int64(i), SimDurationNs: 50_000_000, Events: 5000, Flows: 100},
-			map[string]float64{"net.drops": 3}, nil)
+		h.Finish(RunSummary{Seed: int64(i), SimDurationNs: 50_000_000, Events: 5000, Flows: 100}, nil)
 	}
 	h := tr.StartRun("half", 10)
 	h.Update(25_000_000, 8, 5, 1234)
@@ -95,7 +98,7 @@ func TestProgressMath(t *testing.T) {
 
 	// Finishing the rest drives the fraction to 1 and the ETA to 0.
 	h.Update(50_000_000, 10, 10, 2000)
-	h.Finish(RunSummary{Seed: 2}, nil, nil)
+	h.Finish(RunSummary{Seed: 2}, nil)
 	h2 := tr.StartRun("fails", 10)
 	h2.Fail(errors.New("synthetic"))
 	p = tr.Progress()
@@ -112,7 +115,7 @@ func TestProgressMath(t *testing.T) {
 func TestProgressPlanFloor(t *testing.T) {
 	tr := NewTracker(testManifest())
 	h := tr.StartRun("only", 0)
-	h.Finish(RunSummary{}, nil, nil)
+	h.Finish(RunSummary{}, nil)
 	if p := tr.Progress(); p.FracDone != 1 {
 		t.Fatalf("unplanned run should still complete the fraction: %+v", p)
 	}
@@ -122,26 +125,38 @@ var metricLine = regexp.MustCompile(
 	`^(?:# (?:HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+` +
 		`|[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})? (?:[-+]?(?:[0-9.eE+-]+|Inf)|NaN))$`)
 
+// testRunData returns run telemetry whose report sweep has sealed one row
+// holding vals.
+func testRunData(vals map[string]float64) *telemetry.RunData {
+	rd := telemetry.NewRunData(sim.NewEngine(), 0)
+	for k, v := range vals {
+		v := v
+		rd.Sweep.Register(k, func() float64 { return v })
+	}
+	rd.Sweep.Snap()
+	return rd
+}
+
 // TestWriteMetricsExposition: every line parses as Prometheus text format,
-// expected families appear exactly once, and registry keys are translated.
+// expected families appear exactly once, registry keys are translated, and
+// each run's registry series are its own samples, labelled with the run.
 func TestWriteMetricsExposition(t *testing.T) {
 	tr := NewTracker(testManifest())
 	tr.Plan(2)
 	h := tr.StartRun("s/1", 10)
-	h.SetMetrics(map[string]float64{
+	h.SetRunData(testRunData(map[string]float64{
 		`net.port.tx_bytes{port=l0-s1}`: 1000,
 		`net.port.tx_bytes{port=l0-s2}`: 2000,
 		`net.drops`:                     1,
-	})
+	}))
 	done := tr.StartRun("s/0", 10)
-	done.Finish(RunSummary{SimDurationNs: 1e7, Events: 42, Flows: 10},
-		map[string]float64{`net.drops`: 4},
-		map[string]telemetry.HistogramStats{
-			"fct_ms": {
-				Count: 3, Sum: 6, Min: 1, Max: 3, Inf: 1,
-				Buckets: []telemetry.HistBucket{{UpperBound: 1, Count: 1}, {UpperBound: 2, Count: 1}},
-			},
-		})
+	rd := testRunData(map[string]float64{`net.drops`: 4})
+	fct := rd.Registry.Histogram("fct_ms", []float64{1, 2})
+	for _, v := range []float64{1, 2, 3} {
+		fct.Observe(v)
+	}
+	done.SetRunData(rd)
+	done.Finish(RunSummary{SimDurationNs: 1e7, Events: 42, Flows: 10}, nil)
 
 	var b strings.Builder
 	if err := tr.WriteMetrics(&b); err != nil {
@@ -167,9 +182,11 @@ func TestWriteMetricsExposition(t *testing.T) {
 		"hermes_runs_completed_total 1\n",
 		"hermes_runs_active 1\n",
 		`hermes_build_info{version="v0.6.0-test",revision="deadbeef",goversion="go1.22"} 1` + "\n",
-		`hermes_net_port_tx_bytes{port="l0-s1"} 1000` + "\n",
-		`hermes_net_port_tx_bytes{port="l0-s2"} 2000` + "\n",
-		"hermes_net_drops 5\n", // 4 from the finished run + 1 live
+		`hermes_net_port_tx_bytes{run="s/1",port="l0-s1"} 1000` + "\n",
+		`hermes_net_port_tx_bytes{run="s/1",port="l0-s2"} 2000` + "\n",
+		// One sample per run: 4 from the finished run, 1 live, no sum.
+		`hermes_net_drops{run="s/0"} 4` + "\n",
+		`hermes_net_drops{run="s/1"} 1` + "\n",
 		`hermes_fct_ms_bucket{le="1"} 1` + "\n",
 		`hermes_fct_ms_bucket{le="2"} 2` + "\n",
 		`hermes_fct_ms_bucket{le="+Inf"} 3` + "\n",
@@ -179,6 +196,31 @@ func TestWriteMetricsExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n---\n%s", strings.TrimRight(want, "\n"), out)
 		}
+	}
+}
+
+// TestWriteMetricsRunLabelsUnique: runs that share a label export one
+// sample per series, an in-flight run's, so no label set repeats.
+func TestWriteMetricsRunLabelsUnique(t *testing.T) {
+	tr := NewTracker(testManifest())
+	done := tr.StartRun("s/1", 1)
+	done.SetRunData(testRunData(map[string]float64{"net.drops": 4}))
+	done.Finish(RunSummary{}, nil)
+	for _, drops := range []float64{5, 6} {
+		tr.StartRun("s/1", 1).SetRunData(testRunData(map[string]float64{"net.drops": drops}))
+	}
+	var b strings.Builder
+	if err := tr.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "hermes_net_drops") {
+			got = append(got, line)
+		}
+	}
+	if len(got) != 1 || got[0] == `hermes_net_drops{run="s/1"} 4` {
+		t.Fatalf("samples %q, want one from an in-flight run", got)
 	}
 }
 
@@ -209,7 +251,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	h := tr.StartRun("leaf/seed 1", 5)
 	h.Update(7_000_000, 3, 2, 99)
 	done := tr.StartRun("leaf/seed 0", 5)
-	done.Finish(RunSummary{Seed: 0, GoodputGbps: 8.5}, nil, nil)
+	done.Finish(RunSummary{Seed: 0, GoodputGbps: 8.5}, nil)
 
 	srv := httptest.NewServer(Handler(tr, 10*time.Millisecond))
 	defer srv.Close()
@@ -468,7 +510,7 @@ func TestProgressLine(t *testing.T) {
 	tr := NewTracker(testManifest())
 	tr.Plan(2)
 	h := tr.StartRun("a/seed 0", 4)
-	h.Finish(RunSummary{SimDurationNs: 2_000_000}, nil, nil)
+	h.Finish(RunSummary{SimDurationNs: 2_000_000}, nil)
 	line := tr.ProgressLine()
 	if !strings.Contains(line, "1/2 runs (50.0%)") {
 		t.Fatalf("progress line: %q", line)

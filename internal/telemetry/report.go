@@ -105,7 +105,8 @@ func NewRunData(eng *sim.Engine, interval sim.Time) *RunData {
 }
 
 // Fill copies counter totals, histograms, time series and the audit summary
-// into rep. Safe on a nil receiver.
+// into rep. The counter totals are the sweep's last row, which the run's
+// final Snap takes after its last event. Safe on a nil receiver.
 func (rd *RunData) Fill(rep *Report) {
 	if rd == nil {
 		return
@@ -113,7 +114,7 @@ func (rd *RunData) Fill(rep *Report) {
 	if rep.Counters == nil {
 		rep.Counters = map[string]float64{}
 	}
-	for k, v := range rd.Sweep.Values() {
+	for k, v := range rd.Sweep.Latest() {
 		rep.Counters[k] = v
 	}
 	rep.Histograms = rd.Registry.Histograms()

@@ -138,7 +138,8 @@ func TestPlaneSinks(t *testing.T) {
 
 	rd := NewRunData(eng, sim.Millisecond)
 	decls(Plane{Run: rd})
-	if got := rd.Sweep.Values(); len(got) != 2 || got["tx_bytes{port=p0}"] != 1000 || got["both"] != 2 {
+	rd.Sweep.Snap()
+	if got := rd.Sweep.Latest(); len(got) != 2 || got["tx_bytes{port=p0}"] != 1000 || got["both"] != 2 {
 		t.Fatalf("report-only values = %v", got)
 	}
 
@@ -153,10 +154,29 @@ func TestPlaneSinks(t *testing.T) {
 	if reads != 2 {
 		t.Fatalf("counter read %d times, want 2 (baseline at Start, one sample)", reads)
 	}
-	// Values skips rate probes: a read outside the sample clock must not
-	// move the baseline.
-	if _, ok := flightOnly.Values()["tx_gbps{port=p0}"]; ok {
-		t.Fatal("Values evaluated a rate probe")
+}
+
+// TestFillReportsTheLastSample pins that a report's counters are the
+// sweep's last row: a counter that moves after the final Snap, as nothing
+// in a finished run can, does not reach the report.
+func TestFillReportsTheLastSample(t *testing.T) {
+	eng := sim.NewEngine()
+	rd := NewRunData(eng, sim.Millisecond)
+	var drops float64
+	Plane{Run: rd}.Declare(Metric{Name: "drops", Sinks: SinkReport}, func() float64 { return drops })
+	rd.Sweep.Start()
+	eng.Schedule(1500*sim.Microsecond, func() { drops = 2 })
+	eng.Run(2500 * sim.Microsecond)
+	rd.Sweep.Stop()
+	rd.Sweep.Snap()
+	drops = 9
+	rep := &Report{}
+	rd.Fill(rep)
+	if got := rep.Counters["drops"]; got != 2 {
+		t.Fatalf("report counter = %v, want the last sample 2", got)
+	}
+	if s := rep.Series[0].Values; len(s) != 3 || s[2] != rep.Counters["drops"] {
+		t.Fatalf("series %v does not end at the report counter", s)
 	}
 }
 

@@ -195,24 +195,6 @@ func (r *Recorder) RegisterRate(name string, fn func() float64, rate Rate) {
 	r.probes = append(r.probes, p)
 }
 
-// Values evaluates every plain probe now, outside the sample clock, keyed by
-// series name; rate probes are left out. Call it from the simulation
-// goroutine, and only on a recorder whose plain probes are pure reads, such
-// as the report sweep: a read-and-reset probe would lose the interval it
-// resets.
-func (r *Recorder) Values() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(r.probes))
-	for _, p := range r.probes {
-		if p.rate == Value {
-			out[p.name] = p.fn()
-		}
-	}
-	return out
-}
-
 // AtTick registers a hook run at the start of every sample instant, before
 // probes are read. The monitor transition sweeps hang here so quarantine
 // expiries are caught within one interval.
@@ -274,6 +256,25 @@ func (r *Recorder) LatestValue(name string) (float64, bool) {
 		return 0, false
 	}
 	return r.cols.latest(i), true
+}
+
+// Latest returns every series' value at the most recent sample row, keyed
+// by series name, or nil before the first row. It reads the sealed row and
+// evaluates no probe, so it is safe for concurrent use with Snap.
+func (r *Recorder) Latest() map[string]float64 {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cols.Len() == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(r.cols.names))
+	for i, name := range r.cols.names {
+		out[name] = r.cols.latest(i)
+	}
+	return out
 }
 
 // Start takes each rate probe's counter reading as its baseline and arms

@@ -13,13 +13,10 @@ type PerfOptions = perf.Options
 // by kind, sim-vs-wall ratio, queue peak, peak heap, GC time share.
 type PerfReport = perf.RunReport
 
-// PerfObservatory aggregates perf run reports process-wide — total events
-// by kind, throughput, peak heap — and exports them live through the status
-// plane (/api/perf and the perf.* Prometheus family). Safe for concurrent
-// use; parallel sweeps publish from many goroutines.
-type PerfObservatory = perf.Observatory
-
-// PerfSummary is the observatory's aggregate view (the /api/perf payload).
+// PerfSummary is the perf aggregate of the profiled runs a status tracker
+// has seen finish — total events by kind, throughput, peak heap — with a
+// live Go runtime snapshot: the /api/perf payload, and what
+// Status.PerfSummary returns.
 type PerfSummary = perf.Summary
 
 // PerfLedger is the append-only benchmark trajectory stored in
@@ -30,23 +27,6 @@ type PerfLedger = perf.Ledger
 
 // PerfLedgerEntry is one measurement in the perf ledger.
 type PerfLedgerEntry = perf.LedgerEntry
-
-// NewPerfObservatory returns an empty perf observatory.
-func NewPerfObservatory() *PerfObservatory {
-	return perf.NewObservatory()
-}
-
-// SetDefaultPerfObservatory installs obs as the process-wide sink for runs
-// whose PerfOptions carry no explicit Observatory (mirrors
-// SetDefaultStatus). Pass nil to uninstall.
-func SetDefaultPerfObservatory(obs *PerfObservatory) {
-	perf.SetDefault(obs)
-}
-
-// DefaultPerfObservatory returns the process default observatory, or nil.
-func DefaultPerfObservatory() *PerfObservatory {
-	return perf.Default()
-}
 
 // LoadPerfLedger reads a perf ledger file; a missing file yields an empty
 // ledger so the first run bootstraps the trajectory.

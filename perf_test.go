@@ -13,11 +13,12 @@ import (
 
 // TestPerfResultPopulated: a run with Config.Perf set carries a populated
 // perf block — every engine event accounted by kind, wall-clock attribution
-// present — and the attached observatory aggregates it.
+// present — and the status tracker's perf aggregate takes it in.
 func TestPerfResultPopulated(t *testing.T) {
-	obs := NewPerfObservatory()
+	st := NewStatus()
 	cfg := goldenConfig()
-	cfg.Perf = &PerfOptions{SampleEvery: 8, Observatory: obs}
+	cfg.Perf = &PerfOptions{SampleEvery: 8}
+	cfg.Status = st
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +56,9 @@ func TestPerfResultPopulated(t *testing.T) {
 		t.Fatalf("runtime sampling: gomaxprocs %d, peak heap %d", p.GOMAXPROCS, p.PeakHeapBytes)
 	}
 
-	s := obs.Summary()
+	s := st.PerfSummary()
 	if s.RunsProfiled != 1 || s.EventsTotal != p.EventsTotal {
-		t.Fatalf("observatory summary %+v does not match run (%d events)", s, p.EventsTotal)
+		t.Fatalf("perf summary %+v does not match run (%d events)", s, p.EventsTotal)
 	}
 
 	// Without Config.Perf the block is absent from the Result and its JSON.
@@ -90,7 +91,8 @@ func TestPerfDoesNotChangeReport(t *testing.T) {
 	want := reportBytes(t, cfg, base)
 
 	pcfg := cfg
-	pcfg.Perf = &PerfOptions{SampleEvery: 2, Observatory: NewPerfObservatory()}
+	pcfg.Perf = &PerfOptions{SampleEvery: 2}
+	pcfg.Status = NewStatus()
 	prof, err := Run(pcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,13 +126,12 @@ func TestPerfDoesNotChangeReport(t *testing.T) {
 }
 
 // TestPerfStatusPlane: with Config.Perf and a status tracker, /api/perf
-// serves the observatory summary and /metrics carries a consistent
+// serves the tracker's perf summary and /metrics carries a consistent
 // hermes_perf_* family.
 func TestPerfStatusPlane(t *testing.T) {
-	obs := NewPerfObservatory()
 	st := NewStatus()
 	cfg := goldenConfig()
-	cfg.Perf = &PerfOptions{Observatory: obs}
+	cfg.Perf = &PerfOptions{}
 	cfg.Status = st
 	res, err := Run(cfg)
 	if err != nil {
@@ -183,13 +184,15 @@ func TestPerfStatusPlane(t *testing.T) {
 }
 
 // TestPerfConcurrentSweep: profiled runs across the worker pool publish into
-// one shared observatory while another goroutine continuously reads its
-// metrics — the -race exercise for sampler and observatory concurrency.
+// one shared status tracker while another goroutine continuously reads its
+// perf summary and metrics — the -race exercise for sampler and tracker
+// concurrency.
 func TestPerfConcurrentSweep(t *testing.T) {
-	obs := NewPerfObservatory()
+	st := NewStatus()
 	cfg := goldenConfig()
 	cfg.Flows = 15
-	cfg.Perf = &PerfOptions{SampleEvery: 4, RuntimeIntervalMs: 1, Observatory: obs}
+	cfg.Perf = &PerfOptions{SampleEvery: 4, RuntimeIntervalMs: 1}
+	cfg.Status = st
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -200,8 +203,8 @@ func TestPerfConcurrentSweep(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				obs.Metrics()
-				obs.Summary()
+				st.PerfSummary()
+				st.WriteMetrics(io.Discard) //nolint:errcheck // io.Discard never fails
 			}
 		}
 	}()
@@ -214,7 +217,7 @@ func TestPerfConcurrentSweep(t *testing.T) {
 	close(stop)
 	<-done
 
-	if s := obs.Summary(); s.RunsProfiled != uint64(len(seeds)) {
+	if s := st.PerfSummary(); s.RunsProfiled != uint64(len(seeds)) {
 		t.Fatalf("RunsProfiled = %d, want %d", s.RunsProfiled, len(seeds))
 	}
 }

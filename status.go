@@ -7,12 +7,14 @@ import (
 	"github.com/hermes-repro/hermes/internal/telemetry"
 )
 
-// Status is the live run observatory: attach one to Config.Status (or
-// process-wide via SetDefaultStatus) and every run publishes progress,
-// metrics and its flight recorder to it; serve it with ServeStatus to watch
-// a sweep over HTTP while it executes. Purely observational — results and
-// reports are byte-identical with a status tracker attached or not — and a
-// nil *Status is the free disabled state.
+// Status is the live run observatory and the process's one live sink:
+// attach one to Config.Status (or process-wide via SetDefaultStatus) and
+// every run publishes progress, its report sweep, its flight recorder and,
+// with Config.Perf, its perf report to it (PerfSummary returns the
+// aggregate); serve it with ServeStatus to watch a sweep over HTTP while it
+// executes. Purely observational — results and reports are byte-identical
+// with a status tracker attached or not — and a nil *Status is the free
+// disabled state.
 type Status = statusd.Tracker
 
 // StatusServer is the HTTP server ServeStatus returns.
@@ -30,8 +32,10 @@ func NewStatus() *Status {
 
 // ServeStatus serves a tracker's status plane on addr (e.g. ":8080" or
 // "127.0.0.1:0"; Addr reports the bound address). Endpoints: /api/progress,
-// /api/report, /api/manifest, /api/series, /api/series/stream (SSE) and
-// /metrics (Prometheus text exposition). Close the server to stop.
+// /api/report, /api/manifest, /api/series, /api/series/stream (SSE),
+// /api/alerts, /api/alerts/stream (SSE), /api/perf, /api/checkpoints and
+// /metrics (Prometheus text exposition, each registry series once per run).
+// Close the server to stop.
 func ServeStatus(addr string, st *Status) (*StatusServer, error) {
 	return statusd.NewServer(addr, st)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -199,6 +200,56 @@ func TestStatusLiveEndpoints(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, b.String())
 		}
+	}
+}
+
+// TestMetricsArePerRun: /metrics exports each registry series once per run,
+// labelled with the run, and sums nothing across runs. After three
+// sequential REPS runs the cache hit rate is one sample, the last run's,
+// equal to its report counter; summed over the three it read 1.82.
+func TestMetricsArePerRun(t *testing.T) {
+	st := NewStatus()
+	var cfg Config
+	var res *Result
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg = Config{
+			Topology: chaosTopo(), Scheme: SchemeREPS, Workload: "web-search",
+			Load: 0.5, Flows: 60, Seed: seed, Telemetry: true, Status: st,
+		}
+		var err error
+		if res, err = Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := BuildReport(cfg, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := rep.Counters["reps.cache_hit_rate"]
+	if !ok {
+		t.Fatal("report has no reps.cache_hit_rate counter")
+	}
+
+	var b strings.Builder
+	if err := st.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	var samples []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "hermes_reps_cache_hit_rate") {
+			samples = append(samples, line)
+		}
+	}
+	if len(samples) != 1 {
+		t.Fatalf("hermes_reps_cache_hit_rate samples = %q, want one", samples)
+	}
+	i := strings.LastIndexByte(samples[0], ' ')
+	series, value := samples[0][:i], samples[0][i+1:]
+	if series != `hermes_reps_cache_hit_rate{run="reps/seed 3"}` {
+		t.Fatalf("sample %q, want the last run's, labelled run=\"reps/seed 3\"", samples[0])
+	}
+	if got, err := strconv.ParseFloat(value, 64); err != nil || got != want {
+		t.Fatalf("sample value %s, want the report counter %v", value, want)
 	}
 }
 
