@@ -111,13 +111,18 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestSwitchSchemeDigests pins CONGA's and HULA's results byte for byte,
-// clean and with one link at half rate. Both read the fabric ports'
-// link-utilization estimators, so a digest moves if an estimator is armed
-// late, read before the packet it stamps is counted, or split into
-// per-reader copies that the port does not feed.
+// TestSwitchSchemeDigests pins the five flowlet balancers' results byte for
+// byte (CONGA, HULA, LetFlow, CLOVE-ECN and Edge-Flowlet), clean, with one
+// link at half rate, and with one link flapping (cut for 1 ms of every
+// 2 ms), so that path sets change mid-run. CONGA and HULA read the fabric
+// ports' link-utilization estimators, so a digest moves if an estimator is
+// armed late, read before the packet it stamps is counted, or split into
+// per-reader copies that the port does not feed. All five pin each flow to
+// one path per flowlet, so a digest also moves if a new flowlet starts at
+// another packet than before.
 func TestSwitchSchemeDigests(t *testing.T) {
 	degrade := FailureSpec{Kind: FailureDegradeLink, CutLeaf: 0, CutSpine: 1}
+	flap := FailureSpec{Kind: FailureFlap, CutLeaf: 0, CutSpine: 1, FlapPeriodNs: 2e6, FlapDownNs: 1e6}
 	for _, c := range []struct {
 		name    string
 		scheme  Scheme
@@ -128,6 +133,17 @@ func TestSwitchSchemeDigests(t *testing.T) {
 		{"conga/degrade-link", SchemeCONGA, degrade, "5aededd01e86a1b60a2363b44fb659228fea00f40be80696b406d9f613e8e2a6"},
 		{"hula", SchemeHULA, FailureSpec{}, "d6e613dc6ad57de14889c4d08676b8b0afa03e5520ff25446f080b62657caa33"},
 		{"hula/degrade-link", SchemeHULA, degrade, "f76bbb609fbd7921197d2d268622ccf95af12997cf24c03ddc3e315b58263f23"},
+		{"letflow", SchemeLetFlow, FailureSpec{}, "6cd56ebac32f485664320cb9c3bfef4abdf37ef7c9d8c2781b3720f1a1db7916"},
+		{"letflow/degrade-link", SchemeLetFlow, degrade, "628226918c04f014809f65e17888c6ad6cbaa57ae3340590e0c1d66af47c4e43"},
+		{"clove", SchemeCLOVE, FailureSpec{}, "b246c01b884893b4b7ead374731fe7de9a84fc4789300de943cd808b6dc9b9f9"},
+		{"clove/degrade-link", SchemeCLOVE, degrade, "9b171ecb25d514417003e4a3f3105add2fa1adeb9b5fdfb185165d81870283d1"},
+		{"edge-flowlet", SchemeEdgeFlowlet, FailureSpec{}, "3e072ad342df90bc19152d8a9e96afafcf73bcc4eb205f4f70709afecdfd6b96"},
+		{"edge-flowlet/degrade-link", SchemeEdgeFlowlet, degrade, "eb75ee673412a3eeda57c2fd613c0bdb8cdc1696f29f2e145377a6e4bf52c694"},
+		{"conga/flap", SchemeCONGA, flap, "1fc16cfc6ee5ebf1d717468578d2646f377c8bea4072a7301384c79c55cae0b6"},
+		{"hula/flap", SchemeHULA, flap, "134392640c9387eb2f8eb82f1c1ba6dba573ad27a8afa5f823e3dc9ee493f93a"},
+		{"letflow/flap", SchemeLetFlow, flap, "752e4624df000e60e9f5ccee74d0dacb93137be56848bb170008c290ef77b48d"},
+		{"clove/flap", SchemeCLOVE, flap, "27c719ed07078f419ce16ec95e391183dff6c095670485fc7e16440441ee3c46"},
+		{"edge-flowlet/flap", SchemeEdgeFlowlet, flap, "4d05b3116c56e24e2a6c730c11684351c6eeaf83bb6a176ab3efe966cddb1718"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
