@@ -39,18 +39,13 @@ type Clove struct {
 	Params CloveParams
 
 	perDst   map[int]*cloveDst
-	flowlets map[uint64]*flowletEntry
+	flowlets flowletTable
 }
 
 type cloveDst struct {
 	paths   []int
 	weight  []float64
 	pathIdx map[int]int // path id -> slice index
-}
-
-type flowletEntry struct {
-	path int
-	last sim.Time
 }
 
 // Name implements transport.Balancer.
@@ -76,23 +71,14 @@ func (c *Clove) dst(srcLeaf, dstLeaf int) *cloveDst {
 
 // SelectPath implements transport.Balancer: weighted flowlet spraying.
 func (c *Clove) SelectPath(f *transport.Flow) int {
-	now := c.Net.Eng.Now()
-	if c.flowlets == nil {
-		c.flowlets = map[uint64]*flowletEntry{}
-	}
-	e := c.flowlets[f.ID]
-	if e == nil {
-		e = &flowletEntry{path: net.PathAny}
-		c.flowlets[f.ID] = e
-	}
 	d := c.dst(f.SrcLeaf, f.DstLeaf)
 	if len(d.paths) == 0 {
 		return net.PathAny
 	}
-	if e.path == net.PathAny || now-e.last > c.Params.FlowletTimeout {
+	e, fresh := c.flowlets.lookup(f.ID, c.Net.Eng.Now(), c.Params.FlowletTimeout, d.paths)
+	if fresh {
 		e.path = d.paths[c.weightedPick(d)]
 	}
-	e.last = now
 	return e.path
 }
 
@@ -144,7 +130,7 @@ func (c *Clove) OnAck(f *transport.Flow, ev transport.AckEvent) {
 }
 
 // OnFlowDone implements transport.Balancer.
-func (c *Clove) OnFlowDone(f *transport.Flow) { delete(c.flowlets, f.ID) }
+func (c *Clove) OnFlowDone(f *transport.Flow) { delete(c.flowlets.m, f.ID) }
 
 // Weights exposes the current weight vector toward a destination leaf (for
 // tests).

@@ -38,7 +38,7 @@ type Conga struct {
 	Rng    *sim.RNG
 	Params CongaParams
 
-	flowlets map[uint64]*flowletEntry
+	flowlets flowletTable
 	// fromLeaf[src][path]: congestion measured here for traffic arriving
 	// from leaf src over path (the destination-side table). Entries age just
 	// like the sender-side table: with no arrivals, a path reads as empty —
@@ -79,7 +79,7 @@ func InstallConga(nw *net.Network, rng *sim.RNG, p CongaParams) []*Conga {
 // NewConga builds and installs the per-leaf instance, including uplink DRE
 // stamping.
 func NewConga(nw *net.Network, leaf int, rng *sim.RNG, p CongaParams) *Conga {
-	c := &Conga{Net: nw, Leaf: leaf, Rng: rng, Params: p, flowlets: map[uint64]*flowletEntry{}}
+	c := &Conga{Net: nw, Leaf: leaf, Rng: rng, Params: p}
 	L, S := nw.Cfg.Leaves, nw.NPaths()
 	c.fromLeaf = make([][]congaEntry, L)
 	c.toLeaf = make([][]congaEntry, L)
@@ -94,7 +94,7 @@ func NewConga(nw *net.Network, leaf int, rng *sim.RNG, p CongaParams) *Conga {
 		port := sw.Uplink(s)
 		port.OnTx = stampCE(nw, port, p.QuantLevels)
 	}
-	c.scheduleSweep()
+	c.flowlets.sweep(nw.Eng, p.FlowletTimeout)
 	return c
 }
 
@@ -108,18 +108,6 @@ func stampCE(nw *net.Network, port *net.Port, levels int) func(*net.Packet) {
 			pkt.CongaCE = q
 		}
 	}
-}
-
-func (c *Conga) scheduleSweep() {
-	c.Net.Eng.ScheduleKind(100*sim.Millisecond, sim.KindTimer, func() {
-		now := c.Net.Eng.Now()
-		for id, e := range c.flowlets {
-			if now-e.last > 10*c.Params.FlowletTimeout+10*sim.Millisecond {
-				delete(c.flowlets, id)
-			}
-		}
-		c.scheduleSweep()
-	})
 }
 
 // remote returns the (aged) remote congestion metric toward dstLeaf over
@@ -136,20 +124,15 @@ func (c *Conga) remote(dstLeaf, p int, now sim.Time) uint8 {
 // SelectUplink implements net.SwitchBalancer: flowlet-granularity argmin of
 // max(local DRE, remote metric).
 func (c *Conga) SelectUplink(pkt *net.Packet, dstLeaf int) int {
-	now := c.Net.Eng.Now()
-	e := c.flowlets[pkt.Flow]
-	if e == nil {
-		e = &flowletEntry{path: net.PathAny}
-		c.flowlets[pkt.Flow] = e
-	}
 	paths := c.Net.AvailablePaths(c.Leaf, dstLeaf)
 	if len(paths) == 0 {
 		return 0
 	}
-	if e.path == net.PathAny || now-e.last > c.Params.FlowletTimeout || !contains(paths, e.path) {
+	now := c.Net.Eng.Now()
+	e, fresh := c.flowlets.lookup(pkt.Flow, now, c.Params.FlowletTimeout, paths)
+	if fresh {
 		e.path = c.bestPath(paths, dstLeaf, now)
 	}
-	e.last = now
 	return e.path
 }
 

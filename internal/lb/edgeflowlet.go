@@ -17,7 +17,7 @@ type EdgeFlowlet struct {
 	// Timeout is the flowlet inactivity gap.
 	Timeout sim.Time
 
-	flowlets map[uint64]*flowletEntry
+	flowlets flowletTable
 }
 
 // Name implements transport.Balancer.
@@ -25,25 +25,16 @@ func (e *EdgeFlowlet) Name() string { return "Edge-Flowlet" }
 
 // SelectPath implements transport.Balancer.
 func (e *EdgeFlowlet) SelectPath(f *transport.Flow) int {
-	if e.flowlets == nil {
-		e.flowlets = map[uint64]*flowletEntry{}
-	}
-	now := e.Net.Eng.Now()
-	fe := e.flowlets[f.ID]
-	if fe == nil {
-		fe = &flowletEntry{path: net.PathAny}
-		e.flowlets[f.ID] = fe
-	}
 	paths := e.Net.AvailablePaths(f.SrcLeaf, f.DstLeaf)
 	if len(paths) == 0 {
 		return net.PathAny
 	}
-	if fe.path == net.PathAny || now-fe.last > e.Timeout || !contains(paths, fe.path) {
+	fe, fresh := e.flowlets.lookup(f.ID, e.Net.Eng.Now(), e.Timeout, paths)
+	if fresh {
 		fe.path = paths[e.Rng.Intn(len(paths))]
 	}
-	fe.last = now
 	return fe.path
 }
 
 // OnFlowDone implements transport.Balancer.
-func (e *EdgeFlowlet) OnFlowDone(f *transport.Flow) { delete(e.flowlets, f.ID) }
+func (e *EdgeFlowlet) OnFlowDone(f *transport.Flow) { delete(e.flowlets.m, f.ID) }

@@ -33,11 +33,11 @@ func TestEdgeFlowletCleansUpOnDone(t *testing.T) {
 	e := &EdgeFlowlet{Net: nw, Rng: sim.NewRNG(2), Timeout: 150 * sim.Microsecond}
 	f := mkFlow(1, 0, 2, nw)
 	e.SelectPath(f)
-	if len(e.flowlets) != 1 {
+	if len(e.flowlets.m) != 1 {
 		t.Fatal("flowlet entry not created")
 	}
 	e.OnFlowDone(f)
-	if len(e.flowlets) != 0 {
+	if len(e.flowlets.m) != 0 {
 		t.Fatal("flowlet entry leaked after flow completion")
 	}
 }

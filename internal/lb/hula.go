@@ -38,7 +38,7 @@ type Hula struct {
 	Params HulaParams
 
 	bestPath []int // per destination leaf
-	flowlets map[uint64]*flowletEntry
+	flowlets flowletTable
 }
 
 // InstallHula sets up HULA on every leaf switch. It arms the utilization
@@ -56,7 +56,6 @@ func InstallHula(nw *net.Network, rng *sim.RNG, p HulaParams) []*Hula {
 		h := &Hula{
 			Net: nw, Leaf: l, Rng: rng, Params: p,
 			bestPath: make([]int, nw.Cfg.Leaves),
-			flowlets: map[uint64]*flowletEntry{},
 		}
 		for d := range h.bestPath {
 			h.bestPath[d] = -1
@@ -106,24 +105,18 @@ func linkUtil(port *net.Port, now sim.Time) float64 {
 
 // SelectUplink implements net.SwitchBalancer.
 func (h *Hula) SelectUplink(pkt *net.Packet, dstLeaf int) int {
-	now := h.Net.Eng.Now()
-	e := h.flowlets[pkt.Flow]
-	if e == nil {
-		e = &flowletEntry{path: net.PathAny}
-		h.flowlets[pkt.Flow] = e
-	}
 	paths := h.Net.AvailablePaths(h.Leaf, dstLeaf)
 	if len(paths) == 0 {
 		return 0
 	}
-	if e.path == net.PathAny || now-e.last > h.Params.FlowletTimeout || !contains(paths, e.path) {
+	e, fresh := h.flowlets.lookup(pkt.Flow, h.Net.Eng.Now(), h.Params.FlowletTimeout, paths)
+	if fresh {
 		if best := h.bestPath[dstLeaf]; best >= 0 && contains(paths, best) {
 			e.path = best
 		} else {
 			e.path = paths[h.Rng.Intn(len(paths))]
 		}
 	}
-	e.last = now
 	return e.path
 }
 

@@ -412,12 +412,12 @@ func TestLetFlowSweepEvictsStaleEntries(t *testing.T) {
 	lf := NewLetFlow(nw, 0, sim.NewRNG(1), 150*sim.Microsecond)
 	pkt := &net.Packet{Flow: 5, Src: 0, Dst: 2}
 	lf.SelectUplink(pkt, 1)
-	if len(lf.table) != 1 {
+	if len(lf.table.m) != 1 {
 		t.Fatal("entry not created")
 	}
 	// After the 100 ms sweep plus the staleness horizon, it is evicted.
 	eng.Run(eng.Now() + 300*sim.Millisecond)
-	if len(lf.table) != 0 {
-		t.Fatalf("stale flowlet entry survived the sweep: %d", len(lf.table))
+	if len(lf.table.m) != 0 {
+		t.Fatalf("stale flowlet entry survived the sweep: %d", len(lf.table.m))
 	}
 }

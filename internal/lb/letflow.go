@@ -16,48 +16,27 @@ type LetFlow struct {
 	// Timeout is the flowlet inactivity gap (150 us in §5.1).
 	Timeout sim.Time
 
-	table map[uint64]*flowletEntry
-	sweep *sim.Event
+	table flowletTable
 }
 
 // NewLetFlow builds the per-leaf instance and installs it on the switch.
 func NewLetFlow(nw *net.Network, leaf int, rng *sim.RNG, timeout sim.Time) *LetFlow {
-	l := &LetFlow{Net: nw, Leaf: leaf, Rng: rng, Timeout: timeout, table: map[uint64]*flowletEntry{}}
+	l := &LetFlow{Net: nw, Leaf: leaf, Rng: rng, Timeout: timeout}
 	nw.Leaves[leaf].Balancer = l
-	l.scheduleSweep()
+	l.table.sweep(nw.Eng, timeout)
 	return l
-}
-
-func (l *LetFlow) scheduleSweep() {
-	// Evict long-idle flowlet entries so the table does not grow without
-	// bound across a run.
-	l.sweep = l.Net.Eng.ScheduleKind(100*sim.Millisecond, sim.KindTimer, func() {
-		now := l.Net.Eng.Now()
-		for id, e := range l.table {
-			if now-e.last > 10*l.Timeout+10*sim.Millisecond {
-				delete(l.table, id)
-			}
-		}
-		l.scheduleSweep()
-	})
 }
 
 // SelectUplink implements net.SwitchBalancer.
 func (l *LetFlow) SelectUplink(pkt *net.Packet, dstLeaf int) int {
-	now := l.Net.Eng.Now()
-	e := l.table[pkt.Flow]
-	if e == nil {
-		e = &flowletEntry{path: net.PathAny}
-		l.table[pkt.Flow] = e
-	}
 	paths := l.Net.AvailablePaths(l.Leaf, dstLeaf)
 	if len(paths) == 0 {
 		return 0
 	}
-	if e.path == net.PathAny || now-e.last > l.Timeout || !contains(paths, e.path) {
+	e, fresh := l.table.lookup(pkt.Flow, l.Net.Eng.Now(), l.Timeout, paths)
+	if fresh {
 		e.path = paths[l.Rng.Intn(len(paths))]
 	}
-	e.last = now
 	return e.path
 }
 
