@@ -4,14 +4,14 @@ import (
 	"github.com/hermes-repro/hermes/internal/timeseries"
 )
 
-// Recovery computation defaults.
+// Recovery computation constants.
 const (
-	// DefaultBaselineWindowNs is how far before each onset the goodput
-	// baseline is averaged.
-	DefaultBaselineWindowNs = int64(5e6)
-	// DefaultDipThreshold is the fractional goodput drop below baseline
-	// that counts as a dip.
-	DefaultDipThreshold = 0.10
+	// baselineWindowNs is how far before each onset the goodput baseline
+	// is averaged.
+	baselineWindowNs = int64(10e6)
+	// dipThreshold is the fractional goodput drop below baseline that
+	// counts as a dip.
+	dipThreshold = 0.10
 	// DefaultSmooth is the centered moving-average window (samples) applied
 	// to the goodput series before dip detection.
 	DefaultSmooth = 9
@@ -26,11 +26,8 @@ type Options struct {
 	// flow arrival goodput falls to zero for every scheme, which is not a
 	// failure dip. 0 = the recording's last sample.
 	TrafficEndNs int64
-	// BaselineWindowNs, DipThreshold, Smooth default to the package
-	// constants when zero.
-	BaselineWindowNs int64
-	DipThreshold     float64
-	Smooth           int
+	// Smooth is the moving-average window; zero means DefaultSmooth.
+	Smooth int
 }
 
 // EventRecovery scores one failure activation. Durations are -1 when the
@@ -87,12 +84,6 @@ type Recovery struct {
 // It is a pure function of (recording, log, opts), so identical runs yield
 // byte-identical recoveries.
 func Compute(rec *timeseries.Recorder, log []*Applied, opts Options) *Recovery {
-	if opts.BaselineWindowNs <= 0 {
-		opts.BaselineWindowNs = DefaultBaselineWindowNs
-	}
-	if opts.DipThreshold <= 0 {
-		opts.DipThreshold = DefaultDipThreshold
-	}
 	if opts.Smooth <= 0 {
 		opts.Smooth = DefaultSmooth
 	}
@@ -236,7 +227,7 @@ func scoreDip(er *EventRecovery, times []int64, goodput []float64, opts Options)
 		if i >= len(goodput) {
 			break
 		}
-		if at >= er.OnsetNs-opts.BaselineWindowNs && at < er.OnsetNs {
+		if at >= er.OnsetNs-baselineWindowNs && at < er.OnsetNs {
 			sum += goodput[i]
 			n++
 		}
@@ -246,7 +237,7 @@ func scoreDip(er *EventRecovery, times []int64, goodput []float64, opts Options)
 	}
 	baseline := sum / float64(n)
 	er.BaselineGbps = baseline
-	floor := baseline * (1 - opts.DipThreshold)
+	floor := baseline * (1 - dipThreshold)
 
 	// Dip: first sub-floor sample in [onset, trafficEnd], until recovery.
 	dipStart, dipEnd := -1, -1
