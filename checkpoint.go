@@ -92,11 +92,13 @@ func SetDefaultRunContext(ctx context.Context) {
 	defaultRunCtx.Store(ctxBox{ctx: ctx})
 }
 
+// defaultRunContext is the context of a run or pool given none: the
+// SetDefaultRunContext default, else Background.
 func defaultRunContext() context.Context {
-	if v, ok := defaultRunCtx.Load().(ctxBox); ok {
+	if v, ok := defaultRunCtx.Load().(ctxBox); ok && v.ctx != nil {
 		return v.ctx
 	}
-	return nil
+	return context.Background()
 }
 
 // ckptPlan is a run's live checkpoint schedule: the canonical config bytes

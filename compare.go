@@ -18,7 +18,8 @@ type Comparison struct {
 	Base Config
 	// Workers bounds the per-scheme worker pool (0 = process default).
 	Workers int
-	// Context, when non-nil, cancels the whole matrix.
+	// Context, when non-nil, cancels the whole matrix; nil is the
+	// SetDefaultRunContext process default.
 	Context context.Context
 }
 
@@ -40,15 +41,11 @@ func (c Comparison) Run() ([]ComparisonRow, error) {
 	if len(seeds) == 0 {
 		seeds = Seeds(1, 1)
 	}
-	ctx := c.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	rows := make([]ComparisonRow, 0, len(c.Schemes))
 	for _, sch := range c.Schemes {
 		cfg := c.Base
 		cfg.Scheme = sch
-		results, stats, err := RunSeedsOpts(ctx, cfg, seeds, ParallelOptions{Workers: c.Workers})
+		results, stats, err := RunSeedsOpts(c.Context, cfg, seeds, ParallelOptions{Workers: c.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sch, err)
 		}

@@ -3,7 +3,10 @@ package hermes
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -81,6 +84,81 @@ func TestParallelCancellation(t *testing.T) {
 	_, err := RunParallelOpts(ctx, goldenConfig(), Seeds(1, 4), ParallelOptions{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunConfigsLabelsEachRun runs a load sweep as one batch: the status
+// plane must see the batch planned and tell its runs apart by load, and
+// each result must match a sequential Run of its config byte for byte.
+// Two configs that share scheme, load and seed must still get two labels.
+func TestRunConfigsLabelsEachRun(t *testing.T) {
+	st := NewStatus()
+	var cfgs []Config
+	for _, load := range []float64{0.3, 0.6} {
+		cfgs = append(cfgs, Config{
+			Topology: chaosTopo(), Scheme: SchemeECMP, Workload: "web-search",
+			Load: load, Flows: 40, Seed: 1, Telemetry: true, Status: st,
+		})
+	}
+	results, err := RunConfigs(context.Background(), cfgs, ParallelOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, s := range st.Summaries() {
+		labels = append(labels, s.Label)
+	}
+	sort.Strings(labels)
+	if want := []string{"ecmp/load 0.3/seed 1", "ecmp/load 0.6/seed 1"}; !reflect.DeepEqual(labels, want) {
+		t.Errorf("run labels %q, want %q", labels, want)
+	}
+	if p := st.Progress(); p.RunsPlanned != 2 {
+		t.Errorf("runs planned %d, want 2", p.RunsPlanned)
+	}
+	for i, c := range cfgs {
+		c.Status = nil
+		a, err := json.Marshal(results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(mustRun(t, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("load %g: batch result differs from a sequential Run", c.Load)
+		}
+	}
+
+	twice := NewStatus()
+	c := cfgs[0]
+	c.Status = twice
+	if _, err := RunConfigs(context.Background(), []Config{c, c}, ParallelOptions{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if sums := twice.Summaries(); len(sums) != 2 || sums[0].Label == sums[1].Label {
+		t.Errorf("one config run twice: summaries %+v, want two distinct labels", sums)
+	}
+}
+
+// TestPoolEntriesObserveDefaultRunContext: the entries that take no
+// context must stop, as Run does, when the SetDefaultRunContext default is
+// cancelled. The CLIs install their SIGINT context there.
+func TestPoolEntriesObserveDefaultRunContext(t *testing.T) {
+	defer SetDefaultRunContext(defaultRunContext())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	SetDefaultRunContext(ctx)
+
+	cfg := chaosConfig(SchemeECMP, nil)
+	if _, _, err := RunSeeds(cfg, Seeds(11, 2)); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunSeeds: err = %v, want context.Canceled", err)
+	}
+	if _, err := TuneHermes(cfg, nil, Seeds(11, 1), 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("TuneHermes: err = %v, want context.Canceled", err)
+	}
+	if _, err := (Comparison{Schemes: []Scheme{SchemeECMP}, Base: cfg}).Run(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Comparison.Run: err = %v, want context.Canceled", err)
 	}
 }
 
