@@ -47,7 +47,6 @@ func chaosExp(o options) {
 		Schemes:   failureSchemes,
 		Scenarios: scenarios,
 		Seeds:     hermes.Seeds(o.seed, 3),
-		Options:   hermes.ParallelOptions{Workers: sweepWorkers},
 	})
 	if err != nil && m == nil {
 		log.Fatal(err)

@@ -152,9 +152,8 @@ func (s *switchAt) SelectPath(*transport.Flow) int {
 	return s.after
 }
 
-// fig2 reproduces Example 2 (see examples/congestion_mismatch for the
-// standalone version): equal-weight spraying over an asymmetric fabric with
-// a 9 Gbps UDP flow pinned to the only shared path.
+// fig2 reproduces Example 2: equal-weight spraying over an asymmetric fabric
+// with a 9 Gbps UDP flow pinned to the only shared path.
 func fig2(o options) {
 	eng, nw := microFabric(3, 2, 2, 10e9, 10e9)
 	nw.SetFabricLink(0, 1, 0) // broken leaf0-spine1 link
@@ -181,10 +180,12 @@ func fig3(o options) {
 	tr := transport.New(nw, transport.DefaultOptions(), func(h *net.Host) transport.Balancer {
 		return &lb.Spray{Net: nw, SchemeName: "Presto*", WeightByCapacity: true}
 	})
+	q := metrics.QueueRecorder(eng, nw.Spines[1].Downlink(1), 100*sim.Microsecond)
 	f := tr.StartFlow(0, 2, 50_000_000)
 	eng.Run(2 * sim.Second)
 	gbps := float64(f.AckedBytes()) * 8 / float64(f.FCT())
 	fmt.Printf("flow A goodput: %.2f Gbps of an 11 Gbps aggregate\n", gbps)
+	fmt.Printf("spine1->leaf1 queue: %s\n", metrics.QueueStats(q))
 	fmt.Println("expected shape: well under the aggregate (paper observes ~5 of 11 Gbps);")
 	fmt.Println("ECN from the 1 Gbps path throttles the window driving the 10 Gbps path.")
 }
