@@ -36,7 +36,7 @@ const (
 // flight recorder (the evaluator runs on sample boundaries); leaving
 // Config.Alerts nil keeps the recorder hot path and every report byte
 // unchanged. Evaluation is driven by the virtual clock, so alert logs are
-// a pure function of (config, seed) — byte-identical under RunParallel.
+// a pure function of (config, seed) — byte-identical under RunConfigs.
 type AlertsConfig struct {
 	// Builtin arms the standard pack: goodput-dip, p99-fct-inflation,
 	// queue-saturation (sized to the fabric's queue capacity), and

@@ -114,7 +114,7 @@ func TestAlertsUserRules(t *testing.T) {
 }
 
 // TestAlertsDeterministicParallel: alert reports are a pure function of
-// (config, seed) — byte-identical between sequential Run and RunParallel.
+// (config, seed) — byte-identical between sequential Run and RunSeeds.
 func TestAlertsDeterministicParallel(t *testing.T) {
 	scenario, err := BuiltinScenario("spine-blackhole", chaosTopo())
 	if err != nil {
@@ -135,7 +135,7 @@ func TestAlertsDeterministicParallel(t *testing.T) {
 		}
 		seq[i] = b
 	}
-	par, err := RunParallel(cfg, seeds)
+	par, _, err := RunSeeds(cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestChaosMatrixAlerts(t *testing.T) {
 	if len(runs) != wantRuns {
 		t.Fatalf("alert log has %d runs, want %d", len(runs), wantRuns)
 	}
-	if runs[0].Label != "hermes/clean/seed 11" || runs[2].Label != "hermes/spine-blackhole/seed 11" {
+	if runs[0].Label != "hermes/load 0.5/seed 11" || runs[2].Label != "hermes/spine-blackhole/load 0.5/seed 11" {
 		t.Errorf("log labels out of slot order: %q, %q", runs[0].Label, runs[2].Label)
 	}
 

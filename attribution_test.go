@@ -119,7 +119,7 @@ func TestAttributionBlackholeAcceptance(t *testing.T) {
 
 // TestTraceDeterminismParallel: the same seed must produce byte-identical
 // JSONL and Perfetto exports whether the run executes alone or inside a
-// RunParallel worker pool.
+// RunConfigs worker pool.
 func TestTraceDeterminismParallel(t *testing.T) {
 	cfg := attributionConfig(SchemeHermes)
 	cfg.Flows = 120
@@ -128,7 +128,7 @@ func TestTraceDeterminismParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, err := RunParallelOpts(context.Background(), cfg, []int64{cfg.Seed, cfg.Seed + 1},
+	parRes, err := RunConfigs(context.Background(), seedConfigs(cfg, []int64{cfg.Seed, cfg.Seed + 1}),
 		ParallelOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +147,10 @@ func TestTraceDeterminismParallel(t *testing.T) {
 	seqJSONL, seqPerfetto := export(seqRes.Trace)
 	parJSONL, parPerfetto := export(parRes[0].Trace)
 	if seqJSONL != parJSONL {
-		t.Fatal("same seed produced different span JSONL under RunParallel")
+		t.Fatal("same seed produced different span JSONL under RunConfigs")
 	}
 	if seqPerfetto != parPerfetto {
-		t.Fatal("same seed produced different Perfetto output under RunParallel")
+		t.Fatal("same seed produced different Perfetto output under RunConfigs")
 	}
 	if otherJSONL, _ := export(parRes[1].Trace); otherJSONL == seqJSONL {
 		t.Fatal("different seeds produced identical traces (seed not applied?)")

@@ -85,7 +85,7 @@ func TestChaosBlackholeRecoveryAcceptance(t *testing.T) {
 // TestChaosRecoveryDeterministicParallel extends the worker-pool determinism
 // guarantee to the chaos engine: Result.Recovery and the flight recording of
 // a two-failure scenario must be byte-identical between sequential Run and
-// RunParallel for every seed.
+// RunSeeds for every seed.
 func TestChaosRecoveryDeterministicParallel(t *testing.T) {
 	scenario, err := BuiltinScenario("multi", chaosTopo())
 	if err != nil {
@@ -115,7 +115,7 @@ func TestChaosRecoveryDeterministicParallel(t *testing.T) {
 		seqSeries[i] = timeseriesBytes(t, res.TimeSeries)
 	}
 
-	par, err := RunParallel(cfg, seeds)
+	par, _, err := RunSeeds(cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

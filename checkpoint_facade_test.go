@@ -163,20 +163,12 @@ func TestPartialSweepOnCancellation(t *testing.T) {
 	cancel()
 
 	cfg := chaosConfig(SchemeECMP, nil)
-	results, err := RunParallelOpts(ctx, cfg, Seeds(11, 3), ParallelOptions{})
+	results, err := RunConfigs(ctx, seedConfigs(cfg, Seeds(11, 3)), ParallelOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled pool returned %v, want context.Canceled", err)
 	}
 	if results == nil || len(results) != 3 {
 		t.Fatalf("cancelled pool returned results %v, want 3 (nil) slots", results)
-	}
-
-	_, st, err := RunSeedsOpts(ctx, cfg, Seeds(11, 3), ParallelOptions{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled RunSeeds returned %v, want context.Canceled", err)
-	}
-	if st.N != 0 {
-		t.Errorf("stats over a fully-cancelled sweep claim N=%d completed seeds", st.N)
 	}
 
 	sc, scErr := BuiltinScenario("spine-blackhole", cfg.Topology)

@@ -386,7 +386,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		label := fmt.Sprintf("%s/seed %d", res.Scheme, cfg.Seed)
+		// The label the run carries on the status plane.
+		label := fmt.Sprintf("%s/load %g/seed %d", res.Scheme, cfg.Load, cfg.Seed)
+		if cfg.Scenario != nil {
+			label = fmt.Sprintf("%s/%s/load %g/seed %d", res.Scheme, cfg.Scenario.Name, cfg.Load, cfg.Seed)
+		}
 		if err := hermes.WriteAlertLog(f, label, res.Alerts); err != nil {
 			log.Fatal(err)
 		}

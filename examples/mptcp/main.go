@@ -6,10 +6,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"math"
+	"sort"
 
 	hermes "github.com/hermes-repro/hermes"
 )
@@ -26,19 +28,42 @@ func main() {
 	}
 
 	fmt.Printf("=== symmetric fabric, web-search @ 60%% (MPTCP with %d subflows) ===\n", *subflows)
-	rows, err := hermes.Comparison{
-		Schemes: []hermes.Scheme{hermes.SchemeECMP, hermes.SchemeMPTCP, hermes.SchemeCONGA, hermes.SchemeHermes},
-		Seeds:   hermes.Seeds(1, 2),
-		Base: hermes.Config{
-			Topology: topo, Workload: "web-search",
-			Load: 0.6, Flows: *flows, MPTCPSubflows: *subflows,
-		},
-	}.Run()
+	schemes := []hermes.Scheme{hermes.SchemeECMP, hermes.SchemeMPTCP, hermes.SchemeCONGA, hermes.SchemeHermes}
+	seeds := hermes.Seeds(1, 2)
+	var cfgs []hermes.Config
+	for _, sch := range schemes {
+		for _, seed := range seeds {
+			cfgs = append(cfgs, hermes.Config{
+				Topology: topo, Scheme: sch, Workload: "web-search",
+				Load: 0.6, Flows: *flows, Seed: seed, MPTCPSubflows: *subflows,
+			})
+		}
+	}
+	results, err := hermes.RunConfigs(context.Background(), cfgs, hermes.ParallelOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := hermes.WriteReport(os.Stdout, rows); err != nil {
-		log.Fatal(err)
+	// Rank the schemes by mean FCT over their seeds (results are
+	// scheme-major), fastest first and normalized to the fastest.
+	type row struct {
+		scheme       hermes.Scheme
+		mean, stddev float64
+	}
+	var rows []row
+	n := float64(len(seeds))
+	for i, sch := range schemes {
+		var sum, sumSq float64
+		for _, res := range results[i*len(seeds) : (i+1)*len(seeds)] {
+			x := res.FCT.Overall.MeanMs()
+			sum, sumSq = sum+x, sumSq+x*x
+		}
+		mean := sum / n
+		rows = append(rows, row{sch, mean, math.Sqrt(math.Max(sumSq/n-mean*mean, 0))})
+	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].mean < rows[j].mean })
+	fmt.Printf("%-14s %12s %10s %10s %8s\n", "scheme", "avg FCT(ms)", "stddev", "vs best", "seeds")
+	for _, r := range rows {
+		fmt.Printf("%-14s %12.3f %10.3f %9.2fx %8d\n", r.scheme, r.mean, r.stddev, r.mean/rows[0].mean, len(seeds))
 	}
 
 	fmt.Printf("\n=== same fabric @ 85%% load: small-flow tail ===\n")

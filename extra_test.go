@@ -298,12 +298,12 @@ func TestTestbedCableCut(t *testing.T) {
 	}
 }
 
-func TestRunParallelMatchesSequential(t *testing.T) {
+func TestRunSeedsMatchesSequential(t *testing.T) {
 	cfg := Config{
 		Topology: smallTopo(), Scheme: SchemeHermes,
 		Workload: "web-search", Load: 0.5, Flows: 60,
 	}
-	par, err := RunParallel(cfg, Seeds(1, 4))
+	par, _, err := RunSeeds(cfg, Seeds(1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,38 +352,6 @@ func TestQueueFactorChangesDynamics(t *testing.T) {
 	b := mustRun(t, cfg)
 	if a.FCT.Overall.Mean == b.FCT.Overall.Mean {
 		t.Fatal("queue factor had no effect at 80% load")
-	}
-}
-
-func TestComparisonMatrix(t *testing.T) {
-	rows, err := Comparison{
-		Schemes: []Scheme{SchemeECMP, SchemeHermes},
-		Seeds:   Seeds(1, 2),
-		Base: Config{
-			Topology: smallTopo(), Workload: "web-search",
-			Load: 0.5, Flows: 80,
-		},
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Scheme != SchemeECMP || rows[1].Scheme != SchemeHermes {
-		t.Fatalf("rows malformed: %+v", rows)
-	}
-	for _, r := range rows {
-		if r.Stats.N != 2 || len(r.Results) != 2 {
-			t.Fatal("per-seed results missing")
-		}
-	}
-	rep := ReportString(rows)
-	if !strings.Contains(rep, "ecmp") || !strings.Contains(rep, "hermes") {
-		t.Fatalf("report missing rows:\n%s", rep)
-	}
-	if !strings.Contains(rep, "1.00x") {
-		t.Fatalf("report missing normalization:\n%s", rep)
-	}
-	if _, err := (Comparison{}).Run(); err == nil {
-		t.Fatal("empty comparison accepted")
 	}
 }
 

@@ -49,7 +49,8 @@ func timeseriesBytes(t *testing.T, rec *timeseries.Recorder) []byte {
 // TestTimeSeriesParallelMatchesSequential extends the worker-pool
 // determinism guarantee to the flight recorder: the serialized time series
 // (samples, every registered series, the transition log) must be
-// byte-identical between a sequential Run and RunParallel for each seed.
+// byte-identical between a sequential Run and a RunConfigs batch for each
+// seed.
 func TestTimeSeriesParallelMatchesSequential(t *testing.T) {
 	seeds := Seeds(7, 3)
 	if testing.Short() {
@@ -68,7 +69,7 @@ func TestTimeSeriesParallelMatchesSequential(t *testing.T) {
 		seq[i] = timeseriesBytes(t, res.TimeSeries)
 	}
 
-	par, err := RunParallelOpts(context.Background(), cfg, seeds,
+	par, err := RunConfigs(context.Background(), seedConfigs(cfg, seeds),
 		ParallelOptions{Workers: len(seeds)})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)

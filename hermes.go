@@ -267,7 +267,7 @@ type Config struct {
 	// path-residency spans (placements, path changes, retransmits, timeouts,
 	// ECN marks, drops) on Result.Trace, which writes them as JSONL
 	// (WriteJSONL) or Perfetto trace-event JSON (WritePerfetto). Safe under
-	// RunParallel — each run owns its recorder. (omitempty keeps reports
+	// RunConfigs — each run owns its recorder. (omitempty keeps reports
 	// from untraced runs byte-stable.)
 	Trace bool `json:",omitempty"`
 
@@ -292,7 +292,7 @@ type Config struct {
 	// TimeSeries enables the flight recorder: bounded per-port queue/util
 	// series, Hermes path-state occupancy and transition log, and transport
 	// aggregates on Result.TimeSeries, which writes them as JSONL
-	// (WriteJSONL) or CSV (WriteCSV). Safe under RunParallel — each run owns
+	// (WriteJSONL) or CSV (WriteCSV). Safe under RunConfigs — each run owns
 	// its recorder. (omitempty keeps reports byte-stable.)
 	TimeSeries bool `json:",omitempty"`
 	// TimeSeriesIntervalNs is the sampling period in virtual nanoseconds
@@ -309,7 +309,7 @@ type Config struct {
 	// at every sample boundary, with a pending -> firing -> resolved
 	// lifecycle reported on Result.Alerts. Implies TimeSeries. Evaluation
 	// rides the virtual clock, so alert logs are byte-identical under
-	// RunParallel. (omitempty keeps reports from unwatched runs
+	// RunConfigs. (omitempty keeps reports from unwatched runs
 	// byte-stable.)
 	Alerts *AlertsConfig `json:",omitempty"`
 
@@ -345,8 +345,8 @@ type Config struct {
 	// byte-identical reports; Restore preserves it automatically.
 	Checkpoint *CheckpointConfig `json:",omitempty"`
 
-	// statusLabel names this run on the status plane. Set by the sweep
-	// helpers (scheme/scenario/seed); Run derives one when empty.
+	// statusLabel names this run on the status plane. RunConfigs sets it
+	// from its batch's runLabels; Run labels a batch of one when empty.
 	statusLabel string
 
 	// ctx, when set by the worker pool, lets a batch interrupt this run at
@@ -539,7 +539,7 @@ func runWith(cfg Config, rp *replayPlan) (res *Result, err error) {
 	r.st = statusFor(&r.cfg)
 	r.runLabel = r.cfg.statusLabel
 	if r.runLabel == "" {
-		r.runLabel = fmt.Sprintf("%s/seed %d", r.cfg.Scheme, r.cfg.Seed)
+		r.runLabel = runLabels(r.cfg)[0]
 	}
 	if r.st != nil {
 		r.sh = r.st.StartRun(r.runLabel, r.cfg.Flows)

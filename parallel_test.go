@@ -26,8 +26,18 @@ func reportBytes(t *testing.T, cfg Config, res *Result) []byte {
 	return buf.Bytes()
 }
 
+// seedConfigs copies cfg once per seed: the batch RunSeeds hands RunConfigs.
+func seedConfigs(cfg Config, seeds []int64) []Config {
+	cfgs := make([]Config, len(seeds))
+	for i, s := range seeds {
+		cfgs[i] = cfg
+		cfgs[i].Seed = s
+	}
+	return cfgs
+}
+
 // TestParallelMatchesSequential is the determinism cross-check for the
-// worker pool: RunParallel over N seeds must produce byte-identical
+// worker pool: RunConfigs over N seeds must produce byte-identical
 // serialized results to running the same seeds one at a time, for every
 // scheme. A worker-count or scheduling-order leak into simulation state
 // breaks this immediately.
@@ -57,7 +67,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				seq[i] = res
 			}
 
-			par, err := RunParallelOpts(context.Background(), cfg, seeds,
+			par, err := RunConfigs(context.Background(), seedConfigs(cfg, seeds),
 				ParallelOptions{Workers: len(seeds)})
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
@@ -76,12 +86,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelCancellation: a pre-cancelled context must abort the sweep
-// with context.Canceled and no partial results.
+// TestParallelCancellation: a pre-cancelled context must abort the batch
+// with context.Canceled and no finished results.
 func TestParallelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunParallelOpts(ctx, goldenConfig(), Seeds(1, 4), ParallelOptions{Workers: 2})
+	_, err := RunConfigs(ctx, seedConfigs(goldenConfig(), Seeds(1, 4)), ParallelOptions{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -141,6 +151,60 @@ func TestRunConfigsLabelsEachRun(t *testing.T) {
 	}
 }
 
+// TestOneLabelRule: every run is named "<scheme>[/<scenario>]/load
+// <load>/seed <seed>" on the status plane, whether it runs alone, as a
+// RunSeeds seed, in a RunConfigs batch or as a chaos matrix cell, and
+// "/slot <i>" is appended only where two configs of one batch share a label.
+func TestOneLabelRule(t *testing.T) {
+	base := Config{
+		Topology: chaosTopo(), Scheme: SchemeECMP, Workload: "web-search",
+		Load: 0.5, Flows: 15, Seed: 3, DrainTimeoutNs: 100e6,
+	}
+	sc := mustScenario(t, "spine-blackhole", base.Topology)
+	check := func(what string, st *Status, want ...string) {
+		t.Helper()
+		var got []string
+		for _, s := range st.Summaries() {
+			got = append(got, s.Label)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s labels %q, want %q", what, got, want)
+		}
+	}
+
+	c := base
+	c.Status, c.Scenario = NewStatus(), sc
+	mustRun(t, c)
+	check("Run", c.Status, "ecmp/spine-blackhole/load 0.5/seed 3")
+
+	c = base
+	c.Status = NewStatus()
+	if _, _, err := RunSeeds(c, Seeds(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	check("RunSeeds", c.Status, "ecmp/load 0.5/seed 1", "ecmp/load 0.5/seed 2")
+
+	c = base
+	c.Status = NewStatus()
+	low := c
+	low.Load = 0.3
+	if _, err := RunConfigs(context.Background(), []Config{c, low, c}, ParallelOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunConfigs", c.Status,
+		"ecmp/load 0.3/seed 3", "ecmp/load 0.5/seed 3/slot 0", "ecmp/load 0.5/seed 3/slot 2")
+
+	c = base
+	c.Status = NewStatus()
+	if _, err := RunChaosMatrix(context.Background(), ChaosMatrixConfig{
+		Base: c, Schemes: []Scheme{SchemeHermes}, Scenarios: []*Scenario{sc}, Seeds: []int64{4},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunChaosMatrix", c.Status, "hermes/load 0.5/seed 4", "hermes/spine-blackhole/load 0.5/seed 4")
+}
+
 // TestPoolEntriesObserveDefaultRunContext: the entries that take no
 // context must stop, as Run does, when the SetDefaultRunContext default is
 // cancelled. The CLIs install their SIGINT context there.
@@ -151,14 +215,18 @@ func TestPoolEntriesObserveDefaultRunContext(t *testing.T) {
 	SetDefaultRunContext(ctx)
 
 	cfg := chaosConfig(SchemeECMP, nil)
-	if _, _, err := RunSeeds(cfg, Seeds(11, 2)); !errors.Is(err, context.Canceled) {
+	results, st, err := RunSeeds(cfg, Seeds(11, 2))
+	if !errors.Is(err, context.Canceled) {
 		t.Errorf("RunSeeds: err = %v, want context.Canceled", err)
+	}
+	if len(results) != 2 || results[0] != nil || results[1] != nil {
+		t.Errorf("RunSeeds: results %v, want 2 nil slots", results)
+	}
+	if st.N != 0 {
+		t.Errorf("stats over a fully-cancelled sweep claim N=%d completed seeds", st.N)
 	}
 	if _, err := TuneHermes(cfg, nil, Seeds(11, 1), 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("TuneHermes: err = %v, want context.Canceled", err)
-	}
-	if _, err := (Comparison{Schemes: []Scheme{SchemeECMP}, Base: cfg}).Run(); !errors.Is(err, context.Canceled) {
-		t.Errorf("Comparison.Run: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -104,7 +104,7 @@ func TestPerfDoesNotChangeReport(t *testing.T) {
 	}
 
 	seeds := Seeds(1, 3)
-	par, err := RunParallelOpts(context.Background(), pcfg, seeds,
+	par, err := RunConfigs(context.Background(), seedConfigs(pcfg, seeds),
 		ParallelOptions{Workers: len(seeds)})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestPerfConcurrentSweep(t *testing.T) {
 	}()
 
 	seeds := Seeds(1, 4)
-	if _, err := RunParallelOpts(context.Background(), cfg, seeds,
+	if _, err := RunConfigs(context.Background(), seedConfigs(cfg, seeds),
 		ParallelOptions{Workers: len(seeds)}); err != nil {
 		t.Fatal(err)
 	}

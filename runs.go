@@ -38,7 +38,7 @@ type SeedStats struct {
 	Min, Max float64
 }
 
-// ParallelOptions tunes multi-seed sweep execution.
+// ParallelOptions tunes the RunConfigs worker pool.
 type ParallelOptions struct {
 	// Workers bounds the number of simulations running concurrently.
 	// <=0 uses the process default (SetDefaultWorkers, else GOMAXPROCS).
@@ -51,8 +51,8 @@ type ParallelOptions struct {
 var defaultWorkers atomic.Int64
 
 // SetDefaultWorkers sets the process-wide default worker-pool size used by
-// RunSeeds/RunParallel when the caller passes no explicit option. n <= 0
-// restores the GOMAXPROCS default.
+// RunConfigs (and so RunSeeds) when the caller passes no explicit option.
+// n <= 0 restores the GOMAXPROCS default.
 func SetDefaultWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -68,110 +68,57 @@ func (o ParallelOptions) workers(jobs int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, jobs))
 }
 
 // RunSeeds executes the same experiment under each seed and returns the
 // per-seed results plus aggregate statistics of the overall mean FCT (in
 // milliseconds). Use it to separate scheme effects from arrival-pattern
-// noise; the paper averages five runs (§5.1). Runs execute on a parallel
-// worker pool — each simulation is single-threaded and fully isolated, so
-// results are identical to sequential execution. The runs stop when the
-// SetDefaultRunContext process default is cancelled.
+// noise; the paper averages five runs (§5.1). The seeds run as one
+// RunConfigs batch under the SetDefaultRunContext process default, so
+// results[i] is bit-identical to a sequential Run with seeds[i]. When that
+// context is cancelled, RunSeeds returns the finished results (nil for the
+// rest), stats over those alone (SeedStats.N says how many) and the error.
 func RunSeeds(cfg Config, seeds []int64) ([]*Result, SeedStats, error) {
-	return RunSeedsOpts(defaultRunContext(), cfg, seeds, ParallelOptions{})
-}
-
-// RunSeedsOpts is RunSeeds with a cancellation context and explicit pool
-// options.
-func RunSeedsOpts(ctx context.Context, cfg Config, seeds []int64, opts ParallelOptions) ([]*Result, SeedStats, error) {
 	if len(seeds) == 0 {
 		return nil, SeedStats{}, fmt.Errorf("hermes: RunSeeds needs at least one seed")
 	}
-	results, err := RunParallelOpts(ctx, cfg, seeds, opts)
-	if err != nil && results == nil {
+	cfgs := make([]Config, len(seeds))
+	for i, seed := range seeds {
+		cfgs[i] = cfg
+		cfgs[i].Seed = seed
+	}
+	results, err := RunConfigs(defaultRunContext(), cfgs, ParallelOptions{})
+	if results == nil {
 		return nil, SeedStats{}, err
 	}
-	// On pure cancellation the pool hands back what finished (nil for the
-	// rest); the stats then cover completed seeds only and SeedStats.N says
-	// how many that was. err is still returned so callers can flag the
-	// report as partial.
 	var xs []float64
 	for _, res := range results {
-		if res == nil {
-			continue
+		if res != nil {
+			xs = append(xs, res.FCT.Overall.MeanMs())
 		}
-		xs = append(xs, res.FCT.Overall.MeanMs())
 	}
 	return results, newSeedStats(xs), err
 }
 
-// RunParallel executes one experiment per seed on a worker pool bounded by
-// GOMAXPROCS. Each run owns its engine, RNG and telemetry, so the results
-// are bit-identical to running the seeds one at a time. The runs stop when
-// the SetDefaultRunContext process default is cancelled.
-func RunParallel(cfg Config, seeds []int64) ([]*Result, error) {
-	return RunParallelOpts(defaultRunContext(), cfg, seeds, ParallelOptions{})
-}
-
-// RunParallelOpts executes one experiment per seed on a sharded worker pool.
+// RunConfigs executes one fully specified Config per slot on a bounded
+// worker pool; RunSeeds and RunChaosMatrix run their batches through it.
+// It plans the batch on the status plane and labels each run there, in
+// /metrics and in its errors "<scheme>[/<scenario>]/load <load>/seed
+// <seed>", adding "/slot <i>" where two configs of the batch share a label.
 //
-//   - Determinism: results[i] always corresponds to seeds[i], and every run
-//     is bit-identical to a sequential Run with the same Config+Seed (worker
-//     count and scheduling order cannot leak into results).
-//   - Isolation: each worker goroutine runs whole simulations; a run's
-//     engine, RNG, report sweep, histograms and audit log are all owned by
-//     that run, so telemetry from concurrent seeds never mixes.
-//   - Cancellation: cancelling ctx aborts queued seeds and interrupts
-//     in-flight simulations at their next scheduling slice; the first real
-//     simulation error cancels the rest of the sweep and returns nil results.
-//     A pure cancellation returns the completed results (nil for unfinished
-//     slots) together with the cancellation error, so partial sweeps can
-//     still be reported. A nil ctx is the SetDefaultRunContext default.
-func RunParallelOpts(ctx context.Context, cfg Config, seeds []int64, opts ParallelOptions) ([]*Result, error) {
-	cfgs := make([]Config, len(seeds))
-	labels := make([]string, len(seeds))
-	for i, seed := range seeds {
-		cfgs[i] = cfg
-		cfgs[i].Seed = seed
-		labels[i] = fmt.Sprintf("seed %d", seed)
-	}
-	return runConfigsPool(ctx, cfgs, labels, opts)
-}
-
-// RunConfigs executes one fully specified Config per slot, such as one
-// scheme at several loads, on the worker pool with the RunParallelOpts
-// contract: results[i] is bit-identical to a sequential Run of cfgs[i]. The
-// batch is announced on the status plane, and each run is labelled
-// "<scheme>/load <load>/seed <seed>", with "/slot <i>" appended when two
-// configs share all three. A nil ctx is the SetDefaultRunContext default.
+//   - Determinism: results[i] is bit-identical to a sequential Run of
+//     cfgs[i]; worker count and scheduling order cannot leak into results.
+//   - Isolation: each worker runs whole simulations, and a run's engine,
+//     RNG, report sweep, histograms and audit log are its own, so telemetry
+//     from concurrent runs never mixes.
+//   - Cancellation: cancelling ctx aborts queued runs and interrupts
+//     in-flight ones at their next scheduling slice. The first real failure,
+//     by slot order, cancels the rest and returns nil results. A pure
+//     cancellation returns the finished results (nil for unfinished slots)
+//     with the error, so a partial batch can still be reported. A nil ctx
+//     is the SetDefaultRunContext default.
 func RunConfigs(ctx context.Context, cfgs []Config, opts ParallelOptions) ([]*Result, error) {
-	labels := make([]string, len(cfgs))
-	n := make(map[string]int, len(cfgs))
-	for i, c := range cfgs {
-		labels[i] = fmt.Sprintf("%s/load %g/seed %d", c.Scheme, c.Load, c.Seed)
-		n[labels[i]]++
-	}
-	for i, l := range labels {
-		if n[l] > 1 {
-			labels[i] = fmt.Sprintf("%s/slot %d", l, i)
-		}
-	}
-	return runConfigsPool(ctx, cfgs, labels, opts)
-}
-
-// runConfigsPool executes one fully-specified Config per slot on a bounded
-// worker pool with the RunParallelOpts contract: results[i] matches cfgs[i]
-// bit-for-bit with a sequential Run, the first real failure (by slot order,
-// tagged with labels[i]) cancels the rest, and cancellation of ctx aborts
-// queued and in-flight runs. A nil ctx is the process default.
-func runConfigsPool(ctx context.Context, cfgs []Config, labels []string, opts ParallelOptions) ([]*Result, error) {
 	if ctx == nil {
 		ctx = defaultRunContext()
 	}
@@ -182,18 +129,13 @@ func runConfigsPool(ctx context.Context, cfgs []Config, labels []string, opts Pa
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Announce the batch on the status plane(s) the runs will publish to —
-	// configs may carry distinct trackers, so tally per tracker.
-	planned := map[*Status]int{}
+	// Announce the batch on the status plane(s) the runs will publish to;
+	// configs may carry distinct trackers.
 	for i := range cfgs {
-		if st := statusFor(&cfgs[i]); st != nil {
-			planned[st]++
-		}
-	}
-	for st, n := range planned {
-		st.Plan(n)
+		statusFor(&cfgs[i]).Plan(1)
 	}
 
+	labels := runLabels(cfgs...)
 	errs := make([]error, len(cfgs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -226,12 +168,10 @@ feed:
 	close(jobs)
 	wg.Wait()
 
-	// Report the first real simulation failure (deterministically, by seed
-	// order) in preference to the cancellations it triggered in peers. A
-	// pure cancellation — the operator hit Ctrl-C, nothing actually broke —
-	// returns the completed results ALONGSIDE the error (nil slots for runs
-	// that never finished), so callers can flush a partial report instead
-	// of throwing away every finished simulation.
+	// Report the first real failure, by slot order, in preference to the
+	// cancellations it triggered in peers. A pure cancellation (Ctrl-C,
+	// nothing broke) returns the finished results alongside the error, so
+	// callers can flush a partial report.
 	var firstCancel error
 	for _, err := range errs {
 		switch {
@@ -245,10 +185,31 @@ feed:
 		}
 	}
 	if firstCancel == nil {
-		// Cancelled between runs: no worker saw it, but queued seeds never ran.
+		// Cancelled between runs: no worker saw it, but queued runs never ran.
 		firstCancel = ctx.Err()
 	}
 	return results, firstCancel
+}
+
+// runLabels is the one label rule, for RunConfigs' batches, the chaos
+// alert log and a single Run, which is a batch of one.
+func runLabels(cfgs ...Config) []string {
+	labels := make([]string, len(cfgs))
+	n := make(map[string]int, len(cfgs))
+	for i, c := range cfgs {
+		scenario := ""
+		if c.Scenario != nil {
+			scenario = "/" + c.Scenario.Name
+		}
+		labels[i] = fmt.Sprintf("%s%s/load %g/seed %d", c.Scheme, scenario, c.Load, c.Seed)
+		n[labels[i]]++
+	}
+	for i, l := range labels {
+		if n[l] > 1 {
+			labels[i] = fmt.Sprintf("%s/slot %d", l, i)
+		}
+	}
+	return labels
 }
 
 // Seeds returns [base, base+1, ..., base+n-1], a convenience for RunSeeds.
@@ -419,19 +380,13 @@ func RunChaosMatrix(ctx context.Context, mc ChaosMatrixConfig) (*ChaosMatrix, er
 		names[sc.Name] = true
 	}
 
-	// Flatten: per scheme, one clean baseline run then every scenario, per
-	// seed. Slot order is the deterministic identity of each run.
-	type slot struct {
-		scheme   int
-		scenario int // -1 = clean baseline
-		seed     int
-	}
-	var slots []slot
+	// Flatten: per scheme, the clean baseline then every scenario, each over
+	// every seed, so a cell's runs are contiguous. Slot order is the
+	// deterministic identity of each run.
 	var cfgs []Config
-	var labels []string
-	for si, scheme := range mc.Schemes {
+	for _, scheme := range mc.Schemes {
 		for ci := -1; ci < len(mc.Scenarios); ci++ {
-			for ki, seed := range mc.Seeds {
+			for _, seed := range mc.Seeds {
 				c := mc.Base
 				c.Scheme = scheme
 				c.Seed = seed
@@ -440,12 +395,9 @@ func RunChaosMatrix(ctx context.Context, mc ChaosMatrixConfig) (*ChaosMatrix, er
 				if ci < 0 {
 					c.Scenario = nil
 					c.TimeSeries = false
-					labels = append(labels, fmt.Sprintf("%s/clean/seed %d", scheme, seed))
 				} else {
 					c.Scenario = mc.Scenarios[ci]
-					labels = append(labels, fmt.Sprintf("%s/%s/seed %d", scheme, mc.Scenarios[ci].Name, seed))
 				}
-				slots = append(slots, slot{scheme: si, scenario: ci, seed: ki})
 				cfgs = append(cfgs, c)
 			}
 		}
@@ -453,8 +405,8 @@ func RunChaosMatrix(ctx context.Context, mc ChaosMatrixConfig) (*ChaosMatrix, er
 	statusFor(&mc.Base).Note(fmt.Sprintf(
 		"chaos matrix: %d schemes x %d scenarios x %d seeds (+clean baselines)",
 		len(mc.Schemes), len(mc.Scenarios), len(mc.Seeds)))
-	results, poolErr := runConfigsPool(ctx, cfgs, labels, mc.Options)
-	if poolErr != nil && results == nil {
+	results, poolErr := RunConfigs(ctx, cfgs, mc.Options)
+	if results == nil {
 		return nil, poolErr
 	}
 
@@ -462,6 +414,7 @@ func RunChaosMatrix(ctx context.Context, mc ChaosMatrixConfig) (*ChaosMatrix, er
 	// the log bytes are then a pure function of the matrix config,
 	// independent of worker count and scheduling.
 	if mc.Alerts != nil && mc.AlertLog != nil {
+		labels := runLabels(cfgs...)
 		for i, res := range results {
 			if res == nil || res.Alerts == nil {
 				continue
@@ -482,19 +435,22 @@ func RunChaosMatrix(ctx context.Context, mc ChaosMatrixConfig) (*ChaosMatrix, er
 		m.Scenarios = append(m.Scenarios, sc.Name)
 	}
 
-	// Group results back into cells. Interrupted sweeps leave nil slots;
-	// the matrix aggregates whatever finished.
-	byCell := make(map[[2]int][]*Result)
-	for i, res := range results {
-		if res == nil {
-			continue
+	// runsOf returns the finished runs of scheme si under scenario ci (-1 =
+	// clean baseline). Interrupted sweeps leave nil slots; the matrix
+	// aggregates whatever finished.
+	runsOf := func(si, ci int) []*Result {
+		first := (si*(len(mc.Scenarios)+1) + ci + 1) * len(mc.Seeds)
+		var out []*Result
+		for _, res := range results[first : first+len(mc.Seeds)] {
+			if res != nil {
+				out = append(out, res)
+			}
 		}
-		byCell[[2]int{slots[i].scheme, slots[i].scenario}] = append(
-			byCell[[2]int{slots[i].scheme, slots[i].scenario}], res)
+		return out
 	}
 	for si, scheme := range mc.Schemes {
 		var p99 []float64
-		for _, res := range byCell[[2]int{si, -1}] {
+		for _, res := range runsOf(si, -1) {
 			p99 = append(p99, res.FCT.Overall.P99Ms())
 		}
 		m.BaselineP99Ms[scheme] = newSeedStats(p99).Mean
@@ -503,7 +459,7 @@ func RunChaosMatrix(ctx context.Context, mc ChaosMatrixConfig) (*ChaosMatrix, er
 		for si, scheme := range mc.Schemes {
 			cell := ChaosCell{Scheme: scheme, Scenario: mc.Scenarios[ci].Name}
 			var detect, reroute, worstDip, dipInt, p99, goodput []float64
-			for _, res := range byCell[[2]int{si, ci}] {
+			for _, res := range runsOf(si, ci) {
 				cell.Runs++
 				cell.Unfinished += res.FCT.Unfinished
 				p99 = append(p99, res.FCT.Overall.P99Ms())

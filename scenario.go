@@ -50,7 +50,7 @@ type Scenario struct {
 
 // toChaos lowers the JSON-able scenario to chaos injectors. Injector
 // instances are freshly built per call, so one Scenario value is safe to
-// share across RunParallel seeds.
+// share across the runs of a RunConfigs batch.
 func (s *Scenario) toChaos(topo Topology) (*chaos.Scenario, error) {
 	out := &chaos.Scenario{Name: s.Name}
 	for i, ev := range s.Events {

@@ -26,7 +26,7 @@ func TestStatusDoesNotPerturbReports(t *testing.T) {
 	cfg := statusConfig()
 	seeds := Seeds(1, 4)
 
-	baseline, err := RunParallel(cfg, seeds)
+	baseline, _, err := RunSeeds(cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestStatusDoesNotPerturbReports(t *testing.T) {
 	}()
 	observed := cfg
 	observed.Status = st
-	watched, err := RunParallel(observed, seeds)
+	watched, _, err := RunSeeds(observed, seeds)
 	close(stopPoll)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestStatusDoesNotPerturbReports(t *testing.T) {
 		if s.Err != "" || s.Flows != cfg.Flows || s.SimDurationNs <= 0 {
 			t.Fatalf("bad summary: %+v", s)
 		}
-		if !strings.HasPrefix(s.Label, "seed ") {
+		if !strings.HasPrefix(s.Label, "hermes/load 0.4/seed ") {
 			t.Fatalf("pool label not threaded: %q", s.Label)
 		}
 	}
@@ -245,8 +245,8 @@ func TestMetricsArePerRun(t *testing.T) {
 	}
 	i := strings.LastIndexByte(samples[0], ' ')
 	series, value := samples[0][:i], samples[0][i+1:]
-	if series != `hermes_reps_cache_hit_rate{run="reps/seed 3"}` {
-		t.Fatalf("sample %q, want the last run's, labelled run=\"reps/seed 3\"", samples[0])
+	if series != `hermes_reps_cache_hit_rate{run="reps/load 0.5/seed 3"}` {
+		t.Fatalf("sample %q, want the last run's, labelled run=\"reps/load 0.5/seed 3\"", samples[0])
 	}
 	if got, err := strconv.ParseFloat(value, 64); err != nil || got != want {
 		t.Fatalf("sample value %s, want the report counter %v", value, want)
@@ -306,7 +306,7 @@ func TestChaosMatrixStatus(t *testing.T) {
 	for _, s := range st.Summaries() {
 		labels[s.Label] = true
 	}
-	for _, want := range []string{"hermes/clean/seed 7", "ecmp/spine-blackhole/seed 8"} {
+	for _, want := range []string{"hermes/load 0.4/seed 7", "ecmp/spine-blackhole/load 0.4/seed 8"} {
 		if !labels[want] {
 			t.Fatalf("missing cell label %q in %v", want, labels)
 		}
