@@ -140,7 +140,7 @@ func TestSwitchSchemeDigests(t *testing.T) {
 		{"edge-flowlet", SchemeEdgeFlowlet, FailureSpec{}, "3e072ad342df90bc19152d8a9e96afafcf73bcc4eb205f4f70709afecdfd6b96"},
 		{"edge-flowlet/degrade-link", SchemeEdgeFlowlet, degrade, "eb75ee673412a3eeda57c2fd613c0bdb8cdc1696f29f2e145377a6e4bf52c694"},
 		{"conga/flap", SchemeCONGA, flap, "1fc16cfc6ee5ebf1d717468578d2646f377c8bea4072a7301384c79c55cae0b6"},
-		{"hula/flap", SchemeHULA, flap, "134392640c9387eb2f8eb82f1c1ba6dba573ad27a8afa5f823e3dc9ee493f93a"},
+		{"hula/flap", SchemeHULA, flap, "6da7782995bf95fe648bace8cb9fc0b6ff2b345c609a953efb84aa1dd5283858"},
 		{"letflow/flap", SchemeLetFlow, flap, "752e4624df000e60e9f5ccee74d0dacb93137be56848bb170008c290ef77b48d"},
 		{"clove/flap", SchemeCLOVE, flap, "27c719ed07078f419ce16ec95e391183dff6c095670485fc7e16440441ee3c46"},
 		{"edge-flowlet/flap", SchemeEdgeFlowlet, flap, "4d05b3116c56e24e2a6c730c11684351c6eeaf83bb6a176ab3efe966cddb1718"},

@@ -43,7 +43,8 @@ type Hula struct {
 
 // InstallHula sets up HULA on every leaf switch. It arms the utilization
 // estimators of every leaf uplink and spine downlink before any traffic;
-// the per-leaf instances share each spine downlink's estimator.
+// the per-leaf instances share each spine downlink's estimator. Each leaf
+// sweeps its flowlet table every 100 ms, as LetFlow and CONGA do.
 func InstallHula(nw *net.Network, rng *sim.RNG, p HulaParams) []*Hula {
 	for l := range nw.Leaves {
 		for q := 0; q < nw.NPaths(); q++ {
@@ -62,6 +63,7 @@ func InstallHula(nw *net.Network, rng *sim.RNG, p HulaParams) []*Hula {
 		}
 		nw.Leaves[l].Balancer = h
 		h.refresh()
+		h.flowlets.sweep(nw.Eng, p.FlowletTimeout)
 		out[l] = h
 	}
 	return out

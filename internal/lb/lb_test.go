@@ -421,3 +421,18 @@ func TestLetFlowSweepEvictsStaleEntries(t *testing.T) {
 		t.Fatalf("stale flowlet entry survived the sweep: %d", len(lf.table.m))
 	}
 }
+
+func TestHulaSweepEvictsStaleEntries(t *testing.T) {
+	eng, nw := testNet(t, 2, 2, 2)
+	h := InstallHula(nw, sim.NewRNG(1), DefaultHulaParams())[0]
+	pkt := &net.Packet{Flow: 5, Src: 0, Dst: 2}
+	h.SelectUplink(pkt, 1)
+	if len(h.flowlets.m) != 1 {
+		t.Fatal("entry not created")
+	}
+	// After the 100 ms sweep plus the staleness horizon, it is evicted.
+	eng.Run(eng.Now() + 300*sim.Millisecond)
+	if len(h.flowlets.m) != 0 {
+		t.Fatalf("stale flowlet entry survived the sweep: %d", len(h.flowlets.m))
+	}
+}
