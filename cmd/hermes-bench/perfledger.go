@@ -93,32 +93,11 @@ func medianOf(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// printPerfAggregate renders the -perf-runs summary of the status tracker's
-// perf aggregate after all experiments finish: how much simulator work ran,
-// at what throughput, and what it cost the Go runtime.
+// printPerfAggregate prints the -perf-runs block after all experiments
+// finish: the status tracker's perf aggregate, set off by a blank line.
 func printPerfAggregate(st *hermes.Status) {
-	s := st.PerfSummary()
-	if s.RunsProfiled == 0 {
-		return
-	}
-	fmt.Printf("\n---------------- perf observatory (%d runs) ----------------\n", s.RunsProfiled)
-	fmt.Printf("events fired     %d (queue peak %d)\n", s.EventsTotal, s.QueuePeak)
-	fmt.Printf("sim/wall ratio   %.2fx (%.3fs simulated in %.3fs)\n",
-		s.SimPerWall, float64(s.SimNs)/1e9, float64(s.WallNs)/1e9)
-	fmt.Printf("peak heap        %.1f MiB, GC cycles %d, goroutines now %d\n",
-		float64(s.PeakHeapBytes)/(1<<20), s.Runtime.GCCycles, s.Runtime.Goroutines)
-	if len(s.EventsByKind) > 0 {
-		kinds := make([]string, 0, len(s.EventsByKind))
-		for k := range s.EventsByKind {
-			kinds = append(kinds, k)
-		}
-		sort.Slice(kinds, func(i, j int) bool {
-			return s.EventsByKind[kinds[i]] > s.EventsByKind[kinds[j]]
-		})
-		fmt.Printf("events by kind  ")
-		for _, k := range kinds {
-			fmt.Printf(" %s=%d", k, s.EventsByKind[k])
-		}
+	if s := st.PerfSummary(); s.RunsProfiled > 0 {
 		fmt.Println()
+		s.RenderText(os.Stdout)
 	}
 }

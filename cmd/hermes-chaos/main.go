@@ -178,16 +178,7 @@ func main() {
 	}
 	if *perfOn {
 		mc.Base.Perf = &hermes.PerfOptions{SampleEvery: *perfSample}
-		defer func() {
-			s := st.PerfSummary()
-			if s.RunsProfiled == 0 {
-				return
-			}
-			fmt.Fprintf(os.Stderr,
-				"perf: %d runs profiled, %d events (queue peak %d), sim/wall %.2fx, peak heap %.1f MiB, GC cycles %d\n",
-				s.RunsProfiled, s.EventsTotal, s.QueuePeak, s.SimPerWall,
-				float64(s.PeakHeapBytes)/(1<<20), s.Runtime.GCCycles)
-		}()
+		defer func() { st.PerfSummary().RenderText(os.Stderr) }()
 	}
 	if *statusAddr != "" {
 		srv, err := hermes.ServeStatus(*statusAddr, st)

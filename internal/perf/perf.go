@@ -150,6 +150,35 @@ func (r *RunReport) RenderText(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// RenderText writes the cross-run aggregate the CLIs print: a total line
+// starting "perf: N runs profiled", fires by event kind (most first) and
+// the runtime cost. A summary of no runs renders nothing.
+func (s Summary) RenderText(w io.Writer) {
+	if s.RunsProfiled == 0 {
+		return
+	}
+	fmt.Fprintf(w, "perf: %d runs profiled, %s events fired (queue peak %d), %.3fs simulated in %.3fs wall (%.2fx realtime)\n",
+		s.RunsProfiled, humanCount(s.EventsTotal), s.QueuePeak,
+		float64(s.SimNs)/1e9, float64(s.WallNs)/1e9, s.SimPerWall)
+	if len(s.EventsByKind) > 0 {
+		kinds := make([]string, 0, len(s.EventsByKind))
+		for k := range s.EventsByKind {
+			kinds = append(kinds, k)
+		}
+		sort.Slice(kinds, func(i, j int) bool {
+			a, b := s.EventsByKind[kinds[i]], s.EventsByKind[kinds[j]]
+			return a > b || a == b && kinds[i] < kinds[j]
+		})
+		fmt.Fprint(w, "  by kind:")
+		for _, k := range kinds {
+			fmt.Fprintf(w, " %s=%s", k, humanCount(s.EventsByKind[k]))
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "  runtime: peak heap %s, %d GC cycles, %d goroutines now\n",
+		humanBytes(s.PeakHeapBytes), s.Runtime.GCCycles, s.Runtime.Goroutines)
+}
+
 func humanCount(n uint64) string {
 	switch {
 	case n >= 1e9:

@@ -229,3 +229,29 @@ func TestObservatoryAggregation(t *testing.T) {
 		t.Fatalf("metrics: %v", byName)
 	}
 }
+
+// TestSummaryRenderText: both CLIs print the aggregate through this one
+// renderer, whose first line CI greps for "perf: N runs profiled".
+func TestSummaryRenderText(t *testing.T) {
+	var sb strings.Builder
+	Summary{}.RenderText(&sb)
+	if sb.Len() != 0 {
+		t.Fatalf("a summary of no runs rendered %q", sb.String())
+	}
+	s := Summary{
+		RunsProfiled: 2, EventsTotal: 30, QueuePeak: 5, SimNs: 200, WallNs: 100, SimPerWall: 2,
+		EventsByKind:  map[string]uint64{"rto": 5, "port_tx": 25, "arrival": 5},
+		PeakHeapBytes: 3 << 20,
+	}
+	s.RenderText(&sb)
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "perf: 2 runs profiled, 30 events fired (queue peak 5)") {
+		t.Fatalf("RenderText:\n%s", sb.String())
+	}
+	if lines[1] != "  by kind: port_tx=25 arrival=5 rto=5" {
+		t.Errorf("by-kind line %q, want most fires first, ties by name", lines[1])
+	}
+	if !strings.Contains(lines[2], "peak heap 3.00 MiB") {
+		t.Errorf("runtime line %q", lines[2])
+	}
+}
