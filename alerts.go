@@ -1,7 +1,6 @@
 package hermes
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/hermes-repro/hermes/internal/alert"
@@ -46,8 +45,9 @@ type AlertsConfig struct {
 	Rules []AlertRule `json:",omitempty"`
 }
 
-// rules materializes the armed rule set for one run.
-func (ac *AlertsConfig) rules(flight *timeseries.Recorder, nw *net.Network) ([]alert.Rule, error) {
+// rules materializes the armed rule set for one run; validate has checked
+// that it is not empty.
+func (ac *AlertsConfig) rules(flight *timeseries.Recorder, nw *net.Network) []alert.Rule {
 	var rules []alert.Rule
 	if ac.Builtin {
 		rules = alert.Builtin(alert.BuiltinParams{
@@ -55,11 +55,7 @@ func (ac *AlertsConfig) rules(flight *timeseries.Recorder, nw *net.Network) ([]a
 			QueueCapBytes: float64(nw.MaxFabricQueueCap()),
 		})
 	}
-	rules = append(rules, ac.Rules...)
-	if len(rules) == 0 {
-		return nil, fmt.Errorf("hermes: Config.Alerts set but no rules armed (set Builtin or Rules)")
-	}
-	return rules, nil
+	return append(rules, ac.Rules...)
 }
 
 // ValidateAlertRules checks a user rule set eagerly (the same validation

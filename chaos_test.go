@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/hermes-repro/hermes/internal/chaos"
 )
 
 // chaosTopo is a 2x2 fabric where a spine-0 blackhole eats half of ECMP's
@@ -237,6 +239,105 @@ func TestChaosScenarioValidation(t *testing.T) {
 		{AtNs: 1e6, Clear: "ghost"},
 	}}
 	expectErr("clear without inject", bad, "ghost")
+}
+
+// TestValidateIsTheOneGate: run.validate rejects every invalid field before
+// an engine, a fabric or a file exists. These eight configs once passed it
+// and failed only midway through set-up, one of them after it had created
+// its checkpoint directory; a config that fails validation now creates none.
+func TestValidateIsTheOneGate(t *testing.T) {
+	base := Config{
+		Topology: chaosTopo(), Scheme: SchemeECMP,
+		Workload: "web-search", Load: 0.5, Flows: 20, Seed: 1,
+	}
+	event := func(ev ScenarioEvent) *Scenario {
+		return &Scenario{Name: "bad", Events: []ScenarioEvent{ev}}
+	}
+	cases := []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"protocol quic", func(c *Config) { c.Protocol = "quic" }, "quic"},
+		{"scheme nope", func(c *Config) { c.Scheme = "nope" }, "nope"},
+		{"workload nope", func(c *Config) { c.Workload = "nope" }, "nope"},
+		{"zero spines", func(c *Config) { c.Topology.Spines = 0 }, "spine"},
+		{"alert rule with no series", func(c *Config) {
+			c.Alerts = &AlertsConfig{Rules: []AlertRule{{Name: "r", Op: "above", Value: 1}}}
+		}, "series"},
+		{"duration not below every", func(c *Config) {
+			c.Scenario = event(ScenarioEvent{AtNs: 1e6, Name: "f", DurationNs: 2e6, EveryNs: 2e6,
+				Failure: FailureSpec{Kind: FailureSpineBlackhole}})
+		}, "overlap"},
+		{"clear of an unknown name", func(c *Config) {
+			c.Scenario = event(ScenarioEvent{AtNs: 1e6, Clear: "ghost"})
+		}, "ghost"},
+		{"random drop on spine 9 of 2", func(c *Config) {
+			c.Scenario = event(ScenarioEvent{AtNs: 1e6, Name: "d",
+				Failure: FailureSpec{Kind: FailureRandomDrop, Spine: 9}})
+		}, "out of range"},
+	}
+	for _, tc := range cases {
+		cfg := base
+		tc.edit(&cfg)
+		if err := (&run{cfg: cfg}).validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: validate = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		cfg.Checkpoint = &CheckpointConfig{Dir: dir, IntervalNs: 1e6}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run accepted it", tc.name)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: the rejected run made its checkpoint directory (stat: %v)", tc.name, err)
+		}
+	}
+}
+
+// TestFailureSpecCoversTheInjectorCases: the facade's one failure check
+// rejects every out-of-range injector the chaos package's own validation
+// used to reject, on the same 4x4 fabric of 2 cables per link. Two of those
+// injectors the facade never builds at all: equal racks select the first
+// and the last, and a zero fraction is the 20% default.
+func TestFailureSpecCoversTheInjectorCases(t *testing.T) {
+	topo := Topology{
+		Leaves: 4, Spines: 4, HostsPerLeaf: 4, CablesPerLink: 2,
+		HostRateBps: 1e9, FabricRateBps: 1e9, HostDelayNs: 1000, FabricDelayNs: 1000,
+	}
+	for _, spec := range []FailureSpec{
+		{Kind: FailureBlackhole, Spine: 4, SrcLeaf: 0, DstLeaf: 3},
+		{Kind: FailureBlackhole, Spine: -2, SrcLeaf: 0, DstLeaf: 3},
+		{Kind: FailureBlackhole, Spine: 0, SrcLeaf: 0, DstLeaf: 4},
+		{Kind: FailureSpineBlackhole, Spine: 4},
+		{Kind: FailureSpineBlackhole, Spine: -2},
+		{Kind: FailureRandomDrop, DropRate: -0.1},
+		{Kind: FailureRandomDrop, DropRate: 1.5},
+		{Kind: FailureRandomDrop, DropRate: math.NaN()},
+		{Kind: FailureCutLink, CutLeaf: -1},
+		{Kind: FailureCutLink, CutSpine: 9},
+		{Kind: FailureDegradeLink, DegradedBps: -5},
+		{Kind: FailureCutCable, CutCable: 2},
+		{Kind: FailureDegrade, Fraction: 1.2},
+		{Kind: FailureDegrade, Fraction: math.NaN()},
+		{Kind: FailureDegradeSpine, DegradedBps: -1},
+		{Kind: FailureLeafDown, CutLeaf: 4},
+		{Kind: FailureSpineDown, Spine: 17},
+	} {
+		cfg := Config{Topology: topo, Scheme: SchemeECMP, Workload: "web-search",
+			Load: 0.5, Flows: 10, Failure: spec}
+		if err := (&run{cfg: cfg}).validate(); err == nil {
+			t.Errorf("%+v: validation passed, want error", spec)
+		}
+	}
+
+	inj, err := injectorFor(FailureSpec{Kind: FailureBlackhole, SrcLeaf: 2, DstLeaf: 2}, topo)
+	if bh, ok := inj.(*chaos.Blackhole); err != nil || !ok || bh.SrcLeaf != 0 || bh.DstLeaf != 3 {
+		t.Errorf("blackhole on one rack built %+v, %v; want racks 0 and 3", inj, err)
+	}
+	inj, err = injectorFor(FailureSpec{Kind: FailureDegrade}, topo)
+	if d, ok := inj.(*chaos.DegradeFraction); err != nil || !ok || d.Fraction != 0.2 {
+		t.Errorf("degrade of fraction 0 built %+v, %v; want the 0.2 default", inj, err)
+	}
 }
 
 // TestChaosSwitchDownSugar: the static spine-down failure kind lowers onto

@@ -137,9 +137,6 @@ func newCkptPlan(cfg *Config) (*ckptPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hermes: checkpoint config: %w", err)
 	}
-	if err := os.MkdirAll(cc.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("hermes: checkpoint dir: %w", err)
-	}
 	p := &ckptPlan{cfg: cc, cfgJSON: b, cfgSHA: checkpoint.SHA(b), at: dedup}
 	if cc.IntervalNs > 0 {
 		p.nextIv = cc.IntervalNs
@@ -361,23 +358,19 @@ func (r *run) verifyReplay() error {
 	}
 	r.replay.done = true
 	if f := r.replay.fork; f != nil {
-		if err := r.applyFork(f); err != nil {
-			return err
-		}
+		r.applyFork(f)
 	}
 	return nil
 }
 
 // applyFork mutates the verified run at the fork instant: swap the scheme
-// on every endpoint and/or graft a scenario onto the timeline.
-func (r *run) applyFork(f *ForkOptions) error {
+// on every endpoint and/or graft the scenario validate lowered onto the
+// timeline.
+func (r *run) applyFork(f *ForkOptions) {
 	if f.Scheme != "" && f.Scheme != r.cfg.Scheme {
 		newCfg := r.cfg
 		newCfg.Scheme = f.Scheme
-		w2, err := r.wireScheme(newCfg)
-		if err != nil {
-			return err
-		}
+		w2 := r.wireScheme(newCfg)
 		for _, ep := range r.tr.Endpoints {
 			ep.SetBalancer(w2.balancerFor(ep.Host()))
 		}
@@ -391,10 +384,9 @@ func (r *run) applyFork(f *ForkOptions) error {
 		r.cfg.Scheme = f.Scheme
 		r.installStartHooks()
 	}
-	if f.Scenario != nil {
-		return r.installScenario(f.Scenario)
+	if r.graft != nil {
+		r.installScenario(r.graft)
 	}
-	return nil
 }
 
 // forkableScheme gates scheme swaps: switch-resident schemes keep state in
@@ -404,31 +396,15 @@ func forkableScheme(s Scheme) error {
 	case SchemeLetFlow, SchemeDRILL, SchemeCONGA, SchemeHULA:
 		return fmt.Errorf("hermes: scheme %q keeps in-switch state and cannot be swapped mid-run; fork requires host-steered schemes on both sides", s)
 	}
-	for _, k := range Schemes() {
-		if k == s {
-			return nil
-		}
-	}
-	return fmt.Errorf("hermes: unknown scheme %q", s)
-}
-
-func isScenarioSugar(k FailureKind) bool {
-	return k == FailureFlap || k == FailureSpineDown || k == FailureLeafDown
+	return knownScheme(s)
 }
 
 // loadCheckpointFile reads a checkpoint from a file path, or from the most
 // advanced valid checkpoint in a directory.
 func loadCheckpointFile(path string) (*checkpoint.File, error) {
-	fi, err := os.Stat(path)
+	path, err := checkpoint.Resolve(path)
 	if err != nil {
 		return nil, fmt.Errorf("hermes: %w", err)
-	}
-	if fi.IsDir() {
-		p, err := checkpoint.Latest(path)
-		if err != nil {
-			return nil, fmt.Errorf("hermes: %w", err)
-		}
-		path = p
 	}
 	return checkpoint.ReadFile(path)
 }
@@ -523,17 +499,6 @@ func Fork(path string, opts ForkOptions) (*Result, error) {
 		}
 		if err := forkableScheme(opts.Scheme); err != nil {
 			return nil, err
-		}
-	}
-	if opts.Scenario != nil {
-		if cfg.Scenario != nil || isScenarioSugar(cfg.Failure.Kind) {
-			return nil, fmt.Errorf("hermes: Fork cannot graft a scenario onto a run that already has one")
-		}
-		for i := range opts.Scenario.Events {
-			if opts.Scenario.Events[i].AtNs <= f.SimTimeNs {
-				return nil, fmt.Errorf("hermes: fork scenario event %d onsets at t=%dns, not strictly after the checkpoint instant t=%dns",
-					i, opts.Scenario.Events[i].AtNs, f.SimTimeNs)
-			}
 		}
 	}
 	cfg.Checkpoint = nil

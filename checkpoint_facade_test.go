@@ -153,6 +153,32 @@ func TestForkAtFailureOnset(t *testing.T) {
 	}
 }
 
+// TestForkRejectsABadGraftBeforeReplay: a grafted scenario is checked with
+// the config, before the fork replays its prefix, so a fork that cannot run
+// never starts a run on the status plane.
+func TestForkRejectsABadGraftBeforeReplay(t *testing.T) {
+	dir := t.TempDir()
+	cfg := chaosConfig(SchemeHermes, nil)
+	cfg.Flows = 20
+	cfg.Checkpoint = &CheckpointConfig{Dir: dir, AtNs: []int64{5e6}}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	st := NewStatus()
+	SetDefaultStatus(st)
+	defer SetDefaultStatus(nil)
+	bad := &Scenario{Name: "bad", Events: []ScenarioEvent{
+		{AtNs: 10e6, Name: "d", Failure: FailureSpec{Kind: FailureRandomDrop, Spine: 9}},
+	}}
+	if _, err := Fork(dir, ForkOptions{Scenario: bad}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("Fork with a random drop on spine 9 of 2 = %v, want an out-of-range error", err)
+	}
+	if p := st.Progress(); p.RunsDone+p.RunsFailed+p.RunsActive != 0 {
+		t.Errorf("the rejected fork reached the status plane: %d done, %d failed, %d active",
+			p.RunsDone, p.RunsFailed, p.RunsActive)
+	}
+}
+
 // TestPartialSweepOnCancellation pins the graceful-interrupt contract of the
 // run pool: a pure cancellation hands back the completed results alongside
 // the error instead of discarding them, and RunChaosMatrix aggregates what

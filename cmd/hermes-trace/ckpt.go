@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	hermes "github.com/hermes-repro/hermes"
@@ -17,12 +16,9 @@ import (
 // state. path may be a directory, in which case the latest checkpoint wins —
 // the same resolution rule hermes-sim -resume uses.
 func inspectCheckpoint(w io.Writer, path string) error {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		latest, err := checkpoint.Latest(path)
-		if err != nil {
-			return err
-		}
-		path = latest
+	path, err := checkpoint.Resolve(path)
+	if err != nil {
+		return err
 	}
 	f, err := checkpoint.ReadFile(path)
 	if err != nil {

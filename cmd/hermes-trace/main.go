@@ -234,7 +234,14 @@ func analyze(w io.Writer, rec *trace.Recorder, rep *hermes.Report, topN int, pct
 
 	printHopDecomposition(w, rec, width)
 	if rep != nil {
-		printQueueHeatmap(w, rep, width)
+		names := make([]string, len(rep.Series))
+		values := make(map[string][]float64, len(rep.Series))
+		for i, s := range rep.Series {
+			names[i], values[s.Name] = s.Name, s.Values
+		}
+		if !printQueueHeatmap(w, names, func(name string) []float64 { return values[name] }, width) {
+			fmt.Fprintln(w, "\nreport has no per-port queue series (run with -telemetry)")
+		}
 	}
 	printVerdicts(w, rec)
 	return nil
@@ -282,25 +289,27 @@ func printHopDecomposition(w io.Writer, rec *trace.Recorder, width int) {
 	_ = textplot.Bars(w, "queueing by hop (ms):", []string{"ms"}, series, width)
 }
 
-// printQueueHeatmap renders the swept per-port queue depths from a run
-// report as a time heatmap, one row per fabric port.
-func printQueueHeatmap(w io.Writer, rep *hermes.Report, width int) {
+// printQueueHeatmap renders the per-port queue depth series among names,
+// from a report's sweep or a flight recording, as a time heatmap, one row
+// per fabric port, reading each series through values. It reports whether
+// there was any such series.
+func printQueueHeatmap(w io.Writer, names []string, values func(name string) []float64, width int) bool {
 	const prefix = "net.port.queue_bytes{port="
 	var rows []textplot.Series
-	for _, s := range rep.Series {
-		if !strings.HasPrefix(s.Name, prefix) {
+	for _, name := range names {
+		if !strings.HasPrefix(name, prefix) {
 			continue
 		}
-		label := strings.TrimSuffix(strings.TrimPrefix(s.Name, prefix), "}")
-		rows = append(rows, textplot.Series{Label: label, Values: s.Values})
+		label := strings.TrimSuffix(strings.TrimPrefix(name, prefix), "}")
+		rows = append(rows, textplot.Series{Label: label, Values: values(name)})
 	}
 	if len(rows) == 0 {
-		fmt.Fprintln(w, "\nreport has no per-port queue series (run with -telemetry)")
-		return
+		return false
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Label < rows[j].Label })
 	fmt.Fprintln(w)
 	_ = textplot.Heatmap(w, "per-port queue occupancy over time (bytes):", rows, width)
+	return true
 }
 
 func printVerdicts(w io.Writer, rec *trace.Recorder) {

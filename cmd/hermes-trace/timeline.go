@@ -95,7 +95,7 @@ func timeline(w io.Writer, rec *timeseries.Recorder, width int) error {
 		spark("hermes.paths_"+state, census[state])
 	}
 
-	printTSQueueHeatmap(w, rec, width)
+	printQueueHeatmap(w, rec.Names(), rec.Series, width)
 	printPathTimelines(w, rec, width)
 	printTransitions(w, rec)
 	return nil
@@ -111,24 +111,6 @@ func addSeries(acc, v []float64) []float64 {
 		}
 	}
 	return acc
-}
-
-func printTSQueueHeatmap(w io.Writer, rec *timeseries.Recorder, width int) {
-	const prefix = "net.port.queue_bytes{port="
-	var rows []textplot.Series
-	for _, name := range rec.Names() {
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		label := strings.TrimSuffix(strings.TrimPrefix(name, prefix), "}")
-		rows = append(rows, textplot.Series{Label: label, Values: rec.Series(name)})
-	}
-	if len(rows) == 0 {
-		return
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Label < rows[j].Label })
-	fmt.Fprintln(w)
-	_ = textplot.Heatmap(w, "per-port queue occupancy over time (bytes):", rows, width)
 }
 
 // printPathTimelines reconstructs each transitioning path's state over the

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -85,6 +86,16 @@ func Schemes() []Scheme {
 		SchemeDRILL, SchemeCONGA, SchemeCLOVE, SchemeEdgeFlowlet, SchemeHULA,
 		SchemeFlowBender, SchemeMPTCP, SchemeREPS, SchemeRepFlow, SchemeHermes,
 	}
+}
+
+// knownScheme rejects a scheme Schemes does not list.
+func knownScheme(s Scheme) error {
+	for _, k := range Schemes() {
+		if k == s {
+			return nil
+		}
+	}
+	return fmt.Errorf("hermes: unknown scheme %q", s)
 }
 
 // Topology describes a leaf-spine fabric.
@@ -482,9 +493,16 @@ func Run(cfg Config) (*Result, error) { return runWith(cfg, nil) }
 // checkpoint plane (checkpoint.go) capture, verify and fork it: every
 // component a snapshot must observe hangs off one value.
 type run struct {
-	cfg      Config
-	spec     FailureSpec
-	scenario *Scenario
+	cfg Config
+	// What validate lowered the config to: the workload's flow sizes, the
+	// transport options, the static failure's injector (nil for none or a
+	// timed kind), the scenario with any timed static failure, and a fork's
+	// graft, installed at the fork instant.
+	dist     *workload.CDF
+	opts     transport.Options
+	static   chaos.Injector
+	scenario *chaos.Scenario
+	graft    *chaos.Scenario
 
 	st       *Status
 	sh       *statusd.RunHandle
@@ -510,7 +528,6 @@ type run struct {
 	perfWallStart time.Time
 
 	rec           *metrics.FCTRecorder
-	dist          *workload.CDF
 	baseBisection int64
 	baseRTT       sim.Time
 	hostRate      int64
@@ -539,7 +556,7 @@ func runWith(cfg Config, rp *replayPlan) (res *Result, err error) {
 	r.st = statusFor(&r.cfg)
 	r.runLabel = r.cfg.statusLabel
 	if r.runLabel == "" {
-		r.runLabel = runLabels(r.cfg)[0]
+		r.runLabel = RunLabel(r.cfg)
 	}
 	if r.st != nil {
 		r.sh = r.st.StartRun(r.runLabel, r.cfg.Flows)
@@ -564,63 +581,41 @@ func runWith(cfg Config, rp *replayPlan) (res *Result, err error) {
 	return r.finish()
 }
 
-// validate checks the config, lowers failure sugar and arms the checkpoint
-// plan. It mutates only r.
+// validate is the one check of a Config, made before any engine, fabric,
+// recorder or file exists. It rejects every invalid field; resolves the flow
+// sizes and transport options; lowers the static failure, the scenario and a
+// fork's graft to chaos injectors; and plans the checkpoints. It mutates
+// only r, and setup builds from what it produced.
 func (r *run) validate() error {
 	cfg := &r.cfg
 	if cfg.Flows <= 0 {
 		return fmt.Errorf("hermes: Flows must be positive")
 	}
-	if cfg.Load <= 0 || cfg.Load > 1.5 {
+	if !(cfg.Load > 0 && cfg.Load <= 1.5) { // NaN too
 		return fmt.Errorf("hermes: Load %v out of range (0, 1.5]", cfg.Load)
 	}
-	if err := validateFailureSpec(cfg.Failure, cfg.Topology); err != nil {
-		return fmt.Errorf("hermes: invalid Failure: %w", err)
+	if err := cfg.Topology.toNet().Validate(); err != nil {
+		return fmt.Errorf("hermes: %w", err)
 	}
-	// Timed failure kinds are sugar for a Scenario; lower them here so the
-	// chaos runner is the single code path for everything time-varying.
-	r.spec, r.scenario = cfg.Failure, cfg.Scenario
-	switch r.spec.Kind {
-	case FailureFlap, FailureSpineDown, FailureLeafDown:
-		if r.scenario != nil {
-			return fmt.Errorf("hermes: Failure kind %q is scenario sugar and cannot combine with Config.Scenario; add it as a scenario event instead", r.spec.Kind)
-		}
-		if r.spec.Kind == FailureFlap {
-			r.scenario = flapScenario(r.spec, cfg.Topology)
-		} else {
-			r.scenario = switchDownScenario(r.spec)
-		}
-		r.spec = FailureSpec{}
+	if err := knownScheme(cfg.Scheme); err != nil {
+		return err
 	}
-	if cfg.ctx == nil {
-		cfg.ctx = defaultRunContext()
+	r.opts = transport.DefaultOptions()
+	switch cfg.Protocol {
+	case "", "dctcp":
+	case "reno":
+		r.opts.Protocol = transport.Reno
+	case "timely":
+		r.opts.Protocol = transport.Timely
+	default:
+		return fmt.Errorf("hermes: unknown protocol %q", cfg.Protocol)
 	}
-	if cfg.Checkpoint != nil {
-		p, err := newCkptPlan(cfg)
-		if err != nil {
-			return err
-		}
-		r.ckpt = p
+	switch {
+	case cfg.ReorderTimeoutNs > 0:
+		r.opts.ReorderTimeout = cfg.ReorderTimeoutNs
+	case cfg.ReorderTimeoutNs == 0 && cfg.Scheme == SchemePresto:
+		r.opts.ReorderTimeout = 400 * sim.Microsecond
 	}
-	return nil
-}
-
-// applyStatic applies one phase of the static Config.Failure (nil: none).
-func (r *run) applyStatic(inj chaos.Injector) error {
-	if inj == nil {
-		return nil
-	}
-	env := chaos.Env{Net: r.nw, Rng: r.rng}
-	if err := inj.Validate(env); err != nil {
-		return fmt.Errorf("hermes: invalid Failure: %w", err)
-	}
-	return inj.Apply(env)
-}
-
-// setup builds the whole simulation — fabric, scheme, transport, workload,
-// observability — without running any virtual time.
-func (r *run) setup() error {
-	cfg := &r.cfg
 	var err error
 	if cfg.WorkloadFile != "" {
 		r.dist, err = workload.LoadCDFFile(cfg.WorkloadFile)
@@ -637,7 +632,80 @@ func (r *run) setup() error {
 	if maxBytes > 0 {
 		r.dist = r.dist.Truncate(maxBytes)
 	}
+	if ac := cfg.Alerts; ac != nil {
+		if !ac.Builtin && len(ac.Rules) == 0 {
+			return fmt.Errorf("hermes: Config.Alerts set but no rules armed (set Builtin or Rules)")
+		}
+		if err := ValidateAlertRules(ac.Rules); err != nil {
+			return fmt.Errorf("hermes: %w", err)
+		}
+	}
 
+	// Timed failure kinds are sugar for a scenario, so the chaos runner is
+	// the one code path for everything time-varying; any other static
+	// failure is one injector.
+	sugar, err := scenarioSugar(cfg.Failure)
+	switch {
+	case err != nil:
+	case sugar != nil && cfg.Scenario != nil:
+		return fmt.Errorf("hermes: Failure kind %q is scenario sugar and cannot combine with Config.Scenario; add it as a scenario event instead", cfg.Failure.Kind)
+	case sugar != nil:
+		r.scenario, err = sugar.toChaos(cfg.Topology)
+	default:
+		r.static, err = injectorFor(cfg.Failure, cfg.Topology)
+	}
+	if err != nil {
+		return fmt.Errorf("hermes: invalid Failure: %w", err)
+	}
+	if cfg.Scenario != nil {
+		if r.scenario, err = cfg.Scenario.toChaos(cfg.Topology); err != nil {
+			return fmt.Errorf("hermes: %w", err)
+		}
+	}
+	if rp := r.replay; rp != nil && rp.fork != nil && rp.fork.Scenario != nil {
+		graft := rp.fork.Scenario
+		if r.scenario != nil {
+			return fmt.Errorf("hermes: Fork cannot graft a scenario onto a run that already has one")
+		}
+		for i, ev := range graft.Events {
+			if ev.AtNs <= int64(rp.to) {
+				return fmt.Errorf("hermes: fork scenario event %d onsets at t=%dns, not strictly after the checkpoint instant t=%dns",
+					i, ev.AtNs, int64(rp.to))
+			}
+		}
+		if r.graft, err = graft.toChaos(cfg.Topology); err != nil {
+			return fmt.Errorf("hermes: fork: %w", err)
+		}
+	}
+
+	if cfg.ctx == nil {
+		cfg.ctx = defaultRunContext()
+	}
+	if cfg.Checkpoint != nil {
+		if r.ckpt, err = newCkptPlan(cfg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyStatic applies one phase of the static Config.Failure (nil: none).
+func (r *run) applyStatic(inj chaos.Injector) error {
+	if inj == nil {
+		return nil
+	}
+	return inj.Apply(chaos.Env{Net: r.nw, Rng: r.rng})
+}
+
+// setup builds the whole simulation — fabric, scheme, transport, workload,
+// observability — without running any virtual time.
+func (r *run) setup() error {
+	cfg := &r.cfg
+	if r.ckpt != nil {
+		if err := os.MkdirAll(cfg.Checkpoint.Dir, 0o755); err != nil {
+			return fmt.Errorf("hermes: checkpoint dir: %w", err)
+		}
+	}
 	eng := sim.NewEngine()
 	r.eng = eng
 	if cfg.Checks {
@@ -652,6 +720,7 @@ func (r *run) setup() error {
 		r.perfWallStart = time.Now()
 	}
 	r.rng = sim.NewRNG(cfg.Seed)
+	var err error
 	r.nw, err = net.NewLeafSpine(eng, r.rng, cfg.Topology.toNet())
 	if err != nil {
 		return err
@@ -667,18 +736,10 @@ func (r *run) setup() error {
 	// built, so path sets and weights see the final fabric; switch
 	// malfunctions go in after the transport, so a random spine draws from
 	// the run RNG where it always has.
-	var fabricFailure, switchFailure chaos.Injector
-	if r.spec.Kind != FailureNone {
-		inj, err := injectorFor(r.spec, cfg.Topology)
-		if err != nil {
-			return err
-		}
-		switch r.spec.Kind {
-		case FailureRandomDrop, FailureBlackhole, FailureSpineBlackhole:
-			switchFailure = inj
-		default:
-			fabricFailure = inj
-		}
+	fabricFailure, switchFailure := r.static, chaos.Injector(nil)
+	switch cfg.Failure.Kind {
+	case FailureRandomDrop, FailureBlackhole, FailureSpineBlackhole:
+		fabricFailure, switchFailure = nil, r.static
 	}
 	if err := r.applyStatic(fabricFailure); err != nil {
 		return err
@@ -691,7 +752,7 @@ func (r *run) setup() error {
 	}
 
 	// A scenario a Fork grafts on is scored like one set from the start.
-	scored := r.scenario != nil || r.replay != nil && r.replay.fork != nil && r.replay.fork.Scenario != nil
+	scored := r.scenario != nil || r.graft != nil
 	if cfg.TimeSeries || scored || cfg.Alerts != nil {
 		tsCap := cfg.TimeSeriesCap
 		if tsCap == 0 && scored {
@@ -715,23 +776,6 @@ func (r *run) setup() error {
 		r.flight.Register("perf.engine.fired", func() float64 { return float64(eng.Fired()) })
 	}
 
-	opts := transport.DefaultOptions()
-	switch cfg.Protocol {
-	case "", "dctcp":
-	case "reno":
-		opts.Protocol = transport.Reno
-	case "timely":
-		opts.Protocol = transport.Timely
-	default:
-		return fmt.Errorf("hermes: unknown protocol %q", cfg.Protocol)
-	}
-	switch {
-	case cfg.ReorderTimeoutNs > 0:
-		opts.ReorderTimeout = cfg.ReorderTimeoutNs
-	case cfg.ReorderTimeoutNs == 0 && cfg.Scheme == SchemePresto:
-		opts.ReorderTimeout = 400 * sim.Microsecond
-	}
-
 	if cfg.Trace {
 		tracer := trace.NewRecorder(r.audit())
 		r.tracer = tracer
@@ -749,11 +793,8 @@ func (r *run) setup() error {
 			},
 		)
 	}
-	r.w, err = r.wireScheme(*cfg)
-	if err != nil {
-		return err
-	}
-	r.tr = transport.New(nw, opts, r.w.balancerFor)
+	r.w = r.wireScheme(*cfg)
+	r.tr = transport.New(nw, r.opts, r.w.balancerFor)
 	r.tr.DeclareMetrics(r.plane())
 	r.w.afterTransport(nw, r.rng)
 
@@ -761,11 +802,7 @@ func (r *run) setup() error {
 	// Wildcard rules re-resolve lazily, so probes registered later (scheme
 	// census series) are still picked up.
 	if cfg.Alerts != nil {
-		rules, err := cfg.Alerts.rules(r.flight, nw)
-		if err != nil {
-			return err
-		}
-		r.watchdog, err = alert.New(r.flight, rules)
+		r.watchdog, err = alert.New(r.flight, cfg.Alerts.rules(r.flight, nw))
 		if err != nil {
 			return fmt.Errorf("hermes: %w", err)
 		}
@@ -780,9 +817,7 @@ func (r *run) setup() error {
 	// Scenario events ride the engine timeline: inject/clear fire at their
 	// scheduled virtual times, interleaved with traffic.
 	if r.scenario != nil {
-		if err := r.installScenario(r.scenario); err != nil {
-			return err
-		}
+		r.installScenario(r.scenario)
 	}
 
 	r.rec = &metrics.FCTRecorder{}
@@ -839,32 +874,25 @@ func (r *run) audit() *telemetry.AuditLog {
 // wireScheme builds cfg's scheme on the run's fabric, declaring its metrics
 // on the run's plane. With tracing on, every balancer it hands out records
 // into the trace.
-func (r *run) wireScheme(cfg Config) (*wiring, error) {
-	w, err := buildScheme(r.nw, r.rng, cfg, r.audit(), r.plane())
-	if err != nil || r.tracer == nil {
-		return w, err
+func (r *run) wireScheme(cfg Config) *wiring {
+	w := buildScheme(r.nw, r.rng, cfg, r.audit(), r.plane())
+	if r.tracer == nil {
+		return w
 	}
 	inner, tracer, eng := w.balancerFor, r.tracer, r.eng
 	w.balancerFor = func(h *net.Host) transport.Balancer {
 		return trace.Wrap(inner(h), tracer, eng)
 	}
-	return w, nil
+	return w
 }
 
-// installScenario puts sc's timeline on the engine, with its activations
-// stamped into the decision log.
-func (r *run) installScenario(sc *Scenario) error {
-	cs, err := sc.toChaos(r.cfg.Topology)
-	if err != nil {
-		return err
-	}
-	r.runner = chaos.NewRunner(chaos.Env{Net: r.nw, Rng: r.rng}, cs)
+// installScenario puts a timeline validate lowered on the engine, with its
+// activations stamped into the decision log.
+func (r *run) installScenario(sc *chaos.Scenario) {
+	r.runner = chaos.NewRunner(chaos.Env{Net: r.nw, Rng: r.rng}, sc)
 	r.attachRunnerAudit(r.runner)
-	if err := r.runner.Install(r.eng); err != nil {
-		return fmt.Errorf("hermes: scenario %q: %w", sc.Name, err)
-	}
+	r.runner.Install(r.eng)
 	r.scenario = sc
-	return nil
 }
 
 // attachRunnerAudit stamps chaos activations into the decision log so

@@ -46,19 +46,16 @@ func ClearAt(t sim.Time, name string) Event {
 	return Event{At: t, Clear: name}
 }
 
-// normalize fills in auto-names for anonymous inject events.
-func (s *Scenario) normalize() {
+// Validate names each anonymous inject event ("ev0", "ev1", ...) and
+// checks the timeline's shape: onsets, repeats and clear references. It
+// needs no fabric. A scenario must pass it before Runner.Install, so a
+// misconfigured one fails before the run starts instead of mid-run.
+func (s *Scenario) Validate() error {
 	for i := range s.Events {
 		if s.Events[i].Inject != nil && s.Events[i].Name == "" {
 			s.Events[i].Name = fmt.Sprintf("ev%d", i)
 		}
 	}
-}
-
-// Validate checks the timeline shape and every injector's parameters
-// against the fabric. It must be called (via Runner.Install) before the
-// run starts, so misconfigured scenarios fail fast instead of mid-run.
-func (s *Scenario) Validate(env Env) error {
 	names := map[string]int{}
 	for i, ev := range s.Events {
 		where := fmt.Sprintf("chaos: scenario %q event %d", s.Name, i)
@@ -94,9 +91,6 @@ func (s *Scenario) Validate(env Env) error {
 				return fmt.Errorf("%s: name %q already used by event %d", where, ev.Name, prev)
 			}
 			names[ev.Name] = i
-			if err := ev.Inject.Validate(env); err != nil {
-				return fmt.Errorf("%s: %w", where, err)
-			}
 		}
 	}
 	for i, ev := range s.Events {

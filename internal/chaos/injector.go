@@ -77,14 +77,13 @@ func (s Scope) HasPath(leaf, dst, path, cables int) bool {
 // Injector is one composable failure. Apply installs it; Revert must
 // restore the exact pre-Apply state (link rates, drop hooks), so injectors
 // snapshot whatever they change. The runner never overlaps activations of
-// the same injector, so Apply/Revert alternate strictly.
+// the same injector, so Apply/Revert alternate strictly. An injector trusts
+// its parameters: whoever builds one checks them against the fabric first.
 type Injector interface {
 	// Kind is the stable failure-kind string ("blackhole", "random-drop", ...).
 	Kind() string
 	// Label describes the activation for logs and scorecards.
 	Label() string
-	// Validate checks parameters against the fabric before the run starts.
-	Validate(env Env) error
 	// Apply installs the failure. Random picks resolve here.
 	Apply(env Env) error
 	// Revert restores the pre-Apply state.
@@ -104,22 +103,6 @@ func pickSpine(env Env, spine int) int {
 // dropAll is the drop hook of a switch that forwards nothing.
 func dropAll(*net.Packet) bool { return true }
 
-func checkSpine(env Env, spine int, kind string) error {
-	if spine < -1 || spine >= env.Net.Cfg.Spines {
-		return fmt.Errorf("chaos: %s: spine %d out of range [0, %d) (-1 = random)",
-			kind, spine, env.Net.Cfg.Spines)
-	}
-	return nil
-}
-
-func checkLeaf(env Env, leaf int, kind, field string) error {
-	if leaf < 0 || leaf >= env.Net.Cfg.Leaves {
-		return fmt.Errorf("chaos: %s: %s %d out of range [0, %d)",
-			kind, field, leaf, env.Net.Cfg.Leaves)
-	}
-	return nil
-}
-
 // Blackhole drops traffic between half of the host pairs of a rack pair at
 // one spine switch (§5.3.3's TCAM-deficit blackhole).
 type Blackhole struct {
@@ -134,22 +117,6 @@ func (b *Blackhole) Kind() string { return "blackhole" }
 
 func (b *Blackhole) Label() string {
 	return fmt.Sprintf("blackhole(spine=%d, racks %d<->%d)", b.spine, b.SrcLeaf, b.DstLeaf)
-}
-
-func (b *Blackhole) Validate(env Env) error {
-	if err := checkSpine(env, b.Spine, "blackhole"); err != nil {
-		return err
-	}
-	if err := checkLeaf(env, b.SrcLeaf, "blackhole", "SrcLeaf"); err != nil {
-		return err
-	}
-	if err := checkLeaf(env, b.DstLeaf, "blackhole", "DstLeaf"); err != nil {
-		return err
-	}
-	if b.SrcLeaf == b.DstLeaf {
-		return fmt.Errorf("chaos: blackhole: SrcLeaf and DstLeaf are both %d; need a rack pair", b.SrcLeaf)
-	}
-	return nil
 }
 
 // Apply hooks the spine to drop the packets of every host pair between the
@@ -189,10 +156,6 @@ func (b *SpineBlackhole) Label() string {
 	return fmt.Sprintf("spine-blackhole(spine=%d)", b.spine)
 }
 
-func (b *SpineBlackhole) Validate(env Env) error {
-	return checkSpine(env, b.Spine, "spine-blackhole")
-}
-
 func (b *SpineBlackhole) Apply(env Env) error {
 	b.spine = pickSpine(env, b.Spine)
 	b.hook = env.Net.Spines[b.spine].AddDropFn(dropAll)
@@ -219,16 +182,6 @@ func (r *RandomDrop) Kind() string { return "random-drop" }
 
 func (r *RandomDrop) Label() string {
 	return fmt.Sprintf("random-drop(spine=%d, rate=%g)", r.spine, r.Rate)
-}
-
-func (r *RandomDrop) Validate(env Env) error {
-	if err := checkSpine(env, r.Spine, "random-drop"); err != nil {
-		return err
-	}
-	if !(r.Rate > 0 && r.Rate <= 1) { // NaN too
-		return fmt.Errorf("chaos: random-drop: rate %g out of range (0, 1]", r.Rate)
-	}
-	return nil
 }
 
 // Apply's hook draws once from the run RNG for every packet; the switch
@@ -265,20 +218,6 @@ func (l *Link) Label() string {
 	return fmt.Sprintf("%s(leaf=%d, spine=%d, bps=%d)", l.Kind(), l.Leaf, l.Spine, l.Bps)
 }
 
-func (l *Link) Validate(env Env) error {
-	if err := checkLeaf(env, l.Leaf, l.Kind(), "leaf"); err != nil {
-		return err
-	}
-	if l.Spine < 0 || l.Spine >= env.Net.Cfg.Spines {
-		return fmt.Errorf("chaos: %s: spine %d out of range [0, %d)",
-			l.Kind(), l.Spine, env.Net.Cfg.Spines)
-	}
-	if l.Bps < 0 {
-		return fmt.Errorf("chaos: %s: negative rate %d", l.Kind(), l.Bps)
-	}
-	return nil
-}
-
 func (l *Link) Apply(env Env) error {
 	nw := env.Net
 	l.saved = l.saved[:0]
@@ -313,21 +252,6 @@ func (c *CutCable) Label() string {
 	return fmt.Sprintf("cut-cable(leaf=%d, spine=%d, cable=%d)", c.Leaf, c.Spine, c.Cable)
 }
 
-func (c *CutCable) Validate(env Env) error {
-	if err := checkLeaf(env, c.Leaf, "cut-cable", "leaf"); err != nil {
-		return err
-	}
-	if c.Spine < 0 || c.Spine >= env.Net.Cfg.Spines {
-		return fmt.Errorf("chaos: cut-cable: spine %d out of range [0, %d)",
-			c.Spine, env.Net.Cfg.Spines)
-	}
-	if c.Cable < 0 || c.Cable >= env.Net.Cables() {
-		return fmt.Errorf("chaos: cut-cable: cable %d out of range [0, %d)",
-			c.Cable, env.Net.Cables())
-	}
-	return nil
-}
-
 func (c *CutCable) Apply(env Env) error {
 	c.saved = env.Net.CableRate(c.Leaf, c.Spine, c.Cable)
 	env.Net.SetCable(c.Leaf, c.Spine, c.Cable, 0)
@@ -357,16 +281,6 @@ func (d *DegradeFraction) Kind() string { return "degrade" }
 
 func (d *DegradeFraction) Label() string {
 	return fmt.Sprintf("degrade(fraction=%g, bps=%d, links=%d)", d.Fraction, d.Bps, len(d.links))
-}
-
-func (d *DegradeFraction) Validate(env Env) error {
-	if !(d.Fraction > 0 && d.Fraction <= 1) { // NaN too
-		return fmt.Errorf("chaos: degrade: fraction %g out of range (0, 1]", d.Fraction)
-	}
-	if d.Bps < 0 {
-		return fmt.Errorf("chaos: degrade: negative rate %d", d.Bps)
-	}
-	return nil
 }
 
 func (d *DegradeFraction) Apply(env Env) error {
@@ -432,16 +346,6 @@ func (d *DegradeSpine) Label() string {
 	return fmt.Sprintf("degrade-spine(spine=%d, bps=%d)", d.spine, d.Bps)
 }
 
-func (d *DegradeSpine) Validate(env Env) error {
-	if err := checkSpine(env, d.Spine, "degrade-spine"); err != nil {
-		return err
-	}
-	if d.Bps < 0 {
-		return fmt.Errorf("chaos: degrade-spine: negative rate %d", d.Bps)
-	}
-	return nil
-}
-
 func (d *DegradeSpine) Apply(env Env) error {
 	nw := env.Net
 	d.spine = pickSpine(env, d.Spine)
@@ -490,18 +394,6 @@ func (s *SwitchDown) Kind() string {
 
 func (s *SwitchDown) Label() string {
 	return fmt.Sprintf("%s(index=%d)", s.Kind(), s.index)
-}
-
-func (s *SwitchDown) Validate(env Env) error {
-	n := env.Net.Cfg.Spines
-	if s.Leaf {
-		n = env.Net.Cfg.Leaves
-	}
-	if s.Index < -1 || s.Index >= n {
-		return fmt.Errorf("chaos: %s: index %d out of range [0, %d) (-1 = random)",
-			s.Kind(), s.Index, n)
-	}
-	return nil
 }
 
 func (s *SwitchDown) Apply(env Env) error {

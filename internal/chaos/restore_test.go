@@ -105,9 +105,6 @@ func TestInjectorsPreserveHigherLayerState(t *testing.T) {
 		beforeMon := mustJSON(t, mon.Dump())
 		beforeReps := mustJSON(t, reps.Dump())
 
-		if err := inj.Validate(env); err != nil {
-			t.Fatalf("%T validate: %v", inj, err)
-		}
 		if err := inj.Apply(env); err != nil {
 			t.Fatalf("%T apply: %v", inj, err)
 		}

@@ -45,20 +45,14 @@ func NewRunner(env Env, s *Scenario) *Runner {
 	return &Runner{Env: env, Scenario: s, active: map[string]*Applied{}}
 }
 
-// Install validates the scenario and schedules its events. Returns an error
-// on a malformed scenario; nothing is scheduled in that case.
-func (r *Runner) Install(eng *sim.Engine) error {
+// Install schedules the events of a scenario that passed Validate.
+func (r *Runner) Install(eng *sim.Engine) {
 	s := r.Scenario
-	s.normalize()
-	if err := s.Validate(r.Env); err != nil {
-		return err
-	}
 	r.fired = make([]bool, len(s.Events))
 	for i := range s.Events {
 		i := i
 		eng.AtKind(s.Events[i].At, sim.KindChaos, func() { r.fire(eng, i, 0) })
 	}
-	return nil
 }
 
 func (r *Runner) fire(eng *sim.Engine, i, cycle int) {

@@ -291,6 +291,19 @@ func Filename(configSHA string, simTimeNs int64) string {
 	return fmt.Sprintf("ckpt-%s-t%012d.ckpt", short(configSHA), simTimeNs)
 }
 
+// Resolve names the checkpoint file path refers to: path itself, or the
+// latest valid checkpoint in it when path is a directory.
+func Resolve(path string) (string, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return "", err
+	}
+	if fi.IsDir() {
+		return Latest(path)
+	}
+	return path, nil
+}
+
 // Latest scans dir for checkpoint files and returns the path of the one
 // with the greatest sim time (ties broken by config fingerprint for
 // determinism). Unreadable or foreign files are skipped; an empty directory

@@ -191,6 +191,11 @@ feed:
 	return results, firstCancel
 }
 
+// RunLabel is the label a run of cfg alone carries on the status plane and
+// in alert logs: <scheme>[/<scenario>]/load <load>/seed <seed>, the rule
+// RunConfigs applies to each config of a batch.
+func RunLabel(cfg Config) string { return runLabels(cfg)[0] }
+
 // runLabels is the one label rule, for RunConfigs' batches, the chaos
 // alert log and a single Run, which is a batch of one.
 func runLabels(cfgs ...Config) []string {

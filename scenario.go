@@ -1,6 +1,7 @@
 package hermes
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -48,9 +49,9 @@ type Scenario struct {
 	Events []ScenarioEvent `json:"events"`
 }
 
-// toChaos lowers the JSON-able scenario to chaos injectors. Injector
-// instances are freshly built per call, so one Scenario value is safe to
-// share across the runs of a RunConfigs batch.
+// toChaos checks the JSON-able scenario against the topology and lowers it
+// to chaos injectors. Injector instances are freshly built per call, so one
+// Scenario value is safe to share across the runs of a RunConfigs batch.
 func (s *Scenario) toChaos(topo Topology) (*chaos.Scenario, error) {
 	out := &chaos.Scenario{Name: s.Name}
 	for i, ev := range s.Events {
@@ -60,215 +61,182 @@ func (s *Scenario) toChaos(topo Topology) (*chaos.Scenario, error) {
 			Count: ev.Count,
 		}
 		if ev.Clear == "" {
-			if err := validateFailureSpec(ev.Failure, topo); err != nil {
-				return nil, fmt.Errorf("hermes: scenario %q event %d: %w", s.Name, i, err)
-			}
 			inj, err := injectorFor(ev.Failure, topo)
 			if err != nil {
-				return nil, fmt.Errorf("hermes: scenario %q event %d: %w", s.Name, i, err)
+				return nil, fmt.Errorf("scenario %q event %d: %w", s.Name, i, err)
 			}
 			ce.Inject = inj
 		}
 		out.Events = append(out.Events, ce)
 	}
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// injectorFor builds the chaos injector for one failure spec, static or a
-// scenario event's, applying the facade's defaulting rules (zero rate ->
-// 2%, same racks -> first/last, zero degraded rate -> a fifth of the cable
-// rate...). Each kind's defaults live only here.
+// injectorFor checks one failure spec, static or a scenario event's, against
+// the topology and builds its chaos injector; FailureNone builds none. Each
+// kind's ranges and defaults live only here. Out-of-range indices, negative
+// or non-finite rates and fractions, and degraded rates above the fabric's
+// are errors, never panics or silent clamps; zero values take the kind's
+// default (rate 0 -> 2%, racks 0/0 -> first/last, spine -1 -> random, zero
+// degraded rate -> a fifth of the cable rate...).
 func injectorFor(spec FailureSpec, topo Topology) (chaos.Injector, error) {
-	switch spec.Kind {
-	case FailureRandomDrop:
-		rate := spec.DropRate
-		if rate == 0 {
-			rate = 0.02
-		}
-		return &chaos.RandomDrop{Spine: spec.Spine, Rate: rate}, nil
-	case FailureBlackhole:
-		src, dst := spec.SrcLeaf, spec.DstLeaf
-		if src == dst {
-			src, dst = 0, topo.Leaves-1
-		}
-		return &chaos.Blackhole{Spine: spec.Spine, SrcLeaf: src, DstLeaf: dst}, nil
-	case FailureSpineBlackhole:
-		return &chaos.SpineBlackhole{Spine: spec.Spine}, nil
-	case FailureDegrade:
-		frac, bps := spec.Fraction, spec.DegradedBps
-		if frac == 0 {
-			frac = 0.2
-		}
-		if bps == 0 {
-			bps = topo.FabricRateBps / 5
-		}
-		return &chaos.DegradeFraction{Fraction: frac, Bps: bps}, nil
-	case FailureCutLink:
-		return &chaos.Link{Leaf: spec.CutLeaf, Spine: spec.CutSpine, Bps: 0}, nil
-	case FailureCutCable:
-		cable := spec.CutCable
-		if cable < 0 {
-			cable = 0
-		}
-		return &chaos.CutCable{Leaf: spec.CutLeaf, Spine: spec.CutSpine, Cable: cable}, nil
-	case FailureDegradeLink:
-		bps := spec.DegradedBps
-		if bps == 0 {
-			bps = topo.FabricRateBps / 2
-		}
-		return &chaos.Link{Leaf: spec.CutLeaf, Spine: spec.CutSpine, Bps: bps}, nil
-	case FailureDegradeSpine:
-		bps := spec.DegradedBps
-		if bps == 0 {
-			bps = topo.FabricRateBps / 5
-		}
-		return &chaos.DegradeSpine{Spine: spec.Spine, Bps: bps}, nil
-	case FailureSpineDown:
-		return &chaos.SwitchDown{Leaf: false, Index: spec.Spine}, nil
-	case FailureLeafDown:
-		return &chaos.SwitchDown{Leaf: true, Index: spec.CutLeaf}, nil
-	case FailureFlap:
-		return nil, fmt.Errorf("kind %q is not a scenario injection: flapping IS the event machinery, use EveryNs+DurationNs on a degrade-link or cut-link event", spec.Kind)
-	}
-	return nil, fmt.Errorf("unknown failure kind %q", spec.Kind)
-}
-
-// validateFailureSpec hardens the facade against malformed failure
-// parameters: out-of-range indices, negative or non-finite rates and
-// fractions, and degraded rates above the fabric's are errors, never panics
-// or silent clamps. Zero values keep their documented defaulting (rate 0 -> 2%,
-// racks 0/0 -> first/last, spine -1 -> random).
-func validateFailureSpec(spec FailureSpec, topo Topology) error {
-	cables := topo.CablesPerLink
-	if cables <= 0 {
-		cables = 1
-	}
-	spineRange := func(spine int, what string) error {
-		if spine < -1 || spine >= topo.Spines {
+	kind := spec.Kind
+	spineRange := func() error {
+		if spec.Spine < -1 || spec.Spine >= topo.Spines {
 			return fmt.Errorf("%s: spine %d out of range [0, %d) (-1 = random)",
-				what, spine, topo.Spines)
+				kind, spec.Spine, topo.Spines)
 		}
 		return nil
 	}
-	leafRange := func(leaf int, what, field string) error {
+	leafRange := func(leaf int, field string) error {
 		if leaf < 0 || leaf >= topo.Leaves {
-			return fmt.Errorf("%s: %s %d out of range [0, %d)", what, field, leaf, topo.Leaves)
+			return fmt.Errorf("%s: %s %d out of range [0, %d)", kind, field, leaf, topo.Leaves)
 		}
 		return nil
 	}
-	cutLink := func(what string) error {
-		if err := leafRange(spec.CutLeaf, what, "CutLeaf"); err != nil {
+	linkRange := func() error {
+		if err := leafRange(spec.CutLeaf, "CutLeaf"); err != nil {
 			return err
 		}
 		if spec.CutSpine < 0 || spec.CutSpine >= topo.Spines {
-			return fmt.Errorf("%s: CutSpine %d out of range [0, %d)", what, spec.CutSpine, topo.Spines)
+			return fmt.Errorf("%s: CutSpine %d out of range [0, %d)", kind, spec.CutSpine, topo.Spines)
 		}
 		return nil
 	}
+	unitRange := func(field string, v float64) error {
+		if !(v >= 0 && v <= 1) { // NaN too
+			return fmt.Errorf("%s: %s %g out of range [0, 1]", kind, field, v)
+		}
+		return nil
+	}
+	// degraded is the rate of each degraded cable: DegradedBps, or the
+	// cable rate divided by share when it is zero.
+	degraded := func(share int64) (int64, error) {
+		if spec.DegradedBps > topo.FabricRateBps {
+			return 0, fmt.Errorf("%s: DegradedBps %d above the fabric's %d per cable: a degradation cannot add capacity",
+				kind, spec.DegradedBps, topo.FabricRateBps)
+		}
+		if spec.DegradedBps == 0 {
+			return topo.FabricRateBps / share, nil
+		}
+		return spec.DegradedBps, nil
+	}
 	if spec.DegradedBps < 0 {
-		return fmt.Errorf("%s: negative DegradedBps %d", spec.Kind, spec.DegradedBps)
+		return nil, fmt.Errorf("%s: negative DegradedBps %d", kind, spec.DegradedBps)
 	}
 	// JSON has no NaN or infinity, so a config holding one could be neither
 	// checkpointed nor reported, even where its kind ignores the field.
 	if math.IsNaN(spec.DropRate) || math.IsInf(spec.DropRate, 0) ||
 		math.IsNaN(spec.Fraction) || math.IsInf(spec.Fraction, 0) {
-		return fmt.Errorf("%s: DropRate %g and Fraction %g must be finite", spec.Kind, spec.DropRate, spec.Fraction)
-	}
-	switch spec.Kind {
-	case FailureDegrade, FailureDegradeLink, FailureDegradeSpine, FailureFlap:
-		if spec.DegradedBps > topo.FabricRateBps {
-			return fmt.Errorf("%s: DegradedBps %d above the fabric's %d per cable: a degradation cannot add capacity",
-				spec.Kind, spec.DegradedBps, topo.FabricRateBps)
-		}
+		return nil, fmt.Errorf("%s: DropRate %g and Fraction %g must be finite", kind, spec.DropRate, spec.Fraction)
 	}
 
-	switch spec.Kind {
+	var inj chaos.Injector
+	var err error
+	switch kind {
 	case FailureNone:
-		return nil
 	case FailureRandomDrop:
-		if !(spec.DropRate >= 0 && spec.DropRate <= 1) { // NaN too
-			return fmt.Errorf("random-drop: DropRate %g out of range [0, 1]", spec.DropRate)
+		rate := spec.DropRate
+		if rate == 0 {
+			rate = 0.02
 		}
-		return spineRange(spec.Spine, "random-drop")
+		inj = &chaos.RandomDrop{Spine: spec.Spine, Rate: rate}
+		err = errors.Join(unitRange("DropRate", spec.DropRate), spineRange())
 	case FailureBlackhole:
-		if err := spineRange(spec.Spine, "blackhole"); err != nil {
-			return err
+		src, dst := spec.SrcLeaf, spec.DstLeaf
+		err = errors.Join(spineRange(), leafRange(src, "SrcLeaf"), leafRange(dst, "DstLeaf"))
+		if src == dst {
+			src, dst = 0, topo.Leaves-1
 		}
-		if err := leafRange(spec.SrcLeaf, "blackhole", "SrcLeaf"); err != nil {
-			return err
-		}
-		return leafRange(spec.DstLeaf, "blackhole", "DstLeaf")
+		inj = &chaos.Blackhole{Spine: spec.Spine, SrcLeaf: src, DstLeaf: dst}
+	case FailureSpineBlackhole:
+		inj, err = &chaos.SpineBlackhole{Spine: spec.Spine}, spineRange()
 	case FailureDegrade:
-		if !(spec.Fraction >= 0 && spec.Fraction <= 1) { // NaN too
-			return fmt.Errorf("degrade: Fraction %g out of range [0, 1]", spec.Fraction)
+		frac := spec.Fraction
+		if frac == 0 {
+			frac = 0.2
 		}
-		return nil
-	case FailureCutLink, FailureDegradeLink:
-		return cutLink(string(spec.Kind))
+		bps, bpsErr := degraded(5)
+		inj = &chaos.DegradeFraction{Fraction: frac, Bps: bps}
+		err = errors.Join(unitRange("Fraction", spec.Fraction), bpsErr)
+	case FailureCutLink:
+		inj, err = &chaos.Link{Leaf: spec.CutLeaf, Spine: spec.CutSpine, Bps: 0}, linkRange()
 	case FailureCutCable:
-		if err := cutLink("cut-cable"); err != nil {
-			return err
+		if cables := max(topo.CablesPerLink, 1); spec.CutCable < -1 || spec.CutCable >= cables {
+			err = fmt.Errorf("cut-cable: CutCable %d out of range [0, %d)", spec.CutCable, cables)
 		}
-		if spec.CutCable < -1 || spec.CutCable >= cables {
-			return fmt.Errorf("cut-cable: CutCable %d out of range [0, %d)", spec.CutCable, cables)
-		}
-		return nil
-	case FailureFlap:
-		if err := cutLink("flap"); err != nil {
-			return err
-		}
-		if spec.FlapPeriodNs < 0 || spec.FlapDownNs < 0 {
-			return fmt.Errorf("flap: negative FlapPeriodNs/FlapDownNs")
-		}
-		if spec.FlapPeriodNs > 0 && spec.FlapDownNs >= spec.FlapPeriodNs {
-			return fmt.Errorf("flap: FlapDownNs %d >= FlapPeriodNs %d",
-				spec.FlapDownNs, spec.FlapPeriodNs)
-		}
-		return nil
-	case FailureDegradeSpine, FailureSpineDown, FailureSpineBlackhole:
-		return spineRange(spec.Spine, string(spec.Kind))
+		inj = &chaos.CutCable{Leaf: spec.CutLeaf, Spine: spec.CutSpine, Cable: max(spec.CutCable, 0)}
+		err = errors.Join(linkRange(), err)
+	case FailureDegradeLink:
+		bps, bpsErr := degraded(2)
+		inj = &chaos.Link{Leaf: spec.CutLeaf, Spine: spec.CutSpine, Bps: bps}
+		err = errors.Join(linkRange(), bpsErr)
+	case FailureDegradeSpine:
+		bps, bpsErr := degraded(5)
+		inj = &chaos.DegradeSpine{Spine: spec.Spine, Bps: bps}
+		err = errors.Join(spineRange(), bpsErr)
+	case FailureSpineDown:
+		inj, err = &chaos.SwitchDown{Leaf: false, Index: spec.Spine}, spineRange()
 	case FailureLeafDown:
 		if spec.CutLeaf < -1 || spec.CutLeaf >= topo.Leaves {
-			return fmt.Errorf("leaf-down: CutLeaf %d out of range [0, %d) (-1 = random)",
-				spec.CutLeaf, topo.Leaves)
+			err = fmt.Errorf("leaf-down: CutLeaf %d out of range [0, %d) (-1 = random)", spec.CutLeaf, topo.Leaves)
 		}
-		return nil
+		inj = &chaos.SwitchDown{Leaf: true, Index: spec.CutLeaf}
+	case FailureFlap:
+		err = fmt.Errorf("kind %q is not a scenario injection: flapping IS the event machinery, use EveryNs+DurationNs on a degrade-link or cut-link event", kind)
+	default:
+		err = fmt.Errorf("unknown failure kind %q", kind)
 	}
-	return fmt.Errorf("unknown failure kind %q", spec.Kind)
+	if err != nil {
+		return nil, err
+	}
+	return inj, nil
 }
 
-// flapScenario lowers the static flap failure onto the scenario event
-// machinery — the single code path for all timed failures. Defaults (500 ms
-// period, half of it down) live here and only here.
-func flapScenario(spec FailureSpec, topo Topology) *Scenario {
-	period := spec.FlapPeriodNs
-	if period <= 0 {
-		period = int64(500 * sim.Millisecond)
+// scenarioSugar lowers a timed static failure onto the scenario machinery,
+// the one code path for everything time-varying, and returns nil for any
+// other kind. A flap is a repeating degrade-link event, or cut-link when
+// DegradedBps is 0, with a 500 ms period and half of it down by default; its
+// defaults and its own ranges live here and only here. A spine-down or
+// leaf-down is one injection at t=0 that never clears. The lowered event's
+// failure is checked with the rest of its scenario.
+func scenarioSugar(spec FailureSpec) (*Scenario, error) {
+	switch spec.Kind {
+	case FailureFlap:
+		if spec.FlapPeriodNs < 0 || spec.FlapDownNs < 0 {
+			return nil, fmt.Errorf("flap: negative FlapPeriodNs/FlapDownNs")
+		}
+		if spec.FlapPeriodNs > 0 && spec.FlapDownNs >= spec.FlapPeriodNs {
+			return nil, fmt.Errorf("flap: FlapDownNs %d >= FlapPeriodNs %d",
+				spec.FlapDownNs, spec.FlapPeriodNs)
+		}
+		period := spec.FlapPeriodNs
+		if period == 0 {
+			period = int64(500 * sim.Millisecond)
+		}
+		down := spec.FlapDownNs
+		if down == 0 {
+			down = period / 2
+		}
+		inner := spec
+		inner.Kind = FailureDegradeLink
+		if spec.DegradedBps == 0 {
+			inner.Kind = FailureCutLink // flap's documented 0 = cut
+		}
+		return &Scenario{Name: "flap", Events: []ScenarioEvent{{
+			AtNs: period - down, Name: "flap",
+			DurationNs: down, EveryNs: period,
+			Failure: inner,
+		}}}, nil
+	case FailureSpineDown, FailureLeafDown:
+		return &Scenario{Name: string(spec.Kind), Events: []ScenarioEvent{{
+			AtNs: 0, Name: string(spec.Kind), Failure: spec,
+		}}}, nil
 	}
-	down := spec.FlapDownNs
-	if down <= 0 {
-		down = period / 2
-	}
-	inner := FailureSpec{
-		Kind: FailureDegradeLink, CutLeaf: spec.CutLeaf, CutSpine: spec.CutSpine,
-		DegradedBps: spec.DegradedBps,
-	}
-	if spec.DegradedBps == 0 {
-		inner.Kind = FailureCutLink // flap's documented 0 = cut
-	}
-	return &Scenario{Name: "flap", Events: []ScenarioEvent{{
-		AtNs: period - down, Name: "flap",
-		DurationNs: down, EveryNs: period,
-		Failure: inner,
-	}}}
-}
-
-// switchDownScenario lowers a static spine-down/leaf-down failure onto the
-// scenario machinery: one injection at t=0 that never clears.
-func switchDownScenario(spec FailureSpec) *Scenario {
-	return &Scenario{Name: string(spec.Kind), Events: []ScenarioEvent{{
-		AtNs: 0, Name: string(spec.Kind), Failure: spec,
-	}}}
+	return nil, nil
 }
 
 // ScenarioNames lists the built-in scenario library in stable order.

@@ -39,7 +39,7 @@ func noTelemetry(*Result, *sim.Engine) {}
 
 // buildScheme assembles cfg.Scheme on nw and declares its metrics on pl.
 // audit, when non-nil, receives Hermes' decisions and verdicts.
-func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog, pl telemetry.Plane) (*wiring, error) {
+func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog, pl telemetry.Plane) *wiring {
 	flowlet := sim.Time(cfg.FlowletTimeoutNs)
 	if flowlet <= 0 {
 		flowlet = 150 * sim.Microsecond
@@ -114,7 +114,7 @@ func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.Aud
 		w.balancerFor = func(*net.Host) transport.Balancer { return e }
 
 	case SchemeREPS:
-		return buildReps(nw, pl), nil
+		return buildReps(nw, pl)
 
 	case SchemeRepFlow:
 		// Path selection is plain ECMP; the replication machinery lives in
@@ -124,12 +124,13 @@ func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.Aud
 		w.balancerFor = func(*net.Host) transport.Balancer { return e }
 
 	case SchemeHermes:
-		return buildHermes(nw, rng, cfg, audit, pl), nil
+		return buildHermes(nw, rng, cfg, audit, pl)
 
 	default:
-		return nil, fmt.Errorf("hermes: unknown scheme %q", cfg.Scheme)
+		// validate admits only the schemes Schemes lists.
+		panic(fmt.Sprintf("hermes: scheme %q has no wiring", cfg.Scheme))
 	}
-	return w, nil
+	return w
 }
 
 func passThrough(name string) func(*net.Host) transport.Balancer {
