@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"github.com/hermes-repro/hermes/internal/core"
@@ -48,6 +49,10 @@ func TestConfigValidation(t *testing.T) {
 	bad.Load = 0
 	if _, err := Run(bad); err == nil {
 		t.Error("zero load accepted")
+	}
+	bad.Load = math.NaN()
+	if _, err := Run(bad); err == nil {
+		t.Error("NaN load accepted")
 	}
 	bad = base
 	bad.Workload = "bogus"
