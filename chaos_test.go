@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/hermes-repro/hermes/internal/chaos"
+	"github.com/hermes-repro/hermes/internal/core"
 )
 
 // chaosTopo is a 2x2 fabric where a spine-0 blackhole eats half of ECMP's
@@ -242,9 +243,13 @@ func TestChaosScenarioValidation(t *testing.T) {
 }
 
 // TestValidateIsTheOneGate: run.validate rejects every invalid field before
-// an engine, a fabric or a file exists. These eight configs once passed it
-// and failed only midway through set-up, one of them after it had created
-// its checkpoint directory; a config that fails validation now creates none.
+// an engine, a fabric or a file exists. The first eight configs once passed
+// it and failed only midway through set-up, one of them after it had
+// created its checkpoint directory; a config that fails validation now
+// creates none. The two timelines after them passed it and failed only at
+// run end, when a clear found its event no longer active. The Hermes
+// parameters after those passed it too, though the ECMP base ignores them;
+// with a zero detection window a Hermes run would never finish.
 func TestValidateIsTheOneGate(t *testing.T) {
 	base := Config{
 		Topology: chaosTopo(), Scheme: SchemeECMP,
@@ -253,6 +258,18 @@ func TestValidateIsTheOneGate(t *testing.T) {
 	event := func(ev ScenarioEvent) *Scenario {
 		return &Scenario{Name: "bad", Events: []ScenarioEvent{ev}}
 	}
+	derived, err := DeriveHermesParams(base.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := func(edit func(*core.Params)) func(*Config) {
+		return func(c *Config) {
+			p := derived
+			edit(&p)
+			c.HermesParams = &p
+		}
+	}
+	spineBlackhole := FailureSpec{Kind: FailureSpineBlackhole}
 	cases := []struct {
 		name string
 		edit func(*Config)
@@ -276,6 +293,24 @@ func TestValidateIsTheOneGate(t *testing.T) {
 			c.Scenario = event(ScenarioEvent{AtNs: 1e6, Name: "d",
 				Failure: FailureSpec{Kind: FailureRandomDrop, Spine: 9}})
 		}, "out of range"},
+		{"clear of an event with a duration", func(c *Config) {
+			c.Scenario = &Scenario{Name: "bad", Events: []ScenarioEvent{
+				{AtNs: 1e6, Name: "a", DurationNs: 1e6, Failure: spineBlackhole},
+				{AtNs: 3e6, Clear: "a"},
+			}}
+		}, "clears itself"},
+		{"two clears of one event", func(c *Config) {
+			c.Scenario = &Scenario{Name: "bad", Events: []ScenarioEvent{
+				{AtNs: 1e6, Name: "a", Failure: spineBlackhole},
+				{AtNs: 2e6, Clear: "a"},
+				{AtNs: 3e6, Clear: "a"},
+			}}
+		}, "already cleared"},
+		{"zero Hermes parameters", func(c *Config) { c.HermesParams = &core.Params{} }, "Tau"},
+		{"derived Hermes parameters with Tau 0", params(func(p *core.Params) { p.Tau = 0 }), "Tau"},
+		{"negative ProbeTimeout", params(func(p *core.Params) { p.ProbeTimeout = -1 }), "ProbeTimeout"},
+		{"infinite RBps", params(func(p *core.Params) { p.RBps = math.Inf(1) }), "RBps"},
+		{"ECNGain above 1", params(func(p *core.Params) { p.ECNGain = 1.5 }), "ECNGain"},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -29,16 +29,25 @@ import (
 	"github.com/hermes-repro/hermes/internal/perf"
 )
 
+// schemeNames is the -scheme help: every scheme Run accepts.
+func schemeNames() string {
+	var names []string
+	for _, s := range hermes.Schemes() {
+		names = append(names, string(s))
+	}
+	return strings.Join(names, "|")
+}
+
 func main() {
 	var (
 		topoName = flag.String("topology", "large", `"testbed" (2x2, 1G), "large" (8x8, 10G) or "small" (4x4, 10G)`)
-		scheme   = flag.String("scheme", "hermes", "ecmp|presto|drb|letflow|drill|conga|clove|flowbender|mptcp|reps|repflow|hermes")
+		scheme   = flag.String("scheme", "hermes", schemeNames())
 		workload = flag.String("workload", "web-search", "web-search|data-mining")
 		wlFile   = flag.String("workload-file", "", "custom flow-size CDF file (overrides -workload)")
 		load     = flag.Float64("load", 0.6, "offered load as a fraction of bisection bandwidth")
 		flows    = flag.Int("flows", 1000, "number of flows to generate")
 		seed     = flag.Int64("seed", 1, "random seed (same seed => same run)")
-		protocol = flag.String("protocol", "dctcp", "dctcp|reno")
+		protocol = flag.String("protocol", "dctcp", "dctcp|reno|timely")
 		flowlet  = flag.Int64("flowlet-us", 0, "flowlet timeout override in microseconds (CONGA/LetFlow/CLOVE)")
 		maxFlow  = flag.Int64("max-flow-bytes", 0, "flow size cap (0 = workload default)")
 

@@ -17,18 +17,19 @@ var fuzzKinds = []FailureKind{
 
 // FuzzFailureSpec runs one failure on a 2x2 fabric with 0-2 cables per
 // link, 8 flows, the invariant harness on and a 20 ms drain, twice: as the
-// static Config.Failure and as the one event of a scenario. The encoding is
-// compact: a kind index, one spine (Spine and CutSpine), two leaves
+// static Config.Failure and as the inject event of a scenario. The encoding
+// is compact: a kind index, one spine (Spine and CutSpine), two leaves
 // (SrcLeaf/CutLeaf and DstLeaf), a cable, a drop rate, a fraction and a
-// degraded rate, then the event's onset, duration, period and count. The
-// period is drawn in 100 us steps, so a repeating event cannot flap faster
-// than a short run can afford. Every input must either fail validation
-// with an error, or run with no engine-invariant or conservation error and
-// no panic; a NaN drop rate or fraction must fail, whatever the kind. The
-// one run-time error a scenario may end with is an event that never fired:
-// an onset past the run's end, which no check made before the run can know.
-// A static flap's fixed 1 ms period puts its first onset at 0.5 ms, well
-// inside the run.
+// degraded rate, then the event's onset, duration, period and count, and
+// last zero to two explicit Clears of the event (clears mod 3), all at one
+// instant. The period is drawn in 100 us steps, so a repeating event cannot
+// flap faster than a short run can afford. Every input must either fail
+// validation with an error, or run with no engine-invariant or conservation
+// error and no panic; a NaN drop rate or fraction must fail, whatever the
+// kind. The one run-time error a scenario may end with is an event that
+// never fired: an onset or clear past the run's end, which no check made
+// before the run can know. A static flap's fixed 1 ms period puts its first
+// onset at 0.5 ms, well inside the run.
 //
 // A static failure that validates runs a second time with every optional
 // sink armed, and observing it must not change it: both runs checkpoint at
@@ -37,23 +38,30 @@ var fuzzKinds = []FailureKind{
 func FuzzFailureSpec(f *testing.F) {
 	for i := range fuzzKinds {
 		f.Add(uint8(i), int8(1), int8(0), int8(1), int8(1), 0.05, 0.5, int64(5e9), uint8(2),
-			int64(1e6), int64(2e6), int16(0), int8(0))
+			int64(1e6), int64(2e6), int16(0), int8(0), uint8(0), int64(0))
 	}
 	// A repeating event: 0.3 ms down out of every 1 ms, three times.
 	f.Add(uint8(6), int8(1), int8(0), int8(1), int8(1), 0.05, 0.5, int64(5e9), uint8(2),
-		int64(1e6), int64(3e5), int16(10), int8(3))
+		int64(1e6), int64(3e5), int16(10), int8(3), uint8(0), int64(0))
 	// NaN drop rate and fraction: random-drop and degrade, which read them,
 	// and leaf-down, which does not, must all reject them. A config holding
 	// a NaN has no JSON form, so it could not be checkpointed.
 	f.Add(uint8(0), int8(1), int8(0), int8(1), int8(1), math.NaN(), math.NaN(), int64(5e9), uint8(2),
-		int64(1e6), int64(0), int16(0), int8(0))
+		int64(1e6), int64(0), int16(0), int8(0), uint8(0), int64(0))
 	f.Add(uint8(3), int8(1), int8(0), int8(1), int8(1), math.NaN(), math.NaN(), int64(5e9), uint8(2),
-		int64(1e6), int64(0), int16(0), int8(0))
+		int64(1e6), int64(0), int16(0), int8(0), uint8(0), int64(0))
 	f.Add(uint8(10), int8(1), int8(0), int8(-1), int8(1), math.NaN(), math.NaN(), int64(5e9), uint8(2),
-		int64(1e6), int64(0), int16(0), int8(0))
+		int64(1e6), int64(0), int16(0), int8(0), uint8(0), int64(0))
+	// A Clear of a spine blackhole that already cleared itself 2 ms after
+	// its onset, and a second Clear of a one-shot one: both must fail
+	// validation, not the run.
+	f.Add(uint8(2), int8(1), int8(0), int8(1), int8(1), 0.05, 0.5, int64(5e9), uint8(2),
+		int64(1e6), int64(2e6), int16(0), int8(0), uint8(1), int64(4e6))
+	f.Add(uint8(2), int8(1), int8(0), int8(1), int8(1), 0.05, 0.5, int64(5e9), uint8(2),
+		int64(1e6), int64(0), int16(0), int8(0), uint8(2), int64(2e6))
 	f.Fuzz(func(t *testing.T, kind uint8, spine, leafA, leafB, cable int8,
 		rate, fraction float64, bps int64, cables uint8,
-		onset, duration int64, every int16, count int8) {
+		onset, duration int64, every int16, count int8, clears uint8, clearAt int64) {
 		cfg := Config{
 			Topology: Topology{
 				Leaves: 2, Spines: 2, HostsPerLeaf: 2,
@@ -78,6 +86,9 @@ func FuzzFailureSpec(f *testing.F) {
 			AtNs: onset, Name: "ev", DurationNs: duration,
 			EveryNs: int64(every) * 100e3, Count: int(count), Failure: cfg.Failure,
 		}}}
+		for i := 0; i < int(clears%3); i++ {
+			cfg.Scenario.Events = append(cfg.Scenario.Events, ScenarioEvent{AtNs: clearAt, Clear: "ev"})
+		}
 		cfg.Failure = FailureSpec{}
 		if err := (&run{cfg: cfg}).validate(); err != nil {
 			return
@@ -88,7 +99,7 @@ func FuzzFailureSpec(f *testing.F) {
 		if _, err := Run(cfg); err != nil {
 			for _, line := range strings.Split(err.Error(), "\n") {
 				if !strings.Contains(line, "never fired") {
-					t.Fatalf("%+v passed validation, then the run failed: %v", cfg.Scenario.Events[0], err)
+					t.Fatalf("%+v passed validation, then the run failed: %v", cfg.Scenario.Events, err)
 				}
 			}
 		}

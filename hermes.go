@@ -242,7 +242,8 @@ type Config struct {
 	// it even for Presto*; 0 means scheme default (Presto* gets 400 us).
 	ReorderTimeoutNs int64
 
-	// HermesParams overrides the derived Table 4 defaults when non-nil.
+	// HermesParams overrides the derived Table 4 defaults when non-nil;
+	// it must pass core.Params.Validate, even under another scheme.
 	HermesParams *core.Params
 
 	// Failure injects a malfunction or asymmetry.
@@ -600,6 +601,11 @@ func (r *run) validate() error {
 	if err := knownScheme(cfg.Scheme); err != nil {
 		return err
 	}
+	if p := cfg.HermesParams; p != nil {
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("hermes: HermesParams: %w", err)
+		}
+	}
 	r.opts = transport.DefaultOptions()
 	switch cfg.Protocol {
 	case "", "dctcp":
@@ -690,11 +696,10 @@ func (r *run) validate() error {
 }
 
 // applyStatic applies one phase of the static Config.Failure (nil: none).
-func (r *run) applyStatic(inj chaos.Injector) error {
-	if inj == nil {
-		return nil
+func (r *run) applyStatic(inj chaos.Injector) {
+	if inj != nil {
+		inj.Apply(chaos.Env{Net: r.nw, Rng: r.rng})
 	}
-	return inj.Apply(chaos.Env{Net: r.nw, Rng: r.rng})
 }
 
 // setup builds the whole simulation — fabric, scheme, transport, workload,
@@ -741,9 +746,7 @@ func (r *run) setup() error {
 	case FailureRandomDrop, FailureBlackhole, FailureSpineBlackhole:
 		fabricFailure, switchFailure = nil, r.static
 	}
-	if err := r.applyStatic(fabricFailure); err != nil {
-		return err
-	}
+	r.applyStatic(fabricFailure)
 
 	if cfg.Telemetry {
 		r.rd = telemetry.NewRunData(eng, sim.Time(cfg.TelemetryIntervalNs))
@@ -810,9 +813,7 @@ func (r *run) setup() error {
 		r.st.AttachAlerts(r.watchdog, r.runLabel)
 	}
 
-	if err := r.applyStatic(switchFailure); err != nil {
-		return err
-	}
+	r.applyStatic(switchFailure)
 
 	// Scenario events ride the engine timeline: inject/clear fire at their
 	// scheduled virtual times, interleaved with traffic.

@@ -17,7 +17,8 @@ type Event struct {
 	Name string
 	// Inject is the failure to apply; nil for clear-only events.
 	Inject Injector
-	// Clear names the inject event to revert; exclusive with Inject.
+	// Clear names the inject event to revert; exclusive with Inject. An
+	// event takes at most one Clear, and none when it has a Duration.
 	Clear string
 	// Duration auto-clears the injection this long after each onset
 	// (0 = stays until an explicit Clear or run end). Required for
@@ -93,6 +94,7 @@ func (s *Scenario) Validate() error {
 			names[ev.Name] = i
 		}
 	}
+	cleared := map[string]int{}
 	for i, ev := range s.Events {
 		if ev.Clear == "" {
 			continue
@@ -110,6 +112,15 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("chaos: scenario %q event %d: cannot Clear repeating event %q (use Count)",
 				s.Name, i, ev.Clear)
 		}
+		if s.Events[j].Duration > 0 {
+			return fmt.Errorf("chaos: scenario %q event %d: cannot Clear %q, which clears itself after its Duration",
+				s.Name, i, ev.Clear)
+		}
+		if prev, dup := cleared[ev.Clear]; dup {
+			return fmt.Errorf("chaos: scenario %q event %d: %q is already cleared by event %d",
+				s.Name, i, ev.Clear, prev)
+		}
+		cleared[ev.Clear] = i
 	}
 	return nil
 }

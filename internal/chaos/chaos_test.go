@@ -70,9 +70,7 @@ func TestInjectorsRestoreExactState(t *testing.T) {
 		env.Net.SetCable(3, 3, 1, 5e8)
 		before := snapshotRates(env.Net)
 		hooks := dropFnCount(env.Net)
-		if err := inj.Apply(env); err != nil {
-			t.Fatalf("%T apply: %v", inj, err)
-		}
+		inj.Apply(env)
 		inj.Revert(env)
 		after := snapshotRates(env.Net)
 		for k, v := range before {
@@ -93,9 +91,7 @@ func TestInjectorApplyRevertCycles(t *testing.T) {
 	inj := &Link{Leaf: 0, Spine: 1, Bps: 1e6}
 	before := snapshotRates(env.Net)
 	for cycle := 0; cycle < 3; cycle++ {
-		if err := inj.Apply(env); err != nil {
-			t.Fatal(err)
-		}
+		inj.Apply(env)
 		if got := env.Net.FabricLinkRate(0, 1); got != 2e6 {
 			t.Fatalf("cycle %d: degraded link rate %d, want 2e6 (2 cables x 1e6)", cycle, got)
 		}
@@ -285,6 +281,10 @@ func TestScenarioValidation(t *testing.T) {
 			{At: 1, Name: "f", Inject: bh(), Every: 10, Duration: 10}}}, "overlap"},
 		{"count without every", Scenario{Events: []Event{
 			{At: 1, Name: "f", Inject: bh(), Count: 2}}}, "without Every"},
+		{"clear of a self-clearing event", Scenario{Events: []Event{
+			{At: 1, Name: "a", Inject: bh(), Duration: 5}, ClearAt(10, "a")}}, "clears itself"},
+		{"second clear", Scenario{Events: []Event{
+			At(1, "a", bh()), ClearAt(5, "a"), ClearAt(10, "a")}}, "already cleared by event 1"},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()

@@ -4,13 +4,14 @@
 // scenario engine: a Scenario is a timeline of events — inject a failure at
 // t1, clear it at t2, repeat a flap every period — over injectors that may
 // overlap on the same switch or link. A run's static failure is one
-// injector applied before traffic. Every injector snapshots exactly what it
-// changes and restores it on revert, so mid-run recovery is first-class,
-// and all randomness flows through the run's seeded RNG, so a scenario is
-// deterministic per seed. The recovery analysis (Compute) reads the flight
-// recorder back out to score how fast a load balancing scheme detected,
-// rerouted around, and re-converged after each activation — the §5.3
-// resilience questions the paper answers with testbed experiments.
+// injector applied before traffic. Every injector changes the fabric only
+// through a cable re-rating, a drop hook or both, each of which records
+// what it changed and undoes exactly that on revert, so mid-run recovery is
+// first-class, and all randomness flows through the run's seeded RNG, so a
+// scenario is deterministic per seed. The recovery analysis (Compute) reads
+// the flight recorder back out to score how fast a load balancing scheme
+// detected, rerouted around, and re-converged after each activation — the
+// §5.3 resilience questions the paper answers with testbed experiments.
 package chaos
 
 import (
@@ -74,18 +75,18 @@ func (s Scope) HasPath(leaf, dst, path, cables int) bool {
 	return true
 }
 
-// Injector is one composable failure. Apply installs it; Revert must
-// restore the exact pre-Apply state (link rates, drop hooks), so injectors
-// snapshot whatever they change. The runner never overlaps activations of
-// the same injector, so Apply/Revert alternate strictly. An injector trusts
-// its parameters: whoever builds one checks them against the fabric first.
+// Injector is one composable failure. Apply installs it and cannot fail;
+// Revert restores the exact pre-Apply state (link rates, drop hooks). The
+// runner never overlaps activations of the same injector, so Apply/Revert
+// alternate strictly. An injector trusts its parameters: whoever builds one
+// checks them against the fabric first.
 type Injector interface {
 	// Kind is the stable failure-kind string ("blackhole", "random-drop", ...).
 	Kind() string
 	// Label describes the activation for logs and scorecards.
 	Label() string
 	// Apply installs the failure. Random picks resolve here.
-	Apply(env Env) error
+	Apply(env Env)
 	// Revert restores the pre-Apply state.
 	Revert(env Env)
 	// Scope reports what the failure touched; valid after Apply.
@@ -103,6 +104,53 @@ func pickSpine(env Env, spine int) int {
 // dropAll is the drop hook of a switch that forwards nothing.
 func dropAll(*net.Packet) bool { return true }
 
+// rerating is the re-rating half of an injector: it records every cable it
+// re-rates with the rate the cable had, and Revert restores them in the
+// order they were set.
+type rerating struct {
+	saved []savedCable
+}
+
+type savedCable struct {
+	leaf, spine, cable int
+	bps                int64
+}
+
+// rerateCable sets one cable of a leaf-spine link to bps.
+func (r *rerating) rerateCable(nw *net.Network, leaf, spine, cable int, bps int64) {
+	r.saved = append(r.saved, savedCable{leaf, spine, cable, nw.CableRate(leaf, spine, cable)})
+	nw.SetCable(leaf, spine, cable, bps)
+}
+
+// rerateLink sets every cable of a leaf-spine link to bps (0 = cut it).
+func (r *rerating) rerateLink(nw *net.Network, leaf, spine int, bps int64) {
+	for c := 0; c < nw.Cables(); c++ {
+		r.rerateCable(nw, leaf, spine, c, bps)
+	}
+}
+
+// Revert restores every re-rated cable and forgets them.
+func (r *rerating) Revert(env Env) {
+	for _, c := range r.saved {
+		env.Net.SetCable(c.leaf, c.spine, c.cable, c.bps)
+	}
+	r.saved = r.saved[:0]
+}
+
+// dropHook is the drop-hook half of an injector: it records the hook it
+// installs on a switch, and Revert removes it.
+type dropHook struct {
+	sw *net.Switch
+	id int
+}
+
+func (h *dropHook) install(sw *net.Switch, fn func(*net.Packet) bool) {
+	h.sw, h.id = sw, sw.AddDropFn(fn)
+}
+
+// Revert removes the hook; a second Revert removes nothing.
+func (h *dropHook) Revert(Env) { h.sw.RemoveDropFn(h.id) }
+
 // Blackhole drops traffic between half of the host pairs of a rack pair at
 // one spine switch (§5.3.3's TCAM-deficit blackhole).
 type Blackhole struct {
@@ -110,7 +158,7 @@ type Blackhole struct {
 	SrcLeaf, DstLeaf int
 
 	spine int
-	hook  int
+	dropHook
 }
 
 func (b *Blackhole) Kind() string { return "blackhole" }
@@ -123,17 +171,14 @@ func (b *Blackhole) Label() string {
 // two racks whose ids have an even sum: half of the pairs, in a fixed
 // pattern as a faulty TCAM entry would match them, and in both directions,
 // so the ACKs of affected flows die too.
-func (b *Blackhole) Apply(env Env) error {
+func (b *Blackhole) Apply(env Env) {
 	nw, src, dst := env.Net, b.SrcLeaf, b.DstLeaf
 	b.spine = pickSpine(env, b.Spine)
-	b.hook = nw.Spines[b.spine].AddDropFn(func(p *net.Packet) bool {
+	b.install(nw.Spines[b.spine], func(p *net.Packet) bool {
 		s, d := nw.LeafOf(p.Src), nw.LeafOf(p.Dst)
 		return ((s == src && d == dst) || (s == dst && d == src)) && (p.Src+p.Dst)%2 == 0
 	})
-	return nil
 }
-
-func (b *Blackhole) Revert(env Env) { env.Net.Spines[b.spine].RemoveDropFn(b.hook) }
 
 func (b *Blackhole) Scope() Scope {
 	return Scope{Spines: []int{b.spine}, Leaves: []int{b.SrcLeaf, b.DstLeaf}}
@@ -147,7 +192,7 @@ type SpineBlackhole struct {
 	Spine int // -1 = random at apply time
 
 	spine int
-	hook  int
+	dropHook
 }
 
 func (b *SpineBlackhole) Kind() string { return "spine-blackhole" }
@@ -156,13 +201,10 @@ func (b *SpineBlackhole) Label() string {
 	return fmt.Sprintf("spine-blackhole(spine=%d)", b.spine)
 }
 
-func (b *SpineBlackhole) Apply(env Env) error {
+func (b *SpineBlackhole) Apply(env Env) {
 	b.spine = pickSpine(env, b.Spine)
-	b.hook = env.Net.Spines[b.spine].AddDropFn(dropAll)
-	return nil
+	b.install(env.Net.Spines[b.spine], dropAll)
 }
-
-func (b *SpineBlackhole) Revert(env Env) { env.Net.Spines[b.spine].RemoveDropFn(b.hook) }
 
 func (b *SpineBlackhole) Scope() Scope { return Scope{Spines: []int{b.spine}} }
 
@@ -175,7 +217,7 @@ type RandomDrop struct {
 	Rate  float64
 
 	spine int
-	hook  int
+	dropHook
 }
 
 func (r *RandomDrop) Kind() string { return "random-drop" }
@@ -187,14 +229,11 @@ func (r *RandomDrop) Label() string {
 // Apply's hook draws once from the run RNG for every packet; the switch
 // consults every hook on every packet, so a co-resident failure never
 // changes how many draws this one makes.
-func (r *RandomDrop) Apply(env Env) error {
+func (r *RandomDrop) Apply(env Env) {
 	rng, rate := env.Rng, r.Rate
 	r.spine = pickSpine(env, r.Spine)
-	r.hook = env.Net.Spines[r.spine].AddDropFn(func(*net.Packet) bool { return rng.Float64() < rate })
-	return nil
+	r.install(env.Net.Spines[r.spine], func(*net.Packet) bool { return rng.Float64() < rate })
 }
-
-func (r *RandomDrop) Revert(env Env) { env.Net.Spines[r.spine].RemoveDropFn(r.hook) }
 
 func (r *RandomDrop) Scope() Scope { return Scope{Spines: []int{r.spine}} }
 
@@ -204,7 +243,7 @@ type Link struct {
 	Leaf, Spine int
 	Bps         int64
 
-	saved []int64
+	rerating
 }
 
 func (l *Link) Kind() string {
@@ -218,21 +257,7 @@ func (l *Link) Label() string {
 	return fmt.Sprintf("%s(leaf=%d, spine=%d, bps=%d)", l.Kind(), l.Leaf, l.Spine, l.Bps)
 }
 
-func (l *Link) Apply(env Env) error {
-	nw := env.Net
-	l.saved = l.saved[:0]
-	for c := 0; c < nw.Cables(); c++ {
-		l.saved = append(l.saved, nw.CableRate(l.Leaf, l.Spine, c))
-	}
-	nw.SetFabricLink(l.Leaf, l.Spine, l.Bps)
-	return nil
-}
-
-func (l *Link) Revert(env Env) {
-	for c, bps := range l.saved {
-		env.Net.SetCable(l.Leaf, l.Spine, c, bps)
-	}
-}
+func (l *Link) Apply(env Env) { l.rerateLink(env.Net, l.Leaf, l.Spine, l.Bps) }
 
 func (l *Link) Scope() Scope {
 	return Scope{Spines: []int{l.Spine}, Leaves: []int{l.Leaf}}
@@ -243,7 +268,7 @@ func (l *Link) Scope() Scope {
 type CutCable struct {
 	Leaf, Spine, Cable int
 
-	saved int64
+	rerating
 }
 
 func (c *CutCable) Kind() string { return "cut-cable" }
@@ -252,15 +277,7 @@ func (c *CutCable) Label() string {
 	return fmt.Sprintf("cut-cable(leaf=%d, spine=%d, cable=%d)", c.Leaf, c.Spine, c.Cable)
 }
 
-func (c *CutCable) Apply(env Env) error {
-	c.saved = env.Net.CableRate(c.Leaf, c.Spine, c.Cable)
-	env.Net.SetCable(c.Leaf, c.Spine, c.Cable, 0)
-	return nil
-}
-
-func (c *CutCable) Revert(env Env) {
-	env.Net.SetCable(c.Leaf, c.Spine, c.Cable, c.saved)
-}
+func (c *CutCable) Apply(env Env) { c.rerateCable(env.Net, c.Leaf, c.Spine, c.Cable, 0) }
 
 func (c *CutCable) Scope() Scope {
 	return Scope{Spines: []int{c.Spine}, Leaves: []int{c.Leaf}}
@@ -274,7 +291,7 @@ type DegradeFraction struct {
 	Bps      int64
 
 	links [][2]int
-	saved [][]int64
+	rerating
 }
 
 func (d *DegradeFraction) Kind() string { return "degrade" }
@@ -283,31 +300,16 @@ func (d *DegradeFraction) Label() string {
 	return fmt.Sprintf("degrade(fraction=%g, bps=%d, links=%d)", d.Fraction, d.Bps, len(d.links))
 }
 
-func (d *DegradeFraction) Apply(env Env) error {
+func (d *DegradeFraction) Apply(env Env) {
 	nw := env.Net
 	total := nw.Cfg.Leaves * nw.Cfg.Spines
 	n := int(d.Fraction * float64(total))
 	perm := env.Rng.Perm(total)
 	d.links = d.links[:0]
-	d.saved = d.saved[:0]
 	for i := 0; i < n; i++ {
 		l, s := perm[i]/nw.Cfg.Spines, perm[i]%nw.Cfg.Spines
-		rates := make([]int64, nw.Cables())
-		for c := range rates {
-			rates[c] = nw.CableRate(l, s, c)
-		}
 		d.links = append(d.links, [2]int{l, s})
-		d.saved = append(d.saved, rates)
-		nw.SetFabricLink(l, s, d.Bps)
-	}
-	return nil
-}
-
-func (d *DegradeFraction) Revert(env Env) {
-	for i, lk := range d.links {
-		for c, bps := range d.saved[i] {
-			env.Net.SetCable(lk[0], lk[1], c, bps)
-		}
+		d.rerateLink(nw, l, s, d.Bps)
 	}
 }
 
@@ -337,7 +339,7 @@ type DegradeSpine struct {
 	Bps   int64
 
 	spine int
-	saved [][]int64 // per leaf, per cable
+	rerating
 }
 
 func (d *DegradeSpine) Kind() string { return "degrade-spine" }
@@ -346,26 +348,10 @@ func (d *DegradeSpine) Label() string {
 	return fmt.Sprintf("degrade-spine(spine=%d, bps=%d)", d.spine, d.Bps)
 }
 
-func (d *DegradeSpine) Apply(env Env) error {
-	nw := env.Net
+func (d *DegradeSpine) Apply(env Env) {
 	d.spine = pickSpine(env, d.Spine)
-	d.saved = d.saved[:0]
-	for l := 0; l < nw.Cfg.Leaves; l++ {
-		rates := make([]int64, nw.Cables())
-		for c := range rates {
-			rates[c] = nw.CableRate(l, d.spine, c)
-		}
-		d.saved = append(d.saved, rates)
-		nw.SetFabricLink(l, d.spine, d.Bps)
-	}
-	return nil
-}
-
-func (d *DegradeSpine) Revert(env Env) {
-	for l, rates := range d.saved {
-		for c, bps := range rates {
-			env.Net.SetCable(l, d.spine, c, bps)
-		}
+	for l := 0; l < env.Net.Cfg.Leaves; l++ {
+		d.rerateLink(env.Net, l, d.spine, d.Bps)
 	}
 }
 
@@ -374,15 +360,15 @@ func (d *DegradeSpine) Scope() Scope { return Scope{Spines: []int{d.spine}} }
 // SwitchDown takes a whole switch out of service: every attached fabric
 // link is cut (packets en route to its ports drop as down-link drops) and a
 // drop-all hook swallows anything already transiting the device — for a
-// leaf, that includes intra-rack traffic. Revert restores the exact link
-// rates and removes the hook.
+// leaf, that includes intra-rack traffic. Revert removes the hook and
+// restores the exact link rates.
 type SwitchDown struct {
 	Leaf  bool // true: Index is a leaf switch, false: a spine
 	Index int  // -1 = random at apply time (spine or leaf per Leaf)
 
 	index int
-	hook  int
-	saved [][]int64
+	rerating
+	dropHook
 }
 
 func (s *SwitchDown) Kind() string {
@@ -396,57 +382,29 @@ func (s *SwitchDown) Label() string {
 	return fmt.Sprintf("%s(index=%d)", s.Kind(), s.index)
 }
 
-func (s *SwitchDown) Apply(env Env) error {
+func (s *SwitchDown) Apply(env Env) {
 	nw := env.Net
-	var sw *net.Switch
-	s.saved = s.saved[:0]
 	if s.Leaf {
 		s.index = s.Index
 		if s.index < 0 {
 			s.index = env.Rng.Intn(nw.Cfg.Leaves)
 		}
-		sw = nw.Leaves[s.index]
 		for sp := 0; sp < nw.Cfg.Spines; sp++ {
-			rates := make([]int64, nw.Cables())
-			for c := range rates {
-				rates[c] = nw.CableRate(s.index, sp, c)
-			}
-			s.saved = append(s.saved, rates)
-			nw.SetFabricLink(s.index, sp, 0)
+			s.rerateLink(nw, s.index, sp, 0)
 		}
-	} else {
-		s.index = pickSpine(env, s.Index)
-		sw = nw.Spines[s.index]
-		for l := 0; l < nw.Cfg.Leaves; l++ {
-			rates := make([]int64, nw.Cables())
-			for c := range rates {
-				rates[c] = nw.CableRate(l, s.index, c)
-			}
-			s.saved = append(s.saved, rates)
-			nw.SetFabricLink(l, s.index, 0)
-		}
+		s.install(nw.Leaves[s.index], dropAll)
+		return
 	}
-	s.hook = sw.AddDropFn(dropAll)
-	return nil
+	s.index = pickSpine(env, s.Index)
+	for l := 0; l < nw.Cfg.Leaves; l++ {
+		s.rerateLink(nw, l, s.index, 0)
+	}
+	s.install(nw.Spines[s.index], dropAll)
 }
 
 func (s *SwitchDown) Revert(env Env) {
-	nw := env.Net
-	if s.Leaf {
-		nw.Leaves[s.index].RemoveDropFn(s.hook)
-		for sp, rates := range s.saved {
-			for c, bps := range rates {
-				nw.SetCable(s.index, sp, c, bps)
-			}
-		}
-		return
-	}
-	nw.Spines[s.index].RemoveDropFn(s.hook)
-	for l, rates := range s.saved {
-		for c, bps := range rates {
-			nw.SetCable(l, s.index, c, bps)
-		}
-	}
+	s.dropHook.Revert(env)
+	s.rerating.Revert(env)
 }
 
 func (s *SwitchDown) Scope() Scope {

@@ -21,8 +21,7 @@ type Applied struct {
 
 // Runner schedules a Scenario's events on the simulation engine and keeps
 // the activation log. Install before traffic starts; Finish after the run
-// to collect scheduling errors (events that never fired because the run
-// ended first, clears of inactive injections).
+// to collect the events that never fired because the run ended first.
 type Runner struct {
 	Env      Env
 	Scenario *Scenario
@@ -37,7 +36,6 @@ type Runner struct {
 
 	active map[string]*Applied
 	fired  []bool
-	errs   []error
 }
 
 // NewRunner builds a runner for the scenario over the fabric.
@@ -45,7 +43,8 @@ func NewRunner(env Env, s *Scenario) *Runner {
 	return &Runner{Env: env, Scenario: s, active: map[string]*Applied{}}
 }
 
-// Install schedules the events of a scenario that passed Validate.
+// Install schedules the events of a scenario that passed Validate, so no
+// event fires while it is still active and no clear finds it inactive.
 func (r *Runner) Install(eng *sim.Engine) {
 	s := r.Scenario
 	r.fired = make([]bool, len(s.Events))
@@ -65,24 +64,18 @@ func (r *Runner) fire(eng *sim.Engine, i, cycle int) {
 		return
 	}
 
-	if r.active[ev.Name] != nil {
-		r.errs = append(r.errs, fmt.Errorf(
-			"chaos: event %q fired at %d while still active", ev.Name, now))
-	} else if err := ev.Inject.Apply(r.Env); err != nil {
-		r.errs = append(r.errs, fmt.Errorf("chaos: event %q at %d: %w", ev.Name, now, err))
-	} else {
-		rec := &Applied{
-			Name: ev.Name, Kind: ev.Inject.Kind(), Label: ev.Inject.Label(),
-			Cycle: cycle, OnsetNs: int64(now), ClearNs: -1, Scope: ev.Inject.Scope(),
-		}
-		r.Log = append(r.Log, rec)
-		r.active[ev.Name] = rec
-		if r.OnEvent != nil {
-			r.OnEvent(rec, false)
-		}
-		if ev.Duration > 0 {
-			eng.ScheduleKind(ev.Duration, sim.KindChaos, func() { r.clear(ev.Name, eng.Now()) })
-		}
+	ev.Inject.Apply(r.Env)
+	rec := &Applied{
+		Name: ev.Name, Kind: ev.Inject.Kind(), Label: ev.Inject.Label(),
+		Cycle: cycle, OnsetNs: int64(now), ClearNs: -1, Scope: ev.Inject.Scope(),
+	}
+	r.Log = append(r.Log, rec)
+	r.active[ev.Name] = rec
+	if r.OnEvent != nil {
+		r.OnEvent(rec, false)
+	}
+	if ev.Duration > 0 {
+		eng.ScheduleKind(ev.Duration, sim.KindChaos, func() { r.clear(ev.Name, eng.Now()) })
 	}
 
 	if ev.Every > 0 && (ev.Count == 0 || cycle+1 < ev.Count) {
@@ -92,11 +85,6 @@ func (r *Runner) fire(eng *sim.Engine, i, cycle int) {
 
 func (r *Runner) clear(name string, now sim.Time) {
 	rec := r.active[name]
-	if rec == nil {
-		r.errs = append(r.errs, fmt.Errorf(
-			"chaos: clear of %q at %d: not active", name, now))
-		return
-	}
 	ev := r.eventByName(name)
 	ev.Inject.Revert(r.Env)
 	rec.ClearNs = int64(now)
@@ -145,12 +133,12 @@ func (r *Runner) Dump() *Dump {
 	return d
 }
 
-// Finish collects the run-end errors: every one-shot event that never fired
-// was scheduled past the end of the run — a scenario bug the caller must
-// surface — plus any mid-run scheduling errors. Repeating events only need
-// their first cycle to have fired.
+// Finish reports every event that never fired: it was scheduled past the
+// end of the run, a scenario bug the caller must surface and the one no
+// check before the run can know. Repeating events only need their first
+// cycle to have fired.
 func (r *Runner) Finish(now sim.Time) []error {
-	errs := append([]error(nil), r.errs...)
+	var errs []error
 	for i := range r.Scenario.Events {
 		if r.fired[i] {
 			continue

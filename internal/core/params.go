@@ -6,6 +6,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"github.com/hermes-repro/hermes/internal/net"
 	"github.com/hermes-repro/hermes/internal/sim"
 )
@@ -92,6 +95,44 @@ func DefaultParams(nw *net.Network) Params {
 		RTTGain:              1.0 / 8,
 		UseECN:               true,
 	}
+}
+
+// Validate range-checks the parameters: Tau must be positive, since the
+// failure-detection window re-arms itself every Tau and a zero window never
+// lets virtual time advance; no duration may be negative; every float must
+// be finite; and the ECN and retransmission thresholds and the EWMA gains
+// are fractions in [0, 1].
+func (p *Params) Validate() error {
+	if p.Tau <= 0 {
+		return fmt.Errorf("Tau %d must be positive", p.Tau)
+	}
+	for _, d := range []struct {
+		name string
+		v    sim.Time
+	}{
+		{"TRTTLow", p.TRTTLow}, {"TRTTHigh", p.TRTTHigh}, {"DeltaRTT", p.DeltaRTT},
+		{"ProbeInterval", p.ProbeInterval}, {"ProbeTimeout", p.ProbeTimeout},
+		{"FailedHold", p.FailedHold}, {"RerouteCooldown", p.RerouteCooldown},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("negative %s %d", d.name, d.v)
+		}
+	}
+	if math.IsNaN(p.RBps) || math.IsInf(p.RBps, 0) {
+		return fmt.Errorf("RBps %g must be finite", p.RBps)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"TECN", p.TECN}, {"DeltaECN", p.DeltaECN}, {"RetxFracThresh", p.RetxFracThresh},
+		{"ECNGain", p.ECNGain}, {"RTTGain", p.RTTGain},
+	} {
+		if !(f.v >= 0 && f.v <= 1) { // NaN too
+			return fmt.Errorf("%s %g out of range [0, 1]", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // PathType is the Algorithm 1 characterization of a path.

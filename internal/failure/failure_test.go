@@ -29,13 +29,6 @@ func testEnv(t *testing.T, seed int64) chaos.Env {
 	return chaos.Env{Net: nw, Rng: sim.NewRNG(seed)}
 }
 
-func apply(t *testing.T, env chaos.Env, inj chaos.Injector) {
-	t.Helper()
-	if err := inj.Apply(env); err != nil {
-		t.Fatalf("%s: %v", inj.Kind(), err)
-	}
-}
-
 // linksAt lists the (leaf, spine) links whose total rate is bps.
 func linksAt(nw *net.Network, bps int64) [][2]int {
 	var out [][2]int
@@ -51,7 +44,7 @@ func linksAt(nw *net.Network, bps int64) [][2]int {
 
 func TestRandomDropRate(t *testing.T) {
 	env := testEnv(t, 2)
-	apply(t, env, &chaos.RandomDrop{Spine: 0, Rate: 0.1})
+	(&chaos.RandomDrop{Spine: 0, Rate: 0.1}).Apply(env)
 	drops := 0
 	const n = 50_000
 	for i := 0; i < n; i++ {
@@ -75,7 +68,7 @@ func TestRandomDropRate(t *testing.T) {
 
 func TestBlackholePredicate(t *testing.T) {
 	env := testEnv(t, 2)
-	apply(t, env, &chaos.Blackhole{Spine: 1, SrcLeaf: 0, DstLeaf: 3})
+	(&chaos.Blackhole{Spine: 1, SrcLeaf: 0, DstLeaf: 3}).Apply(env)
 	match := func(src, dst int) bool {
 		return env.Net.Spines[1].ConsultDropFns(&net.Packet{Src: src, Dst: dst})
 	}
@@ -105,7 +98,7 @@ func TestBlackholePredicate(t *testing.T) {
 
 func TestBlackholeInstall(t *testing.T) {
 	env := testEnv(t, 2)
-	apply(t, env, &chaos.Blackhole{Spine: 1, SrcLeaf: 0, DstLeaf: 3})
+	(&chaos.Blackhole{Spine: 1, SrcLeaf: 0, DstLeaf: 3}).Apply(env)
 	nw := env.Net
 	if !nw.Spines[1].ConsultDropFns(&net.Packet{Src: 0, Dst: 12}) {
 		t.Fatal("matching packet not dropped")
@@ -137,8 +130,8 @@ func TestCoResidentInjectorsBothCount(t *testing.T) {
 	sp := env.Net.Spines[0]
 	bh := &chaos.Blackhole{Spine: 0, SrcLeaf: 0, DstLeaf: 3}
 	rd := &chaos.RandomDrop{Spine: 0, Rate: 0.5}
-	apply(t, env, bh)
-	apply(t, env, rd)
+	bh.Apply(env)
+	rd.Apply(env)
 	if got := sp.DropFnCount(); got != 2 {
 		t.Fatalf("DropFnCount = %d after two applies, want 2", got)
 	}
@@ -198,8 +191,8 @@ func TestUninstallIsIdempotentAndOrderIndependent(t *testing.T) {
 		sp := env.Net.Spines[2]
 		a := &chaos.RandomDrop{Spine: 2, Rate: 1}
 		b := &chaos.RandomDrop{Spine: 2, Rate: 0}
-		apply(t, env, a)
-		apply(t, env, b)
+		a.Apply(env)
+		b.Apply(env)
 		if got := sp.DropFnCount(); got != 2 {
 			t.Fatalf("DropFnCount = %d, want 2", got)
 		}
@@ -227,7 +220,7 @@ func TestUninstallIsIdempotentAndOrderIndependent(t *testing.T) {
 
 func TestDegradeLinks(t *testing.T) {
 	env := testEnv(t, 3)
-	apply(t, env, &chaos.DegradeFraction{Fraction: 0.25, Bps: 2e9})
+	(&chaos.DegradeFraction{Fraction: 0.25, Bps: 2e9}).Apply(env)
 	// 16 fabric links; 25% -> 4 degraded, the rest untouched.
 	if got := linksAt(env.Net, 2e9); len(got) != 4 {
 		t.Fatalf("links at 2 Gbps: %v, want 4", got)
@@ -239,8 +232,8 @@ func TestDegradeLinks(t *testing.T) {
 
 func TestDegradeLinksDeterministic(t *testing.T) {
 	a, b := testEnv(t, 7), testEnv(t, 7)
-	apply(t, a, &chaos.DegradeFraction{Fraction: 0.2, Bps: 2e9})
-	apply(t, b, &chaos.DegradeFraction{Fraction: 0.2, Bps: 2e9})
+	(&chaos.DegradeFraction{Fraction: 0.2, Bps: 2e9}).Apply(a)
+	(&chaos.DegradeFraction{Fraction: 0.2, Bps: 2e9}).Apply(b)
 	la, lb := linksAt(a.Net, 2e9), linksAt(b.Net, 2e9)
 	if len(la) == 0 || !reflect.DeepEqual(la, lb) {
 		t.Fatalf("same seed degraded %v, then %v", la, lb)
@@ -249,7 +242,7 @@ func TestDegradeLinksDeterministic(t *testing.T) {
 
 func TestCutLink(t *testing.T) {
 	env := testEnv(t, 2)
-	apply(t, env, &chaos.Link{Leaf: 1, Spine: 2, Bps: 0})
+	(&chaos.Link{Leaf: 1, Spine: 2, Bps: 0}).Apply(env)
 	if env.Net.FabricLinkRate(1, 2) != 0 {
 		t.Fatal("link not cut")
 	}

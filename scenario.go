@@ -20,9 +20,13 @@ type ScenarioEvent struct {
 	// Name identifies the injection for Clear references and the recovery
 	// report (auto-filled when empty).
 	Name string `json:"name,omitempty"`
-	// Clear names the inject event to revert; exclusive with Failure.
+	// Clear names the inject event to revert; exclusive with Failure. An
+	// event takes at most one Clear, and none when it has a DurationNs:
+	// validation rejects a second Clear and a Clear of a self-clearing
+	// event, so a clear always finds its event active.
 	Clear string `json:"clear,omitempty"`
-	// DurationNs auto-clears the injection this long after each onset.
+	// DurationNs auto-clears the injection this long after each onset; an
+	// event with a duration takes no explicit Clear.
 	DurationNs int64 `json:"duration_ns,omitempty"`
 	// EveryNs repeats the injection with this period (flap); requires
 	// DurationNs < EveryNs.
