@@ -311,6 +311,9 @@ func TestValidateIsTheOneGate(t *testing.T) {
 		{"negative ProbeTimeout", params(func(p *core.Params) { p.ProbeTimeout = -1 }), "ProbeTimeout"},
 		{"infinite RBps", params(func(p *core.Params) { p.RBps = math.Inf(1) }), "RBps"},
 		{"ECNGain above 1", params(func(p *core.Params) { p.ECNGain = 1.5 }), "ECNGain"},
+		{"MaxFlowBytes at the smallest flow", func(c *Config) { c.MaxFlowBytes = 1000 }, "smallest flow is 1000 B"},
+		{"MaxFlowBytes above 2^50", func(c *Config) { c.MaxFlowBytes = 1 << 60 }, "out of range"},
+		{"negative MaxFlowBytes", func(c *Config) { c.MaxFlowBytes = -1 }, "MaxFlowBytes -1 is negative"},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -382,7 +382,10 @@ func (r *run) applyFork(f *ForkOptions) {
 		w2.afterTransport(r.nw, r.rng)
 		r.w = w2
 		r.cfg.Scheme = f.Scheme
-		r.installStartHooks()
+		setCarriage(&r.tr.Opts, &r.cfg)
+		if r.tr.Opts.ReplicateBelow > 0 {
+			r.tr.DeclareRepFlowMetrics(r.plane())
+		}
 	}
 	if r.graft != nil {
 		r.installScenario(r.graft)

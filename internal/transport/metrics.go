@@ -44,7 +44,7 @@ var transportMetrics = []telemetry.Probe[*Transport]{
 		Read: func(tr *Transport) float64 { return float64(tr.nextFlowID) }},
 }
 
-// repFlowMetrics declares the RepFlow replication counters (see repflow.go).
+// repFlowMetrics declares the RepFlow replication counters (see logical.go).
 // Only RepFlow runs declare them, so no other scheme's report gains the keys.
 var repFlowMetrics = []telemetry.Probe[*Transport]{
 	{Metric: telemetry.Metric{Name: "repflow.replicated_total", Sinks: report | flight},

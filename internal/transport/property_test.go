@@ -178,14 +178,15 @@ func TestMPTCPDeliversExactly(t *testing.T) {
 	bal := &fixedPathBalancer{}
 	tr := New(nw, DefaultOptions(), func(h *net.Host) Balancer { return bal })
 	done := 0
-	g := tr.StartMPTCP(0, 2, 5_000_000, 4)
-	g.OnDone = func(*MPTCPGroup) { done++ }
+	tr.OnFlowDone = func(*Flow) { done++ }
+	tr.Opts.Subflows = 4
+	g := tr.StartFlow(0, 2, 5_000_000)
 	eng.Run(sim.Second)
 	if !g.Done || done != 1 {
 		t.Fatalf("group done=%v callbacks=%d", g.Done, done)
 	}
 	var acked int64
-	for _, sf := range g.Subflows {
+	for _, sf := range g.Members() {
 		if !sf.Done {
 			t.Fatal("subflow unfinished after group completion")
 		}
@@ -210,9 +211,10 @@ func TestMPTCPSmallFlowSingleSubflow(t *testing.T) {
 	bal := &fixedPathBalancer{}
 	tr := New(nw, DefaultOptions(), func(h *net.Host) Balancer { return bal })
 	// A 10 KB flow fits in one chunk: only one subflow should exist.
-	g := tr.StartMPTCP(0, 2, 10_000, 8)
-	if len(g.Subflows) != 1 {
-		t.Fatalf("%d subflows for a sub-chunk flow, want 1", len(g.Subflows))
+	tr.Opts.Subflows = 8
+	g := tr.StartFlow(0, 2, 10_000)
+	if len(g.Members()) != 1 {
+		t.Fatalf("%d subflows for a sub-chunk flow, want 1", len(g.Members()))
 	}
 	eng.Run(sim.Second)
 	if !g.Done {
@@ -241,7 +243,8 @@ func TestMPTCPFasterThanSingleFlowOnParallelPaths(t *testing.T) {
 			}
 			return f.FCT()
 		}
-		g := tr.StartMPTCP(0, 2, 20_000_000, k)
+		tr.Opts.Subflows = k
+		g := tr.StartFlow(0, 2, 20_000_000)
 		eng.Run(2 * sim.Second)
 		if !g.Done {
 			t.Fatal("mptcp unfinished")

@@ -6,11 +6,11 @@ import (
 )
 
 // trySend transmits as many segments as the congestion window allows,
-// pulling more bytes from an MPTCP group's shared buffer when the subflow
+// pulling more bytes from an MPTCP flow's shared buffer when the subflow
 // runs dry.
 func (f *Flow) trySend() {
-	if f.group != nil && f.sndNxt >= f.Size {
-		f.group.pull(f)
+	if f.grp != nil && f.sndNxt >= f.Size {
+		f.grp.pull(f)
 	}
 	for !f.Done && f.sndNxt < f.Size {
 		inflight := float64(f.sndNxt - f.cumAck)
@@ -75,7 +75,7 @@ func (f *Flow) retransmitFirst() {
 
 // rto returns the current retransmission timeout with backoff applied.
 func (f *Flow) rto() sim.Time {
-	base := f.ep.tr.Opts.RTOMin
+	base := rtoMin
 	if f.srtt > 0 {
 		est := sim.Time(f.srtt + 4*f.rttvar)
 		if est > base {
@@ -83,8 +83,8 @@ func (f *Flow) rto() sim.Time {
 		}
 	}
 	backoff := f.rtoBackoff
-	if max := f.ep.tr.Opts.MaxRTOBackoff; backoff > max {
-		backoff = max
+	if backoff > maxRTOBackoff {
+		backoff = maxRTOBackoff
 	}
 	return base << uint(backoff)
 }
@@ -186,7 +186,7 @@ func (f *Flow) onAckPacket(pkt *net.Packet) {
 		f.rearmRTO()
 
 		if f.cumAck >= f.Size {
-			if f.group != nil && f.group.pull(f) {
+			if f.grp != nil && f.grp.pull(f) {
 				f.rearmRTO()
 			} else {
 				f.finish(now)
@@ -197,7 +197,7 @@ func (f *Flow) onAckPacket(pkt *net.Packet) {
 		f.dupacks++
 		ev.Dup = true
 		f.ep.bal.OnAck(f, ev)
-		if !f.inRecovery && f.dupacks >= tr.Opts.DupThresh {
+		if !f.inRecovery && f.dupacks >= dupThresh {
 			f.inRecovery = true
 			f.recoverSeq = f.sndNxt
 			f.ssthresh = maxf(f.cwnd/2, 2*net.MSS)
@@ -233,8 +233,7 @@ func (f *Flow) dctcpOnAck(newly int64, ece bool) {
 	if f.cumAck >= f.alphaSeq {
 		if f.bytesAcked > 0 {
 			frac := float64(f.bytesMarked) / float64(f.bytesAcked)
-			g := f.ep.tr.Opts.G
-			f.alpha = (1-g)*f.alpha + g*frac
+			f.alpha = (1-dctcpG)*f.alpha + dctcpG*frac
 		}
 		f.bytesAcked, f.bytesMarked = 0, 0
 		f.alphaSeq = f.sndNxt
@@ -277,17 +276,10 @@ func (f *Flow) finish(now sim.Time) {
 		tr.alphaHist.Observe(f.alpha)
 	}
 	f.ep.bal.OnFlowDone(f)
-	if !f.Hidden {
-		tr.recordFCT(f.FCT())
-	}
-	if tr.OnFlowDone != nil && !f.Hidden {
-		tr.OnFlowDone(f)
-	}
-	if f.group != nil {
-		f.group.childDone(f, now)
-	}
-	if f.rep != nil {
-		f.rep.childDone(f, now)
+	if f.grp == nil {
+		tr.complete(f, now)
+	} else {
+		f.grp.memberDone(f, now)
 	}
 }
 

@@ -110,8 +110,9 @@ func (c *CDF) Mean() float64 {
 
 // Truncate returns a copy of the distribution capped at maxBytes: all mass
 // above maxBytes collapses onto maxBytes. Used to bound simulation cost for
-// the extremely heavy data-mining tail (documented in EXPERIMENTS.md).
-func (c *CDF) Truncate(maxBytes int64) *CDF {
+// the extremely heavy data-mining tail (documented in EXPERIMENTS.md). A cap
+// at or below the smallest flow size, or above 2^50, is an error.
+func (c *CDF) Truncate(maxBytes int64) (*CDF, error) {
 	var pts []CDFPoint
 	for _, p := range c.points {
 		if p.Bytes >= maxBytes {
@@ -120,7 +121,7 @@ func (c *CDF) Truncate(maxBytes int64) *CDF {
 		pts = append(pts, p)
 	}
 	pts = append(pts, CDFPoint{Bytes: maxBytes, Prob: 1})
-	return MustCDF(c.Name+"-trunc", pts)
+	return NewCDF(c.Name+"-trunc", pts)
 }
 
 // Points returns a copy of the CDF points (for Fig 7 output).

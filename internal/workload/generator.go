@@ -24,10 +24,10 @@ type Generator struct {
 	BaseBisectionBps int64
 	// MaxFlows stops generation after this many arrivals.
 	MaxFlows int
-	// OnStart, if set, observes each generated flow.
-	OnStart func(*transport.Flow)
 	// StartFlowFn, if set, replaces Transport.StartFlow for each arrival
-	// (used for MPTCP logical flows). OnStart is not called for these.
+	// and calls it itself: a point to observe or time each flow start, as
+	// bench/layers times StartFlow. How a flow is carried is set by the
+	// transport's Options, not here.
 	StartFlowFn func(src, dst int, size int64)
 
 	started   int
@@ -60,10 +60,7 @@ func (g *Generator) arrival() {
 	if g.StartFlowFn != nil {
 		g.StartFlowFn(src, dst, size)
 	} else {
-		f := g.Tr.StartFlow(src, dst, size)
-		if g.OnStart != nil {
-			g.OnStart(f)
-		}
+		g.Tr.StartFlow(src, dst, size)
 	}
 	g.started++
 	if g.started < g.MaxFlows {

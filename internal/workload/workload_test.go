@@ -49,7 +49,11 @@ func TestSampleWithinBounds(t *testing.T) {
 
 func TestSampleMeanMatchesAnalyticMean(t *testing.T) {
 	rng := sim.NewRNG(2)
-	for _, dist := range []*CDF{WebSearch, DataMining.Truncate(35_000_000)} {
+	trunc, err := DataMining.Truncate(35_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dist := range []*CDF{WebSearch, trunc} {
 		want := dist.Mean()
 		var sum float64
 		const n = 100_000
@@ -125,7 +129,10 @@ func TestDataMiningSkew(t *testing.T) {
 }
 
 func TestTruncate(t *testing.T) {
-	tr := DataMining.Truncate(35_000_000)
+	tr, err := DataMining.Truncate(35_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := sim.NewRNG(6)
 	for i := 0; i < 50_000; i++ {
 		if s := tr.Sample(rng); s > 35_000_000 {
@@ -134,6 +141,13 @@ func TestTruncate(t *testing.T) {
 	}
 	if tr.Mean() >= DataMining.Mean() {
 		t.Fatal("truncation must reduce the mean")
+	}
+	// A cap at the smallest flow size leaves one point; one above 2^50 is
+	// out of range. Both are errors, not panics.
+	for _, limit := range []int64{100, 1 << 60} {
+		if _, err := DataMining.Truncate(limit); err == nil {
+			t.Errorf("Truncate(%d) accepted", limit)
+		}
 	}
 }
 
@@ -190,7 +204,8 @@ func TestGeneratorPairsCrossLeaves(t *testing.T) {
 	})
 	gen := &Generator{Net: nw, Tr: tr, Rng: rng, Dist: WebSearch, Load: 0.3, MaxFlows: 300}
 	seenSrc := map[int]bool{}
-	gen.OnStart = func(f *transport.Flow) {
+	gen.StartFlowFn = func(src, dst int, size int64) {
+		f := tr.StartFlow(src, dst, size)
 		if f.SrcLeaf == f.DstLeaf {
 			t.Fatalf("intra-leaf pair generated: %d -> %d", f.Src, f.Dst)
 		}
@@ -221,7 +236,7 @@ func TestGeneratorRateMatchesLoad(t *testing.T) {
 	})
 	var bytes int64
 	gen := &Generator{Net: nw, Tr: tr, Rng: rng, Dist: WebSearch, Load: 0.5, MaxFlows: 600}
-	gen.OnStart = func(f *transport.Flow) { bytes += f.Size }
+	gen.StartFlowFn = func(src, dst int, size int64) { bytes += tr.StartFlow(src, dst, size).Size }
 	gen.Start()
 	// Drain arrivals only; we do not care about flow completion here.
 	for gen.Started() < 600 {

@@ -37,6 +37,26 @@ const (
 func noAfter(*net.Network, *sim.RNG)   {}
 func noTelemetry(*Result, *sim.Engine) {}
 
+// setCarriage sets how the transport carries each flow under cfg's scheme:
+// MPTCP's subflow count (MPTCPSubflows, default 4) and RepFlow's
+// replicate-below size (RepFlowThresholdBytes, default
+// transport.DefaultRepFlowThreshold), each zero under every other scheme.
+func setCarriage(o *transport.Options, cfg *Config) {
+	o.Subflows, o.ReplicateBelow = 0, 0
+	switch cfg.Scheme {
+	case SchemeMPTCP:
+		o.Subflows = cfg.MPTCPSubflows
+		if o.Subflows <= 0 {
+			o.Subflows = 4
+		}
+	case SchemeRepFlow:
+		o.ReplicateBelow = cfg.RepFlowThresholdBytes
+		if o.ReplicateBelow <= 0 {
+			o.ReplicateBelow = transport.DefaultRepFlowThreshold
+		}
+	}
+}
+
 // buildScheme assembles cfg.Scheme on nw and declares its metrics on pl.
 // audit, when non-nil, receives Hermes' decisions and verdicts.
 func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.AuditLog, pl telemetry.Plane) *wiring {
@@ -109,7 +129,8 @@ func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.Aud
 		// MPTCP subflows are hashed like ECMP flows and, like any ECMP flow,
 		// pick their path once and are never rerouted — not even when the
 		// path fails mid-flow (pinned by TestMPTCPSubflowsNeverRerouted); the
-		// multipath behaviour lives in the transport (StartMPTCP).
+		// multipath behaviour lives in the transport (setCarriage sets its
+		// Subflows; see internal/transport/logical.go).
 		e := &lb.ECMP{Net: nw}
 		w.balancerFor = func(*net.Host) transport.Balancer { return e }
 
@@ -118,8 +139,8 @@ func buildScheme(nw *net.Network, rng *sim.RNG, cfg Config, audit *telemetry.Aud
 
 	case SchemeRepFlow:
 		// Path selection is plain ECMP; the replication machinery lives in
-		// the transport (StartRepFlow, installed by Run's generator hook),
-		// which also declares its metrics.
+		// the transport (setCarriage sets its ReplicateBelow; see
+		// internal/transport/logical.go), which also declares its metrics.
 		e := &lb.ECMP{Net: nw}
 		w.balancerFor = func(*net.Host) transport.Balancer { return e }
 
