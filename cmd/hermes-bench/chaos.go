@@ -65,11 +65,5 @@ func chaosExp(o options) {
 			fmt.Sprintf("%.3f", c.P99Ms.Mean), fmt.Sprintf("%.2f", c.P99InflationPct),
 			fmt.Sprintf("%d", c.Unfinished)})
 	}
-	if err != nil {
-		// Interrupted sweep: the partial scorecard and its CSV mirror are on
-		// disk; report the cancellation with a non-zero exit.
-		endCSVTable()
-		fmt.Fprintf(os.Stderr, "\ninterrupted (%v); partial chaos matrix flushed\n", err)
-		os.Exit(130)
-	}
+	exitOnError(err)
 }

@@ -6,8 +6,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 
 	hermes "github.com/hermes-repro/hermes"
+	"github.com/hermes-repro/hermes/internal/core"
 	"github.com/hermes-repro/hermes/internal/sim"
 	"github.com/hermes-repro/hermes/internal/workload"
 )
@@ -38,9 +40,12 @@ var (
 )
 
 // runAll runs cfgs as one batch on the facade's worker pool (sized by
-// -workers), writes each run's artifacts in slot order and returns the
-// results in cfgs order.
-func runAll(cfgs ...hermes.Config) []*hermes.Result {
+// -workers), writes each finished run's artifacts numbered by its slot and
+// returns the results in cfgs order. An interrupt returns the runs that
+// finished, nil for the rest, with its error: the caller prints the rows
+// those complete, then hands the error to exitOnError. A failed run exits
+// at once.
+func runAll(cfgs ...hermes.Config) ([]*hermes.Result, error) {
 	for i := range cfgs {
 		c := &cfgs[i]
 		c.Telemetry = c.Telemetry || telemetryOn
@@ -53,22 +58,26 @@ func runAll(cfgs ...hermes.Config) []*hermes.Result {
 		c.TimeSeries = c.TimeSeries || timeseriesDir != ""
 	}
 	results, err := hermes.RunConfigs(benchCtx, cfgs, hermes.ParallelOptions{})
-	exitOnError(err)
-	for i, res := range results {
-		saveRunArtifacts(cfgs[i], res)
+	if results == nil {
+		exitOnError(err)
 	}
-	return results
+	for i, res := range results {
+		if res != nil {
+			saveRunArtifacts(artifactSeq+i+1, cfgs[i], res)
+		}
+	}
+	artifactSeq += len(cfgs)
+	return results, err
 }
 
 // saveRunArtifacts writes the per-run report, audit log, flow trace and
 // flight-recorder time series when -report, -audit, -trace or -timeseries
 // named directories.
-func saveRunArtifacts(cfg hermes.Config, res *hermes.Result) {
+func saveRunArtifacts(seq int, cfg hermes.Config, res *hermes.Result) {
 	if reportDir == "" && auditDir == "" && traceDir == "" && timeseriesDir == "" {
 		return
 	}
-	artifactSeq++
-	base := fmt.Sprintf("%s_%03d_%s_load%03.0f", currentExp, artifactSeq, cfg.Scheme, cfg.Load*100)
+	base := fmt.Sprintf("%s_%03d_%s_load%03.0f", currentExp, seq, cfg.Scheme, cfg.Load*100)
 	save := func(dir, suffix string, write func(io.Writer) error) {
 		if err := writeFile(filepath.Join(dir, base+suffix), write); err != nil {
 			log.Fatal(err)
@@ -110,17 +119,6 @@ func degrade() hermes.FailureSpec {
 	return hermes.FailureSpec{Kind: hermes.FailureDegrade, Fraction: 0.2, DegradedBps: 2e9}
 }
 
-// sweep runs one scheme across loads as one batch and returns the results
-// in load order.
-func sweep(cfg hermes.Config, loads []float64) []*hermes.Result {
-	cfgs := make([]hermes.Config, len(loads))
-	for i, l := range loads {
-		cfgs[i] = cfg
-		cfgs[i].Load = l
-	}
-	return runAll(cfgs...)
-}
-
 func header(loads []float64) {
 	fmt.Printf("%-12s", "scheme")
 	cols := []string{"scheme"}
@@ -144,14 +142,6 @@ func row(name string, vals []float64) {
 	plotRow(name, vals)
 }
 
-func means(rs []*hermes.Result, pick func(*hermes.Result) float64) []float64 {
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = pick(r)
-	}
-	return out
-}
-
 var (
 	overallMs = func(r *hermes.Result) float64 { return r.FCT.Overall.MeanMs() }
 	smallMs   = func(r *hermes.Result) float64 { return r.FCT.Small.MeanMs() }
@@ -164,41 +154,38 @@ func init() {
 	register("table2", "visibility: avg concurrent flows per parallel path, switch pair vs host pair", table2)
 	register("table6", "probing schemes: visibility vs overhead (analytic + measured)", table6)
 	register("fig7", "workload flow-size CDFs", fig7)
-	register("fig9", "[testbed] symmetric: overall avg FCT vs load", fig9)
-	register("fig10", "[testbed] asymmetric (link cut): overall avg FCT vs load", fig10)
-	register("fig11", "[testbed] asymmetric web-search: small/large flow breakdown", fig11)
-	register("fig12", "[sim] symmetric baseline: overall avg FCT vs load, both workloads", fig12)
-	register("fig13", "[sim] asymmetric web-search FCT statistics (normalized to Hermes)", fig13)
-	register("fig14", "[sim] asymmetric data-mining FCT statistics (normalized to Hermes)", fig14)
 	register("fig15", "[sim] CONGA flowlet-timeout sweep @80% load, reordering masked", fig15)
-	register("fig16", "[sim] silent random packet drops (2% at one core switch)", fig16)
-	register("fig17", "[sim] packet blackhole: avg FCT and unfinished flows", fig17)
 	register("fig18a", "[sim] Hermes ablation: probing and rerouting contributions", fig18a)
 	register("fig18b", "[sim] Hermes probe-interval sweep", fig18b)
 	register("fig19", "[sim] sensitivity to T_RTT_high and Delta_RTT", fig19)
 	register("ablation", "[extra] cautious vs vigorous rerouting (congestion mismatch cost)", ablationCaution)
+	for _, s := range loadSweeps {
+		register(s.name, s.what, s.run)
+	}
 }
 
 // --- Table 2 ---------------------------------------------------------------
 
 func table2(o options) {
-	topo := simTopo(o)
-	fmt.Println("avg concurrent flows observable per parallel path (Table 2 shape):")
-	fmt.Printf("%-14s %12s %12s %12s %12s\n", "", "dm @60%", "dm @80%", "ws @60%", "ws @80%")
-	var sw, hp [4]float64
-	i := 0
+	var cfgs []hermes.Config
 	for _, wl := range []string{"data-mining", "web-search"} {
 		for _, load := range []float64{0.6, 0.8} {
-			res := runAll(hermes.Config{
-				Topology: topo, Scheme: hermes.SchemeECMP, Workload: wl,
+			cfgs = append(cfgs, hermes.Config{
+				Topology: simTopo(o), Scheme: hermes.SchemeECMP, Workload: wl,
 				Load: load, Flows: o.flows, Seed: o.seed, MeasureVisibility: true,
-			})[0]
-			sw[i], hp[i] = res.VisibilitySwitchPair, res.VisibilityHostPair
-			i++
+			})
 		}
 	}
-	fmt.Printf("%-14s %12.3f %12.3f %12.3f %12.3f\n", "switch pair", sw[0], sw[1], sw[2], sw[3])
-	fmt.Printf("%-14s %12.5f %12.5f %12.5f %12.5f\n", "host pair", hp[0], hp[1], hp[2], hp[3])
+	rs, err := runAll(cfgs...)
+	fmt.Println("avg concurrent flows observable per parallel path (Table 2 shape):")
+	fmt.Printf("%-14s %12s %12s %12s %12s\n", "", "dm @60%", "dm @80%", "ws @60%", "ws @80%")
+	if !slices.Contains(rs, nil) {
+		fmt.Printf("%-14s %12.3f %12.3f %12.3f %12.3f\n", "switch pair", rs[0].VisibilitySwitchPair,
+			rs[1].VisibilitySwitchPair, rs[2].VisibilitySwitchPair, rs[3].VisibilitySwitchPair)
+		fmt.Printf("%-14s %12.5f %12.5f %12.5f %12.5f\n", "host pair", rs[0].VisibilityHostPair,
+			rs[1].VisibilityHostPair, rs[2].VisibilityHostPair, rs[3].VisibilityHostPair)
+	}
+	exitOnError(err)
 	fmt.Println("expected shape: switch pairs see 2-3 orders of magnitude more flows per path.")
 }
 
@@ -234,12 +221,13 @@ func table6(o options) {
 
 	// Measured: run Hermes on the reduced fabric and report actual
 	// per-agent overhead and per-destination path coverage.
-	res := runAll(hermes.Config{
+	rs, err := runAll(hermes.Config{
 		Topology: simTopo(o), Scheme: hermes.SchemeHermes, Workload: "web-search",
 		Load: 0.5, Flows: o.flows / 2, Seed: o.seed,
-	})[0]
+	})
+	exitOnError(err)
 	fmt.Printf("measured (reduced fabric): probe overhead %.3f%% of one access link, %d probes sent\n",
-		100*res.ProbeOverhead, res.ProbesSent)
+		100*rs[0].ProbeOverhead, rs[0].ProbesSent)
 }
 
 // --- Fig 7 -------------------------------------------------------------------
@@ -254,176 +242,120 @@ func fig7(o options) {
 	}
 }
 
-// --- Testbed experiments (Fig 9-11) -----------------------------------------
+// --- Load sweeps (Fig 9-14, 16, 17) ------------------------------------------
+
+// loadSweep is one load-sweep figure: every scheme at every load, for each
+// workload, on one fabric. It runs as one batch and prints, for each
+// workload, one table per statistic, a row per scheme and a column per load.
+type loadSweep struct {
+	name, what string
+	// testbed selects the paper's testbed, where CLOVE-ECN uses the best
+	// flowlet timeout the authors found on 1 Gbps hardware (800 us, §5.1);
+	// otherwise the sweep runs on simTopo.
+	testbed   bool
+	workloads []string
+	schemes   []hermes.Scheme
+	loads     []float64
+	failure   func(hermes.Topology) hermes.FailureSpec // nil: a healthy fabric
+	// intro, when set, is printed once before the tables and names the
+	// sweep's one workload, which the table titles then leave out.
+	intro  string
+	tables []sweepTable
+	shape  string // the paper's expected shape, printed after the tables
+}
+
+// sweepTable is one statistic of a loadSweep, optionally as a ratio to
+// Hermes at the same workload and load.
+type sweepTable struct {
+	title      string
+	stat       func(*hermes.Result) float64
+	normalized bool
+}
+
+// plan lists the sweep's configs workload by workload, scheme by scheme and
+// load by load: the order run reads them in and artifacts are numbered in.
+func (s loadSweep) plan(o options) []hermes.Config {
+	topo := simTopo(o)
+	if s.testbed {
+		topo = hermes.TestbedTopology()
+	}
+	var cfgs []hermes.Config
+	for _, wl := range s.workloads {
+		for _, sch := range s.schemes {
+			for _, l := range s.loads {
+				cfg := hermes.Config{
+					Topology: topo, Scheme: sch, Workload: wl,
+					Load: l, Flows: o.flows, Seed: o.seed,
+				}
+				if s.failure != nil {
+					cfg.Failure = s.failure(topo)
+				}
+				if s.testbed && sch == hermes.SchemeCLOVE {
+					cfg.FlowletTimeoutNs = 800_000
+				}
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	return cfgs
+}
+
+// run runs the sweep's plan as one batch and prints its tables. After an
+// interrupt it prints only the rows whose runs, and Hermes' runs for a
+// normalized row, all finished.
+func (s loadSweep) run(o options) {
+	rs, err := runAll(s.plan(o)...)
+	if s.intro != "" {
+		fmt.Println(s.intro)
+	}
+	for _, wl := range s.workloads {
+		runs := map[hermes.Scheme][]*hermes.Result{}
+		for _, sch := range s.schemes {
+			runs[sch], rs = rs[:len(s.loads)], rs[len(s.loads):]
+		}
+		base := runs[hermes.SchemeHermes]
+		for _, t := range s.tables {
+			switch {
+			case s.intro == "":
+				fmt.Printf("\n[%s] %s:\n", wl, t.title)
+			case t.title != "":
+				fmt.Printf("\n%s:\n", t.title)
+			}
+			header(s.loads)
+			for _, sch := range s.schemes {
+				if slices.Contains(runs[sch], nil) || t.normalized && slices.Contains(base, nil) {
+					continue
+				}
+				vals := make([]float64, len(s.loads))
+				for j, r := range runs[sch] {
+					vals[j] = t.stat(r)
+					if t.normalized && t.stat(base[j]) > 0 {
+						vals[j] /= t.stat(base[j])
+					}
+				}
+				row(string(sch), vals)
+			}
+		}
+	}
+	exitOnError(err)
+	if s.shape != "" {
+		fmt.Println(s.shape)
+	}
+}
+
+// fixed is a failure that does not depend on the fabric.
+func fixed(f hermes.FailureSpec) func(hermes.Topology) hermes.FailureSpec {
+	return func(hermes.Topology) hermes.FailureSpec { return f }
+}
 
 var testbedSchemes = []hermes.Scheme{
 	hermes.SchemeECMP, hermes.SchemeCLOVE, hermes.SchemePresto, hermes.SchemeHermes,
 }
 
-// testbedCfg applies the paper's testbed settings: CLOVE-ECN uses the best
-// flowlet timeout the authors found on 1 Gbps hardware (800 us, §5.1).
-func testbedCfg(cfg hermes.Config) hermes.Config {
-	if cfg.Scheme == hermes.SchemeCLOVE {
-		cfg.FlowletTimeoutNs = 800_000
-	}
-	return cfg
-}
-
-func fig9(o options) {
-	loads := []float64{0.3, 0.5, 0.7, 0.9}
-	for _, wl := range []string{"web-search", "data-mining"} {
-		fmt.Printf("\n[%s] overall avg FCT (ms), symmetric testbed:\n", wl)
-		header(loads)
-		for _, sch := range testbedSchemes {
-			rs := sweep(testbedCfg(hermes.Config{
-				Topology: hermes.TestbedTopology(), Scheme: sch, Workload: wl,
-				Flows: o.flows, Seed: o.seed,
-			}), loads)
-			row(string(sch), means(rs, overallMs))
-		}
-	}
-	fmt.Println("expected shape: Hermes 10-38% under ECMP, ~= Presto*, <= CLOVE-ECN by ~10%.")
-}
-
-func fig10(o options) {
-	loads := []float64{0.3, 0.5, 0.6, 0.7}
-	// The testbed "link cut" unplugs one of two parallel 1 Gbps cables
-	// between leaf 1 and spine 1: 3 of 4 paths remain (Fig 8b).
-	cut := hermes.FailureSpec{Kind: hermes.FailureCutCable, CutLeaf: 1, CutSpine: 1}
-	for _, wl := range []string{"web-search", "data-mining"} {
-		fmt.Printf("\n[%s] overall avg FCT (ms), testbed with leaf1-spine1 cut:\n", wl)
-		header(loads)
-		for _, sch := range testbedSchemes {
-			rs := sweep(testbedCfg(hermes.Config{
-				Topology: hermes.TestbedTopology(), Scheme: sch, Workload: wl,
-				Flows: o.flows, Seed: o.seed, Failure: cut,
-			}), loads)
-			row(string(sch), means(rs, overallMs))
-		}
-	}
-	fmt.Println("expected shape: ECMP deteriorates past ~40-50% load; Hermes leads;")
-	fmt.Println("Presto* (capacity weights) suffers congestion mismatch at high load.")
-}
-
-func fig11(o options) {
-	loads := []float64{0.3, 0.5, 0.6, 0.7}
-	cut := hermes.FailureSpec{Kind: hermes.FailureCutCable, CutLeaf: 1, CutSpine: 1}
-	type picked struct {
-		name string
-		pick func(*hermes.Result) float64
-	}
-	for _, p := range []picked{
-		{"small flows avg FCT (ms)", smallMs},
-		{"small flows 99th pct (ms)", smallP99},
-		{"large flows avg FCT (ms)", largeMs},
-	} {
-		fmt.Printf("\n[web-search] %s, asymmetric testbed:\n", p.name)
-		header(loads)
-		for _, sch := range testbedSchemes {
-			rs := sweep(testbedCfg(hermes.Config{
-				Topology: hermes.TestbedTopology(), Scheme: sch, Workload: "web-search",
-				Flows: o.flows, Seed: o.seed, Failure: cut,
-			}), loads)
-			row(string(sch), means(rs, p.pick))
-		}
-	}
-}
-
-// --- Large-scale simulations (Fig 12-19) -------------------------------------
-
 var simSchemes = []hermes.Scheme{
 	hermes.SchemeECMP, hermes.SchemePresto, hermes.SchemeCONGA,
 	hermes.SchemeLetFlow, hermes.SchemeCLOVE, hermes.SchemeHermes,
 	hermes.SchemeREPS, hermes.SchemeRepFlow,
-}
-
-func fig12(o options) {
-	loads := []float64{0.3, 0.5, 0.7, 0.9}
-	for _, wl := range []string{"web-search", "data-mining"} {
-		fmt.Printf("\n[%s] overall avg FCT (ms), symmetric baseline:\n", wl)
-		header(loads)
-		for _, sch := range simSchemes {
-			rs := sweep(hermes.Config{
-				Topology: simTopo(o), Scheme: sch, Workload: wl,
-				Flows: o.flows, Seed: o.seed,
-			}, loads)
-			row(string(sch), means(rs, overallMs))
-		}
-	}
-	fmt.Println("expected shape: Hermes up to ~55% under ECMP (web-search), within ~17% of")
-	fmt.Println("CONGA on web-search and slightly ahead of CONGA on data-mining.")
-}
-
-// asymSweeps runs every scheme once across the loads on the degraded fabric
-// and prints one normalized table per requested statistic.
-func asymSweeps(o options, wl string, loads []float64, stats []struct {
-	what string
-	pick func(*hermes.Result) float64
-}) {
-	results := map[hermes.Scheme][]*hermes.Result{}
-	for _, sch := range simSchemes {
-		results[sch] = sweep(hermes.Config{
-			Topology: simTopo(o), Scheme: sch, Workload: wl,
-			Flows: o.flows, Seed: o.seed, Failure: degrade(),
-		}, loads)
-	}
-	for _, st := range stats {
-		fmt.Printf("\n[%s] %s (normalized to Hermes):\n", wl, st.what)
-		header(loads)
-		baseVals := means(results[hermes.SchemeHermes], st.pick)
-		for _, sch := range simSchemes {
-			vals := means(results[sch], st.pick)
-			for i := range vals {
-				if baseVals[i] > 0 {
-					vals[i] /= baseVals[i]
-				}
-			}
-			row(string(sch), vals)
-		}
-	}
-}
-
-func fig13(o options) {
-	loads := []float64{0.5, 0.7, 0.9}
-	asymSweeps(o, "web-search", loads, []struct {
-		what string
-		pick func(*hermes.Result) float64
-	}{
-		{"overall avg FCT", overallMs},
-		{"small flows avg FCT", smallMs},
-		{"small flows 99th pct FCT", smallP99},
-	})
-	fmt.Println("expected shape: CONGA leads overall; flowlet schemes' small-flow tail")
-	fmt.Println("degrades at high load; Hermes protects small flows (cautious rerouting).")
-}
-
-func fig14(o options) {
-	loads := []float64{0.5, 0.7, 0.9}
-	asymSweeps(o, "data-mining", loads, []struct {
-		what string
-		pick func(*hermes.Result) float64
-	}{
-		{"overall avg FCT", overallMs},
-		{"large flows avg FCT", largeMs},
-	})
-	fmt.Println("expected shape: Hermes beats CONGA by 5-10% and CLOVE/LetFlow by 13-20%.")
-}
-
-func fig15(o options) {
-	fmt.Println("[web-search] CONGA @80% load on the asymmetric fabric, reordering masked:")
-	fmt.Printf("%-18s %12s\n", "flowlet timeout", "avg FCT (ms)")
-	for _, us := range []int64{50, 150, 500} {
-		res := runAll(hermes.Config{
-			Topology: simTopo(o), Scheme: hermes.SchemeCONGA, Workload: "web-search",
-			Load: 0.8, Flows: o.flows, Seed: o.seed, Failure: degrade(),
-			FlowletTimeoutNs: us * 1000,
-			ReorderTimeoutNs: 400_000, // mask reordering, isolating mismatch
-		})[0]
-		fmt.Printf("%15dus %12.3f\n", us, res.FCT.Overall.MeanMs())
-	}
-	fmt.Println("paper's shape: 150us beats 500us (more rerouting chances) but 50us is worst")
-	fmt.Println("(congestion mismatch). In this simulator 500us >> 150us reproduces; the 50us")
-	fmt.Println("penalty does not (see EXPERIMENTS.md and -exp fig15q).")
 }
 
 var failureSchemes = []hermes.Scheme{
@@ -432,168 +364,254 @@ var failureSchemes = []hermes.Scheme{
 	hermes.SchemeHermes,
 }
 
-func fig16(o options) {
-	loads := []float64{0.3, 0.5, 0.7}
-	spec := hermes.FailureSpec{Kind: hermes.FailureRandomDrop, Spine: 1, DropRate: 0.02}
-	fmt.Println("[web-search] 2% silent random drops at one core switch; avg FCT (ms):")
-	header(loads)
-	for _, sch := range failureSchemes {
-		rs := sweep(hermes.Config{
-			Topology: simTopo(o), Scheme: sch, Workload: "web-search",
-			Flows: o.flows, Seed: o.seed, Failure: spec,
-		}, loads)
-		row(string(sch), means(rs, overallMs))
-	}
-	fmt.Println("expected shape: Hermes ahead of everything by >32%; CONGA gains little")
-	fmt.Println("over ECMP because utilization-based sensing is fooled by quiet lossy paths.")
+var bothWorkloads = []string{"web-search", "data-mining"}
+
+// linkCut is the testbed "link cut": one of the two parallel 1 Gbps cables
+// between leaf 1 and spine 1 unplugged, leaving 3 of 4 paths (Fig 8b).
+var linkCut = hermes.FailureSpec{Kind: hermes.FailureCutCable, CutLeaf: 1, CutSpine: 1}
+
+var loadSweeps = []loadSweep{
+	{
+		name: "fig9", what: "[testbed] symmetric: overall avg FCT vs load",
+		testbed: true, workloads: bothWorkloads, schemes: testbedSchemes,
+		loads:  []float64{0.3, 0.5, 0.7, 0.9},
+		tables: []sweepTable{{title: "overall avg FCT (ms), symmetric testbed", stat: overallMs}},
+		shape:  "expected shape: Hermes 10-38% under ECMP, ~= Presto*, <= CLOVE-ECN by ~10%.",
+	},
+	{
+		name: "fig10", what: "[testbed] asymmetric (link cut): overall avg FCT vs load",
+		testbed: true, workloads: bothWorkloads, schemes: testbedSchemes,
+		loads: []float64{0.3, 0.5, 0.6, 0.7}, failure: fixed(linkCut),
+		tables: []sweepTable{{title: "overall avg FCT (ms), testbed with leaf1-spine1 cut", stat: overallMs}},
+		shape: "expected shape: ECMP deteriorates past ~40-50% load; Hermes leads;\n" +
+			"Presto* (capacity weights) suffers congestion mismatch at high load.",
+	},
+	{
+		name: "fig11", what: "[testbed] asymmetric web-search: small/large flow breakdown",
+		testbed: true, workloads: []string{"web-search"}, schemes: testbedSchemes,
+		loads: []float64{0.3, 0.5, 0.6, 0.7}, failure: fixed(linkCut),
+		tables: []sweepTable{
+			{title: "small flows avg FCT (ms), asymmetric testbed", stat: smallMs},
+			{title: "small flows 99th pct (ms), asymmetric testbed", stat: smallP99},
+			{title: "large flows avg FCT (ms), asymmetric testbed", stat: largeMs},
+		},
+	},
+	{
+		name: "fig12", what: "[sim] symmetric baseline: overall avg FCT vs load, both workloads",
+		workloads: bothWorkloads, schemes: simSchemes, loads: []float64{0.3, 0.5, 0.7, 0.9},
+		tables: []sweepTable{{title: "overall avg FCT (ms), symmetric baseline", stat: overallMs}},
+		shape: "expected shape: Hermes up to ~55% under ECMP (web-search), within ~17% of\n" +
+			"CONGA on web-search and slightly ahead of CONGA on data-mining.",
+	},
+	{
+		name: "fig13", what: "[sim] asymmetric web-search FCT statistics (normalized to Hermes)",
+		workloads: []string{"web-search"}, schemes: simSchemes, loads: []float64{0.5, 0.7, 0.9},
+		failure: fixed(degrade()),
+		tables: []sweepTable{
+			{title: "overall avg FCT (normalized to Hermes)", stat: overallMs, normalized: true},
+			{title: "small flows avg FCT (normalized to Hermes)", stat: smallMs, normalized: true},
+			{title: "small flows 99th pct FCT (normalized to Hermes)", stat: smallP99, normalized: true},
+		},
+		shape: "expected shape: CONGA leads overall; flowlet schemes' small-flow tail\n" +
+			"degrades at high load; Hermes protects small flows (cautious rerouting).",
+	},
+	{
+		name: "fig14", what: "[sim] asymmetric data-mining FCT statistics (normalized to Hermes)",
+		workloads: []string{"data-mining"}, schemes: simSchemes, loads: []float64{0.5, 0.7, 0.9},
+		failure: fixed(degrade()),
+		tables: []sweepTable{
+			{title: "overall avg FCT (normalized to Hermes)", stat: overallMs, normalized: true},
+			{title: "large flows avg FCT (normalized to Hermes)", stat: largeMs, normalized: true},
+		},
+		shape: "expected shape: Hermes beats CONGA by 5-10% and CLOVE/LetFlow by 13-20%.",
+	},
+	{
+		name: "fig16", what: "[sim] silent random packet drops (2% at one core switch)",
+		workloads: []string{"web-search"}, schemes: failureSchemes, loads: []float64{0.3, 0.5, 0.7},
+		failure: fixed(hermes.FailureSpec{Kind: hermes.FailureRandomDrop, Spine: 1, DropRate: 0.02}),
+		intro:   "[web-search] 2% silent random drops at one core switch; avg FCT (ms):",
+		tables:  []sweepTable{{stat: overallMs}},
+		shape: "expected shape: Hermes ahead of everything by >32%; CONGA gains little\n" +
+			"over ECMP because utilization-based sensing is fooled by quiet lossy paths.",
+	},
+	{
+		name: "fig17", what: "[sim] packet blackhole: avg FCT and unfinished flows",
+		workloads: []string{"web-search"}, schemes: failureSchemes, loads: []float64{0.3, 0.5, 0.7},
+		failure: func(t hermes.Topology) hermes.FailureSpec {
+			return hermes.FailureSpec{Kind: hermes.FailureBlackhole, Spine: 1, SrcLeaf: 0, DstLeaf: t.Leaves - 1}
+		},
+		intro: "[web-search] blackhole on half the rack0->rackN pairs at one core switch:",
+		tables: []sweepTable{
+			{title: "(a) overall avg FCT (ms)", stat: overallMs},
+			{title: "(b) unfinished flows (%)", stat: unfinPct},
+		},
+		shape: "expected shape: Hermes detects the blackhole after 3 timeouts and finishes\n" +
+			"every flow; ECMP strands a fixed share of hashed flows, inflating its mean.",
+	},
 }
 
-func fig17(o options) {
-	loads := []float64{0.3, 0.5, 0.7}
-	topo := simTopo(o)
-	spec := hermes.FailureSpec{Kind: hermes.FailureBlackhole, Spine: 1,
-		SrcLeaf: 0, DstLeaf: topo.Leaves - 1}
-	fmt.Println("[web-search] blackhole on half the rack0->rackN pairs at one core switch:")
-	fmt.Println("\n(a) overall avg FCT (ms):")
-	header(loads)
-	all := map[hermes.Scheme][]*hermes.Result{}
-	for _, sch := range failureSchemes {
-		all[sch] = sweep(hermes.Config{
-			Topology: topo, Scheme: sch, Workload: "web-search",
-			Flows: o.flows, Seed: o.seed, Failure: spec,
-		}, loads)
-		row(string(sch), means(all[sch], overallMs))
+// --- Fig 15, 18, 19 and the caution ablation ---------------------------------
+
+// flowletSweep is Fig 15's sweep: CONGA at 80% load on the degraded fabric,
+// reordering masked to isolate congestion mismatch, across flowlet timeouts.
+// It runs the sweep at each queue factor as one batch and prints each
+// factor's rows under its heading.
+func flowletSweep(o options, queueFactors []int, headings []string) {
+	timeoutsUs := []int64{50, 150, 500}
+	var cfgs []hermes.Config
+	for _, qf := range queueFactors {
+		topo := simTopo(o)
+		topo.QueueFactor = qf
+		for _, us := range timeoutsUs {
+			cfgs = append(cfgs, hermes.Config{
+				Topology: topo, Scheme: hermes.SchemeCONGA, Workload: "web-search",
+				Load: 0.8, Flows: o.flows, Seed: o.seed, Failure: degrade(),
+				FlowletTimeoutNs: us * 1000,
+				ReorderTimeoutNs: 400_000,
+			})
+		}
 	}
-	fmt.Println("\n(b) unfinished flows (%):")
-	header(loads)
-	for _, sch := range failureSchemes {
-		row(string(sch), means(all[sch], unfinPct))
+	rs, err := runAll(cfgs...)
+	for _, h := range headings {
+		fmt.Println(h)
+		fmt.Printf("%-18s %12s\n", "flowlet timeout", "avg FCT (ms)")
+		for _, us := range timeoutsUs {
+			if rs[0] != nil {
+				fmt.Printf("%15dus %12.3f\n", us, rs[0].FCT.Overall.MeanMs())
+			}
+			rs = rs[1:]
+		}
 	}
-	fmt.Println("expected shape: Hermes detects the blackhole after 3 timeouts and finishes")
-	fmt.Println("every flow; ECMP strands a fixed share of hashed flows, inflating its mean.")
+	exitOnError(err)
 }
 
-func fig18a(o options) {
-	fmt.Println("[data-mining] Hermes component ablation on the asymmetric fabric @60%:")
-	fmt.Printf("%-22s %12s %12s %12s\n", "variant", "avg (ms)", "small (ms)", "large (ms)")
-	variants := []struct {
-		name               string
-		noProbe, noReroute bool
-	}{
-		{"hermes (full)", false, false},
-		{"without probing", true, false},
-		{"without rerouting", false, true},
-		{"without both", true, true},
-	}
-	base, err := hermes.DeriveHermesParams(simTopo(o))
+func fig15(o options) {
+	flowletSweep(o, []int{0}, []string{"[web-search] CONGA @80% load on the asymmetric fabric, reordering masked:"})
+	fmt.Println("paper's shape: 150us beats 500us (more rerouting chances) but 50us is worst")
+	fmt.Println("(congestion mismatch). In this simulator 500us >> 150us reproduces; the 50us")
+	fmt.Println("penalty does not (see EXPERIMENTS.md and -exp fig15q).")
+}
+
+// derivedParams returns Table 4's Hermes parameters for the simulation
+// fabric.
+func derivedParams(o options) core.Params {
+	p, err := hermes.DeriveHermesParams(simTopo(o))
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, v := range variants {
-		params := base
-		if v.noProbe {
-			params.ProbeInterval = 0
+	return p
+}
+
+// hermesRuns runs Hermes at load on the degraded simulation fabric as one
+// batch: each parameter set with each workload, the results in that order.
+func hermesRuns(o options, load float64, workloads []string, params ...core.Params) ([]*hermes.Result, error) {
+	var cfgs []hermes.Config
+	for _, p := range params {
+		for _, wl := range workloads {
+			cfgs = append(cfgs, hermes.Config{
+				Topology: simTopo(o), Scheme: hermes.SchemeHermes, Workload: wl,
+				Load: load, Flows: o.flows, Seed: o.seed, Failure: degrade(),
+				HermesParams: &p,
+			})
 		}
-		params.DisableReroute = v.noReroute
-		res := runAll(hermes.Config{
-			Topology: simTopo(o), Scheme: hermes.SchemeHermes, Workload: "data-mining",
-			Load: 0.6, Flows: o.flows, Seed: o.seed, Failure: degrade(),
-			HermesParams: &params,
-		})[0]
-		fmt.Printf("%-22s %12.3f %12.3f %12.3f\n", v.name,
-			res.FCT.Overall.MeanMs(), res.FCT.Small.MeanMs(), res.FCT.Large.MeanMs())
 	}
+	return runAll(cfgs...)
+}
+
+func fig18a(o options) {
+	full := derivedParams(o)
+	noProbe, noReroute, neither := full, full, full
+	noProbe.ProbeInterval, neither.ProbeInterval = 0, 0
+	noReroute.DisableReroute, neither.DisableReroute = true, true
+	rs, err := hermesRuns(o, 0.6, []string{"data-mining"}, full, noProbe, noReroute, neither)
+	fmt.Println("[data-mining] Hermes component ablation on the asymmetric fabric @60%:")
+	fmt.Printf("%-22s %12s %12s %12s\n", "variant", "avg (ms)", "small (ms)", "large (ms)")
+	for i, name := range []string{"hermes (full)", "without probing", "without rerouting", "without both"} {
+		if r := rs[i]; r != nil {
+			fmt.Printf("%-22s %12.3f %12.3f %12.3f\n", name,
+				r.FCT.Overall.MeanMs(), r.FCT.Small.MeanMs(), r.FCT.Large.MeanMs())
+		}
+	}
+	exitOnError(err)
 	fmt.Println("expected shape: probing ~20% and rerouting ~10% of the overall improvement.")
 }
 
 func fig18b(o options) {
+	intervalsUs := []int64{0, 500, 100}
+	base := derivedParams(o)
+	params := make([]core.Params, len(intervalsUs))
+	for i, us := range intervalsUs {
+		params[i] = base
+		params[i].ProbeInterval = sim.Time(us) * sim.Microsecond
+	}
+	rs, err := hermesRuns(o, 0.6, []string{"data-mining"}, params...)
 	fmt.Println("[data-mining] probe-interval sweep on the asymmetric fabric @60%:")
 	fmt.Printf("%-18s %12s\n", "probe interval", "avg FCT (ms)")
-	base, err := hermes.DeriveHermesParams(simTopo(o))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, us := range []int64{0, 500, 100} {
-		params := base
-		params.ProbeInterval = sim.Time(us) * sim.Microsecond
-		res := runAll(hermes.Config{
-			Topology: simTopo(o), Scheme: hermes.SchemeHermes, Workload: "data-mining",
-			Load: 0.6, Flows: o.flows, Seed: o.seed, Failure: degrade(),
-			HermesParams: &params,
-		})[0]
+	for i, us := range intervalsUs {
+		if rs[i] == nil {
+			continue
+		}
 		label := fmt.Sprintf("%dus", us)
 		if us == 0 {
 			label = "no probing"
 		}
-		fmt.Printf("%-18s %12.3f\n", label, res.FCT.Overall.MeanMs())
+		fmt.Printf("%-18s %12.3f\n", label, rs[i].FCT.Overall.MeanMs())
 	}
+	exitOnError(err)
 	fmt.Println("expected shape: 500us brings ~11-15% over no probing; 100us adds 1-3% more.")
 }
 
 func fig19(o options) {
-	topo := simTopo(o)
-	base, err := hermes.DeriveHermesParams(topo)
-	if err != nil {
-		log.Fatal(err)
+	panels := []struct {
+		heading, knob string
+		valuesUs      []int64
+		set           func(p *core.Params, v sim.Time)
+	}{
+		{"(a) sensitivity to T_RTT_high @60% load (asymmetric fabric), avg FCT (ms):", "T_RTT_high",
+			[]int64{140, 180, 220, 260}, func(p *core.Params, v sim.Time) { p.TRTTHigh = v }},
+		{"\n(b) sensitivity to Delta_RTT @60% load, avg FCT (ms):", "Delta_RTT",
+			[]int64{40, 80, 120, 160}, func(p *core.Params, v sim.Time) { p.DeltaRTT = v }},
 	}
-	fmt.Println("(a) sensitivity to T_RTT_high @60% load (asymmetric fabric), avg FCT (ms):")
-	fmt.Printf("%-14s %12s %12s\n", "T_RTT_high", "web-search", "data-mining")
-	for _, us := range []int64{140, 180, 220, 260} {
-		vals := make([]float64, 2)
-		for i, wl := range []string{"web-search", "data-mining"} {
+	base := derivedParams(o)
+	var params []core.Params
+	for _, pn := range panels {
+		for _, us := range pn.valuesUs {
 			p := base
-			p.TRTTHigh = sim.Time(us) * sim.Microsecond
-			res := runAll(hermes.Config{
-				Topology: topo, Scheme: hermes.SchemeHermes, Workload: wl,
-				Load: 0.6, Flows: o.flows, Seed: o.seed, Failure: degrade(),
-				HermesParams: &p,
-			})[0]
-			vals[i] = res.FCT.Overall.MeanMs()
+			pn.set(&p, sim.Time(us)*sim.Microsecond)
+			params = append(params, p)
 		}
-		fmt.Printf("%11dus %12.3f %12.3f\n", us, vals[0], vals[1])
 	}
-	fmt.Println("\n(b) sensitivity to Delta_RTT @60% load, avg FCT (ms):")
-	fmt.Printf("%-14s %12s %12s\n", "Delta_RTT", "web-search", "data-mining")
-	for _, us := range []int64{40, 80, 120, 160} {
-		vals := make([]float64, 2)
-		for i, wl := range []string{"web-search", "data-mining"} {
-			p := base
-			p.DeltaRTT = sim.Time(us) * sim.Microsecond
-			res := runAll(hermes.Config{
-				Topology: topo, Scheme: hermes.SchemeHermes, Workload: wl,
-				Load: 0.6, Flows: o.flows, Seed: o.seed, Failure: degrade(),
-				HermesParams: &p,
-			})[0]
-			vals[i] = res.FCT.Overall.MeanMs()
+	rs, err := hermesRuns(o, 0.6, bothWorkloads, params...)
+	for _, pn := range panels {
+		fmt.Println(pn.heading)
+		fmt.Printf("%-14s %12s %12s\n", pn.knob, "web-search", "data-mining")
+		for _, us := range pn.valuesUs {
+			ws, dm := rs[0], rs[1]
+			rs = rs[2:]
+			if ws != nil && dm != nil {
+				fmt.Printf("%11dus %12.3f %12.3f\n", us, ws.FCT.Overall.MeanMs(), dm.FCT.Overall.MeanMs())
+			}
 		}
-		fmt.Printf("%11dus %12.3f %12.3f\n", us, vals[0], vals[1])
 	}
+	exitOnError(err)
 	fmt.Println("expected shape: stable around the recommended settings; web-search favors")
 	fmt.Println("conservative thresholds, data-mining favors aggressive ones.")
 }
 
 func ablationCaution(o options) {
+	cautious := derivedParams(o)
+	vigorous := cautious
+	vigorous.Vigorous = true
+	rs, err := hermesRuns(o, 0.7, []string{"web-search"}, cautious, vigorous)
 	fmt.Println("[web-search] cautious vs vigorous rerouting @70% on the asymmetric fabric:")
 	fmt.Printf("%-22s %12s %12s %14s\n", "variant", "avg (ms)", "small p99(ms)", "reroutes")
-	base, err := hermes.DeriveHermesParams(simTopo(o))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, vigorous := range []bool{false, true} {
-		params := base
-		params.Vigorous = vigorous
-		res := runAll(hermes.Config{
-			Topology: simTopo(o), Scheme: hermes.SchemeHermes, Workload: "web-search",
-			Load: 0.7, Flows: o.flows, Seed: o.seed, Failure: degrade(),
-			HermesParams: &params,
-		})[0]
-		name := "cautious (Hermes)"
-		if vigorous {
-			name = "vigorous (no gates)"
+	for i, name := range []string{"cautious (Hermes)", "vigorous (no gates)"} {
+		if r := rs[i]; r != nil {
+			fmt.Printf("%-22s %12.3f %12.3f %14d\n", name,
+				r.FCT.Overall.MeanMs(), r.FCT.Small.P99Ms(), r.Reroutes)
 		}
-		fmt.Printf("%-22s %12.3f %12.3f %14d\n", name,
-			res.FCT.Overall.MeanMs(), res.FCT.Small.P99Ms(), res.Reroutes)
 	}
+	exitOnError(err)
 	fmt.Println("expected shape: vigorous rerouting inflates reroute counts and hurts FCT —")
 	fmt.Println("the congestion-mismatch cost the caution gates (S, R, deltas) prevent.")
 }

@@ -134,15 +134,23 @@ func tuneExp(o options) {
 // allSchemesExp runs the complete roster (including the schemes the paper
 // lists in Table 1 but does not plot) on the symmetric baseline.
 func allSchemesExp(o options) {
-	fmt.Printf("%-14s %12s %12s %14s\n", "scheme", "avg (ms)", "small (ms)", "small p99(ms)")
-	for _, sch := range hermes.Schemes() {
-		res := runAll(hermes.Config{
+	schemes := hermes.Schemes()
+	cfgs := make([]hermes.Config, len(schemes))
+	for i, sch := range schemes {
+		cfgs[i] = hermes.Config{
 			Topology: simTopo(o), Scheme: sch, Workload: "web-search",
 			Load: 0.6, Flows: o.flows, Seed: o.seed,
-		})[0]
-		fmt.Printf("%-14s %12.3f %12.3f %14.3f\n", sch,
-			res.FCT.Overall.MeanMs(), res.FCT.Small.MeanMs(), res.FCT.Small.P99Ms())
+		}
 	}
+	rs, err := runAll(cfgs...)
+	fmt.Printf("%-14s %12s %12s %14s\n", "scheme", "avg (ms)", "small (ms)", "small p99(ms)")
+	for i, res := range rs {
+		if res != nil {
+			fmt.Printf("%-14s %12.3f %12.3f %14.3f\n", schemes[i],
+				res.FCT.Overall.MeanMs(), res.FCT.Small.MeanMs(), res.FCT.Small.P99Ms())
+		}
+	}
+	exitOnError(err)
 }
 
 func init() {
@@ -153,28 +161,38 @@ func init() {
 // the Hermes/ECMP gap and the probing overhead evolve — the Table 6
 // scalability argument measured rather than computed.
 func scalingExp(o options) {
+	sizes := []int{2, 4, 6, 8}
+	var cfgs []hermes.Config
+	for _, size := range sizes {
+		cfg := hermes.Config{
+			Topology: hermes.Topology{
+				Leaves: size, Spines: size, HostsPerLeaf: 8,
+				HostRateBps: 10e9, FabricRateBps: 10e9,
+				HostDelayNs: 2000, FabricDelayNs: 2000,
+			},
+			Workload: "web-search", Load: 0.6,
+			Flows: o.flows * size / 4, // keep per-pair pressure comparable
+			Seed:  o.seed,
+		}
+		for _, sch := range []hermes.Scheme{hermes.SchemeECMP, hermes.SchemeHermes} {
+			cfg.Scheme = sch
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	rs, err := runAll(cfgs...)
 	fmt.Printf("%-14s %12s %12s %12s %14s\n",
 		"fabric", "ecmp (ms)", "hermes (ms)", "gain", "probe ovh")
-	for _, size := range []int{2, 4, 6, 8} {
-		topo := hermes.Topology{
-			Leaves: size, Spines: size, HostsPerLeaf: 8,
-			HostRateBps: 10e9, FabricRateBps: 10e9,
-			HostDelayNs: 2000, FabricDelayNs: 2000,
+	for i, size := range sizes {
+		e, h := rs[2*i], rs[2*i+1]
+		if e == nil || h == nil {
+			continue
 		}
-		flows := o.flows * size / 4 // keep per-pair pressure comparable
-		cfg := hermes.Config{
-			Topology: topo, Workload: "web-search",
-			Load: 0.6, Flows: flows, Seed: o.seed,
-		}
-		cfg.Scheme = hermes.SchemeECMP
-		e := runAll(cfg)[0]
-		cfg.Scheme = hermes.SchemeHermes
-		h := runAll(cfg)[0]
 		gain := (e.FCT.Overall.Mean - h.FCT.Overall.Mean) / e.FCT.Overall.Mean
 		fmt.Printf("%8dx%d     %12.3f %12.3f %11.1f%% %13.3f%%\n",
 			size, size, e.FCT.Overall.MeanMs(), h.FCT.Overall.MeanMs(),
 			100*gain, 100*h.ProbeOverhead)
 	}
+	exitOnError(err)
 	fmt.Println("expected shape: the per-agent probe overhead stays a small fraction that")
 	fmt.Println("grows only with the leaf count (rack agents); the Hermes-vs-ECMP gain is")
 	fmt.Println("noisy at fixed per-pair flow counts — raise -flows for stable gains.")
@@ -189,12 +207,12 @@ func init() {
 // within 10-25% of CONGA on web-search and near-identical on data-mining.
 // TIMELY is this repository's extension.
 func transportsExp(o options) {
-	for _, proto := range []string{"dctcp", "reno", "timely"} {
-		fmt.Printf("\n[%s] overall avg FCT (ms) @60%% load, asymmetric fabric:\n", proto)
-		fmt.Printf("%-10s %14s %14s\n", "scheme", "web-search", "data-mining")
-		for _, sch := range []hermes.Scheme{hermes.SchemeECMP, hermes.SchemeCONGA, hermes.SchemeHermes} {
-			var vals [2]float64
-			for i, wl := range []string{"web-search", "data-mining"} {
+	protos := []string{"dctcp", "reno", "timely"}
+	schemes := []hermes.Scheme{hermes.SchemeECMP, hermes.SchemeCONGA, hermes.SchemeHermes}
+	var cfgs []hermes.Config
+	for _, proto := range protos {
+		for _, sch := range schemes {
+			for _, wl := range bothWorkloads {
 				cfg := hermes.Config{
 					Topology: simTopo(o), Scheme: sch, Workload: wl, Protocol: proto,
 					Load: 0.6, Flows: o.flows, Seed: o.seed, Failure: degrade(),
@@ -203,11 +221,23 @@ func transportsExp(o options) {
 					// §5.4 uses a 500us flowlet timeout for bursty TCP.
 					cfg.FlowletTimeoutNs = 500_000
 				}
-				vals[i] = runAll(cfg)[0].FCT.Overall.MeanMs()
+				cfgs = append(cfgs, cfg)
 			}
-			fmt.Printf("%-10s %14.3f %14.3f\n", sch, vals[0], vals[1])
 		}
 	}
+	rs, err := runAll(cfgs...)
+	for _, proto := range protos {
+		fmt.Printf("\n[%s] overall avg FCT (ms) @60%% load, asymmetric fabric:\n", proto)
+		fmt.Printf("%-10s %14s %14s\n", "scheme", "web-search", "data-mining")
+		for _, sch := range schemes {
+			ws, dm := rs[0], rs[1]
+			rs = rs[2:]
+			if ws != nil && dm != nil {
+				fmt.Printf("%-10s %14.3f %14.3f\n", sch, ws.FCT.Overall.MeanMs(), dm.FCT.Overall.MeanMs())
+			}
+		}
+	}
+	exitOnError(err)
 	fmt.Println("expected shape: orderings persist without ECN; Hermes trails CONGA a bit")
 	fmt.Println("more under bursty TCP (more flowlet gaps for CONGA to exploit).")
 }
@@ -222,19 +252,5 @@ func init() {
 // do not — which is the hypothesis EXPERIMENTS.md offers for the Fig 15
 // divergence.
 func fig15q(o options) {
-	for _, qf := range []int{5, 2} {
-		topo := simTopo(o)
-		topo.QueueFactor = qf
-		fmt.Printf("\nqueue depth = %dx ECN threshold:\n", qf)
-		fmt.Printf("%-18s %12s\n", "flowlet timeout", "avg FCT (ms)")
-		for _, us := range []int64{50, 150, 500} {
-			res := runAll(hermes.Config{
-				Topology: topo, Scheme: hermes.SchemeCONGA, Workload: "web-search",
-				Load: 0.8, Flows: o.flows, Seed: o.seed, Failure: degrade(),
-				FlowletTimeoutNs: us * 1000,
-				ReorderTimeoutNs: 400_000,
-			})[0]
-			fmt.Printf("%15dus %12.3f\n", us, res.FCT.Overall.MeanMs())
-		}
-	}
+	flowletSweep(o, []int{5, 2}, []string{"\nqueue depth = 5x ECN threshold:", "\nqueue depth = 2x ECN threshold:"})
 }
