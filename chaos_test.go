@@ -249,7 +249,9 @@ func TestChaosScenarioValidation(t *testing.T) {
 // creates none. The two timelines after them passed it and failed only at
 // run end, when a clear found its event no longer active. The Hermes
 // parameters after those passed it too, though the ECMP base ignores them;
-// with a zero detection window a Hermes run would never finish.
+// with a zero detection window a Hermes run would never finish. So did the
+// negative values after the flow-size caps, each of which ran as the
+// field's default.
 func TestValidateIsTheOneGate(t *testing.T) {
 	base := Config{
 		Topology: chaosTopo(), Scheme: SchemeECMP,
@@ -314,6 +316,19 @@ func TestValidateIsTheOneGate(t *testing.T) {
 		{"MaxFlowBytes at the smallest flow", func(c *Config) { c.MaxFlowBytes = 1000 }, "smallest flow is 1000 B"},
 		{"MaxFlowBytes above 2^50", func(c *Config) { c.MaxFlowBytes = 1 << 60 }, "out of range"},
 		{"negative MaxFlowBytes", func(c *Config) { c.MaxFlowBytes = -1 }, "MaxFlowBytes -1 is negative"},
+		{"negative SBytes", params(func(p *core.Params) { p.SBytes = -1 }), "SBytes"},
+		{"negative RBps", params(func(p *core.Params) { p.RBps = -1 }), "RBps"},
+		{"TimeoutsForBlackhole 0", params(func(p *core.Params) { p.TimeoutsForBlackhole = 0 }), "TimeoutsForBlackhole"},
+		{"negative MPTCPSubflows", func(c *Config) { c.MPTCPSubflows = -1 }, "MPTCPSubflows -1 is negative"},
+		{"negative RepFlowThresholdBytes", func(c *Config) { c.RepFlowThresholdBytes = -1 }, "RepFlowThresholdBytes -1 is negative"},
+		{"negative DrainTimeoutNs", func(c *Config) { c.DrainTimeoutNs = -1 }, "DrainTimeoutNs -1 is negative"},
+		{"negative FlowletTimeoutNs", func(c *Config) { c.FlowletTimeoutNs = -1 }, "FlowletTimeoutNs -1 is negative"},
+		{"negative TelemetryIntervalNs", func(c *Config) { c.TelemetryIntervalNs = -1 }, "TelemetryIntervalNs -1 is negative"},
+		{"negative TimeSeriesIntervalNs", func(c *Config) { c.TimeSeriesIntervalNs = -1 }, "TimeSeriesIntervalNs -1 is negative"},
+		{"negative TimeSeriesCap", func(c *Config) { c.TimeSeriesCap = -1 }, "TimeSeriesCap -1 is negative"},
+		{"negative Perf.SampleEvery", func(c *Config) { c.Perf = &PerfOptions{SampleEvery: -1} }, "Perf.SampleEvery -1 is negative"},
+		{"negative Perf.RuntimeIntervalMs", func(c *Config) { c.Perf = &PerfOptions{RuntimeIntervalMs: -1} }, "Perf.RuntimeIntervalMs -1 is negative"},
+		{"ReorderTimeoutNs below -1", func(c *Config) { c.ReorderTimeoutNs = -2 }, "ReorderTimeoutNs -2"},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -208,7 +208,8 @@ type FailureSpec struct {
 	FlapPeriodNs, FlapDownNs int64
 }
 
-// Config describes one experiment run.
+// Config describes one experiment run. A field whose zero value selects a
+// default rejects a negative value, and ReorderTimeoutNs one below -1.
 type Config struct {
 	Topology Topology
 	Scheme   Scheme
@@ -593,6 +594,27 @@ func (r *run) validate() error {
 	if !(cfg.Load > 0 && cfg.Load <= 1.5) { // NaN too
 		return fmt.Errorf("hermes: Load %v out of range (0, 1.5]", cfg.Load)
 	}
+	var perf PerfOptions
+	if cfg.Perf != nil {
+		perf = *cfg.Perf
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"MaxFlowBytes", cfg.MaxFlowBytes}, {"MPTCPSubflows", int64(cfg.MPTCPSubflows)},
+		{"RepFlowThresholdBytes", cfg.RepFlowThresholdBytes}, {"DrainTimeoutNs", cfg.DrainTimeoutNs},
+		{"FlowletTimeoutNs", cfg.FlowletTimeoutNs}, {"TelemetryIntervalNs", cfg.TelemetryIntervalNs},
+		{"TimeSeriesIntervalNs", cfg.TimeSeriesIntervalNs}, {"TimeSeriesCap", int64(cfg.TimeSeriesCap)},
+		{"Perf.SampleEvery", int64(perf.SampleEvery)}, {"Perf.RuntimeIntervalMs", int64(perf.RuntimeIntervalMs)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("hermes: %s %d is negative", f.name, f.v)
+		}
+	}
+	if cfg.ReorderTimeoutNs < -1 {
+		return fmt.Errorf("hermes: ReorderTimeoutNs %d is below -1 (off)", cfg.ReorderTimeoutNs)
+	}
 	if err := cfg.Topology.toNet().Validate(); err != nil {
 		return fmt.Errorf("hermes: %w", err)
 	}
@@ -631,9 +653,6 @@ func (r *run) validate() error {
 		return err
 	}
 	maxBytes := cfg.MaxFlowBytes
-	if maxBytes < 0 {
-		return fmt.Errorf("hermes: MaxFlowBytes %d is negative", maxBytes)
-	}
 	if maxBytes == 0 && r.dist == workload.DataMining {
 		maxBytes = 35_000_000 // documented tail truncation
 	}

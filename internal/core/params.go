@@ -99,9 +99,10 @@ func DefaultParams(nw *net.Network) Params {
 
 // Validate range-checks the parameters: Tau must be positive, since the
 // failure-detection window re-arms itself every Tau and a zero window never
-// lets virtual time advance; no duration may be negative; every float must
-// be finite; and the ECN and retransmission thresholds and the EWMA gains
-// are fractions in [0, 1].
+// lets virtual time advance; no duration, SBytes or RBps may be negative;
+// every float must be finite; a blackhole takes at least one timeout to
+// declare; and the ECN and retransmission thresholds and the EWMA gains are
+// fractions in [0, 1].
 func (p *Params) Validate() error {
 	if p.Tau <= 0 {
 		return fmt.Errorf("Tau %d must be positive", p.Tau)
@@ -118,8 +119,14 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("negative %s %d", d.name, d.v)
 		}
 	}
-	if math.IsNaN(p.RBps) || math.IsInf(p.RBps, 0) {
-		return fmt.Errorf("RBps %g must be finite", p.RBps)
+	if !(p.RBps >= 0) || math.IsInf(p.RBps, 1) { // NaN too
+		return fmt.Errorf("RBps %g must be finite and non-negative", p.RBps)
+	}
+	if p.SBytes < 0 {
+		return fmt.Errorf("negative SBytes %d", p.SBytes)
+	}
+	if p.TimeoutsForBlackhole < 1 {
+		return fmt.Errorf("TimeoutsForBlackhole %d must be at least 1", p.TimeoutsForBlackhole)
 	}
 	for _, f := range []struct {
 		name string
