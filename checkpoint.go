@@ -17,7 +17,8 @@
 // soak-smoke job asserts with cmp(1). Until its replay verifies, a restored
 // run overwrites no checkpoint file: one that already exists must hold
 // exactly the bytes the replay would write, or the restore fails with a
-// StateMismatchError and leaves the file as it was.
+// StateMismatchError and leaves the file as it was. An interrupt in that
+// window writes nothing either; its error names the file being restored.
 package hermes
 
 import (
@@ -60,10 +61,12 @@ type CheckpointInfo struct {
 	StateSHA  string `json:"state_sha"`
 }
 
-// InterruptedError reports a run stopped through its context after writing a
-// final interrupt checkpoint; resume from Checkpoint.Path (or the run's
-// checkpoint directory) with Restore. Unwrap yields the context error, so
-// errors.Is(err, context.Canceled) still classifies the cause.
+// InterruptedError reports a checkpointed run stopped through its context;
+// resume from Checkpoint.Path (or the run's checkpoint directory) with
+// Restore. Checkpoint is the final interrupt checkpoint the run wrote, or,
+// for a Restore interrupted before its replay verified, the checkpoint it
+// was restoring: such a restore writes nothing. Unwrap yields the context
+// error, so errors.Is(err, context.Canceled) still classifies the cause.
 type InterruptedError struct {
 	Checkpoint CheckpointInfo
 	Err        error
@@ -170,9 +173,11 @@ func (p *ckptPlan) advance(due int64) {
 
 // replayPlan carries a restored checkpoint through runWith: replay to `to`,
 // verify the re-captured state against snap, then (for Fork) mutate the run.
+// from describes the checkpoint file it was read from.
 type replayPlan struct {
 	to   sim.Time
 	snap *checkpoint.Snapshot
+	from CheckpointInfo
 	fork *ForkOptions
 	done bool
 }
@@ -332,10 +337,15 @@ func (r *run) fireDueCheckpoints() error {
 
 // interrupted turns a context cancellation into a resumable stop: for
 // checkpointed runs it writes a final interrupt checkpoint and wraps the
-// cause in an *InterruptedError; otherwise the cause passes through.
+// cause in an *InterruptedError; otherwise the cause passes through. A
+// restore whose replay has not verified yet writes nothing: the checkpoint
+// it is restoring still resumes the run, and its error names that file.
 func (r *run) interrupted(cause error) error {
 	if r.ckpt == nil {
 		return cause
+	}
+	if r.replay != nil && !r.replay.done {
+		return &InterruptedError{Checkpoint: r.replay.from, Err: cause}
 	}
 	info, err := r.writeCheckpoint("interrupt")
 	if err != nil {
@@ -402,22 +412,25 @@ func forkableScheme(s Scheme) error {
 	return knownScheme(s)
 }
 
-// loadCheckpointFile reads a checkpoint from a file path, or from the most
-// advanced valid checkpoint in a directory.
-func loadCheckpointFile(path string) (*checkpoint.File, error) {
+// loadReplay reads a checkpoint from a file path, or from the most advanced
+// valid checkpoint in a directory, and turns it into the Config and
+// replayPlan runWith needs. The config is round-tripped through this build's
+// schema and re-fingerprinted: if the schema drifted since the file was
+// written, the bytes change and the restore refuses loudly instead of
+// silently replaying a different experiment.
+func loadReplay(path string) (Config, *replayPlan, error) {
 	path, err := checkpoint.Resolve(path)
 	if err != nil {
-		return nil, fmt.Errorf("hermes: %w", err)
+		return Config{}, nil, fmt.Errorf("hermes: %w", err)
 	}
-	return checkpoint.ReadFile(path)
-}
-
-// decodeForReplay turns a verified envelope into the Config and replayPlan
-// runWith needs. The config is round-tripped through this build's schema and
-// re-fingerprinted: if the schema drifted since the file was written, the
-// bytes change and the restore refuses loudly instead of silently replaying
-// a different experiment.
-func decodeForReplay(f *checkpoint.File) (Config, *replayPlan, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return Config{}, nil, fmt.Errorf("hermes: %w", err)
+	}
+	f, err := checkpoint.Decode(data)
+	if err != nil {
+		return Config{}, nil, err
+	}
 	var cfg Config
 	if err := json.Unmarshal(f.Config, &cfg); err != nil {
 		return Config{}, nil, &checkpoint.CorruptError{Reason: "config section", Err: err}
@@ -437,7 +450,8 @@ func decodeForReplay(f *checkpoint.File) (Config, *replayPlan, error) {
 	if err != nil {
 		return Config{}, nil, err
 	}
-	return cfg, &replayPlan{to: sim.Time(f.SimTimeNs), snap: snap}, nil
+	from := CheckpointInfo{SimTimeNs: f.SimTimeNs, Path: path, Bytes: len(data), StateSHA: f.StateSHA}
+	return cfg, &replayPlan{to: sim.Time(f.SimTimeNs), snap: snap, from: from}, nil
 }
 
 // Restore resumes the run captured in a checkpoint. path may be a checkpoint
@@ -451,11 +465,7 @@ func decodeForReplay(f *checkpoint.File) (Config, *replayPlan, error) {
 // left untouched; after it, the resumed run re-writes the schedule's files
 // (byte-identical collisions with the originals).
 func Restore(path string) (*Result, error) {
-	f, err := loadCheckpointFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg, rp, err := decodeForReplay(f)
+	cfg, rp, err := loadReplay(path)
 	if err != nil {
 		return nil, err
 	}
@@ -485,11 +495,7 @@ type ForkOptions struct {
 // not comparable byte-for-byte to the parent's, and it writes no checkpoints
 // of its own.
 func Fork(path string, opts ForkOptions) (*Result, error) {
-	f, err := loadCheckpointFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg, rp, err := decodeForReplay(f)
+	cfg, rp, err := loadReplay(path)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,6 +117,77 @@ func TestCheckpointInterruptAndResume(t *testing.T) {
 	}
 	if string(refJSON) != string(gotJSON) {
 		t.Errorf("kill-and-resume report diverges from uninterrupted reference:\n ref %s\n got %s", refJSON, gotJSON)
+	}
+}
+
+// TestInterruptedRestoreWritesNothing interrupts a Restore before its
+// replay verifies, once under an already-cancelled context and once at the
+// 5 ms boundary of a replay to 12 ms. Neither may write a file: the error
+// names the checkpoint being restored, which still resumes the run byte for
+// byte. An interrupt at t=0 used to write a stale t=0 checkpoint beside the
+// restored one.
+func TestInterruptedRestoreWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	ref := mustRun(t, ckptConfig(SchemeECMP, dir))
+	if len(ref.Checkpoints) != 2 {
+		t.Fatalf("Result.Checkpoints = %+v, want 2 entries", ref.Checkpoints)
+	}
+	listing := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = checkpoint.SHA(b)
+		}
+		return files
+	}
+	before := listing()
+
+	defer SetDefaultRunContext(defaultRunContext())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"already cancelled", cancelled},
+		{"at the 5 ms boundary", &countdownCtx{Context: context.Background(), n: 1}},
+	} {
+		SetDefaultRunContext(tc.ctx)
+		_, err := Restore(dir)
+		var ie *InterruptedError
+		if !errors.As(err, &ie) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Restore = %v, want an *InterruptedError wrapping context.Canceled", tc.name, err)
+		}
+		if ie.Checkpoint != ref.Checkpoints[1] {
+			t.Errorf("%s: error names %+v, want the restored file %+v", tc.name, ie.Checkpoint, ref.Checkpoints[1])
+		}
+		if after := listing(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the interrupted restore changed the directory:\n before %v\n after  %v", tc.name, before, after)
+		}
+	}
+
+	SetDefaultRunContext(nil)
+	res, err := Restore(dir)
+	if err != nil {
+		t.Fatalf("Restore after the interrupted ones: %v", err)
+	}
+	refJSON, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(refJSON) != string(gotJSON) {
+		t.Errorf("restored result diverges from the reference run:\n ref %s\n got %s", refJSON, gotJSON)
 	}
 }
 

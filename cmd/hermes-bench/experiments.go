@@ -300,14 +300,23 @@ func (s loadSweep) plan(o options) []hermes.Config {
 	return cfgs
 }
 
-// run runs the sweep's plan as one batch and prints its tables. After an
-// interrupt it prints only the rows whose runs, and Hermes' runs for a
-// normalized row, all finished.
+// run runs the sweep's plan as one batch and prints its tables.
 func (s loadSweep) run(o options) {
 	rs, err := runAll(s.plan(o)...)
-	if s.intro != "" {
-		fmt.Println(s.intro)
+	s.print(rs)
+	exitOnError(err)
+	if s.shape != "" {
+		fmt.Println(s.shape)
 	}
+}
+
+// print prints the sweep's tables from rs, its results in plan order. After
+// an interrupt it prints only the rows whose runs, and Hermes' runs for a
+// normalized row, all finished, and only the tables left with a row: a
+// table with none prints no heading and writes no -csv file, though it
+// keeps its number, and the intro waits for the first table printed.
+func (s loadSweep) print(rs []*hermes.Result) {
+	intro := s.intro
 	for _, wl := range s.workloads {
 		runs := map[hermes.Scheme][]*hermes.Result{}
 		for _, sch := range s.schemes {
@@ -315,6 +324,20 @@ func (s loadSweep) run(o options) {
 		}
 		base := runs[hermes.SchemeHermes]
 		for _, t := range s.tables {
+			var finished []hermes.Scheme
+			for _, sch := range s.schemes {
+				if !slices.Contains(runs[sch], nil) && !(t.normalized && slices.Contains(base, nil)) {
+					finished = append(finished, sch)
+				}
+			}
+			if len(finished) == 0 {
+				skipCSVTable()
+				continue
+			}
+			if intro != "" {
+				fmt.Println(intro)
+				intro = ""
+			}
 			switch {
 			case s.intro == "":
 				fmt.Printf("\n[%s] %s:\n", wl, t.title)
@@ -322,10 +345,7 @@ func (s loadSweep) run(o options) {
 				fmt.Printf("\n%s:\n", t.title)
 			}
 			header(s.loads)
-			for _, sch := range s.schemes {
-				if slices.Contains(runs[sch], nil) || t.normalized && slices.Contains(base, nil) {
-					continue
-				}
+			for _, sch := range finished {
 				vals := make([]float64, len(s.loads))
 				for j, r := range runs[sch] {
 					vals[j] = t.stat(r)
@@ -336,10 +356,6 @@ func (s loadSweep) run(o options) {
 				row(string(sch), vals)
 			}
 		}
-	}
-	exitOnError(err)
-	if s.shape != "" {
-		fmt.Println(s.shape)
 	}
 }
 

@@ -68,6 +68,13 @@ func beginCSVTable(cols []string) {
 	fmt.Fprintln(f, strings.Join(cols, ","))
 }
 
+// skipCSVTable numbers a table that has no row to print without writing
+// it, so the tables after it keep their file names.
+func skipCSVTable() {
+	endCSVTable()
+	tableSeq++
+}
+
 func csvRow(vals []string) {
 	if csvFile != nil {
 		fmt.Fprintln(csvFile, strings.Join(vals, ","))

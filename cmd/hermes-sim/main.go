@@ -327,7 +327,7 @@ func main() {
 	}
 	var ie *hermes.InterruptedError
 	if errors.As(err, &ie) {
-		fmt.Fprintf(os.Stderr, "interrupted at t=%.1fms; checkpoint written to %s\n",
+		fmt.Fprintf(os.Stderr, "interrupted at t=%.1fms; checkpoint %s\n",
 			float64(ie.Checkpoint.SimTimeNs)/1e6, ie.Checkpoint.Path)
 		fmt.Fprintf(os.Stderr, "resume with: hermes-sim -resume %s\n", ie.Checkpoint.Path)
 		os.Exit(130)

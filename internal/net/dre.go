@@ -15,6 +15,12 @@ type DRE struct {
 	x    float64  // decayed byte count
 	last sim.Time // time of last update
 	tau  float64  // time constant in nanoseconds
+
+	// dt and factor memoize the last decay, factor = exp(-dt/tau): about
+	// half of all updates repeat the previous interval. The zero dt matches
+	// no decay, as decay only runs on a positive interval.
+	dt     sim.Time
+	factor float64
 }
 
 // DefaultDRETau is the estimator time constant. CONGA uses ~100-200us; the
@@ -34,8 +40,11 @@ func (d *DRE) decay(now sim.Time) {
 	if now <= d.last {
 		return
 	}
-	dt := float64(now - d.last)
-	d.x *= math.Exp(-dt / d.tau)
+	if dt := now - d.last; dt != d.dt {
+		d.dt = dt
+		d.factor = math.Exp(-float64(dt) / d.tau)
+	}
+	d.x *= d.factor
 	d.last = now
 }
 

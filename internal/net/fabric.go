@@ -159,13 +159,13 @@ func (s *Switch) receive(pkt *Packet) {
 	if !s.IsLeaf {
 		// Spine: forward down toward the destination leaf over the same
 		// cable index the packet arrived on (cables are independent links).
-		s.down[n.LeafOf(pkt.Dst)*n.Cfg.cables()+n.PathCable(pkt.Path)].Enqueue(pkt)
+		s.down[n.hostLeaf[pkt.Dst]*n.cables+n.pathCable[pkt.Path]].Enqueue(pkt)
 		return
 	}
-	dstLeaf := n.LeafOf(pkt.Dst)
+	dstLeaf := n.hostLeaf[pkt.Dst]
 	if dstLeaf == s.Index {
 		// Down direction (from fabric or local host) toward the host.
-		if srcLeaf := n.LeafOf(pkt.Src); srcLeaf != s.Index && s.Balancer != nil {
+		if srcLeaf := n.hostLeaf[pkt.Src]; srcLeaf != s.Index && s.Balancer != nil {
 			s.Balancer.OnArrive(pkt, srcLeaf)
 		}
 		s.down[pkt.Dst-n.firstHost(s.Index)].Enqueue(pkt)
@@ -263,7 +263,16 @@ type Network struct {
 	// (both directions), where p = spine*cables + cable.
 	fabric [][]int64
 
-	pathCache map[int][]int // srcLeaf*L+dstLeaf -> usable path indices
+	// hostLeaf[h] is host h's leaf and pathCable[p] path p's cable within
+	// its leaf-spine link, cables the cable count: the forwarding path reads
+	// them instead of dividing.
+	hostLeaf  []int
+	pathCable []int
+	cables    int
+
+	// pathCache[srcLeaf*Leaves+dstLeaf] holds the usable paths between two
+	// leaves once AvailablePaths has listed them; SetCable clears it.
+	pathCache []pathSet
 
 	// Packet pool: packets recycled at their sink (final host delivery or
 	// any drop) plus a block of never-used structs. AllocPacket hands them
@@ -331,7 +340,12 @@ func NewLeafSpine(eng *sim.Engine, rng *sim.RNG, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Eng: eng, Rng: rng, Cfg: cfg, pathCache: map[int][]int{}}
+	C := cfg.cables()
+	n := &Network{Eng: eng, Rng: rng, Cfg: cfg, cables: C,
+		pathCache: make([]pathSet, cfg.Leaves*cfg.Leaves)}
+	for p := 0; p < cfg.Spines*C; p++ {
+		n.pathCable = append(n.pathCable, p%C)
+	}
 	for l := 0; l < cfg.Leaves; l++ {
 		n.Leaves = append(n.Leaves, &Switch{IsLeaf: true, Index: l, net: n})
 	}
@@ -339,7 +353,8 @@ func NewLeafSpine(eng *sim.Engine, rng *sim.RNG, cfg Config) (*Network, error) {
 		n.Spines = append(n.Spines, &Switch{Index: s, net: n})
 	}
 	for id := 0; id < cfg.Leaves*cfg.HostsPerLeaf; id++ {
-		n.Hosts = append(n.Hosts, &Host{ID: id, Leaf: id / cfg.HostsPerLeaf, net: n})
+		n.hostLeaf = append(n.hostLeaf, id/cfg.HostsPerLeaf)
+		n.Hosts = append(n.Hosts, &Host{ID: id, Leaf: n.hostLeaf[id], net: n})
 	}
 	qf := cfg.QueueFactor
 	hostPort := PortConfig{RateBps: cfg.HostRateBps, PropDelay: cfg.HostDelay, ECNK: -1,
@@ -355,7 +370,6 @@ func NewLeafSpine(eng *sim.Engine, rng *sim.RNG, cfg Config) (*Network, error) {
 		return pt
 	}
 
-	C := cfg.cables()
 	n.fabric = make([][]int64, cfg.Leaves)
 	for l, leaf := range n.Leaves {
 		n.fabric[l] = make([]int64, cfg.Spines*C)
@@ -465,7 +479,7 @@ func (n *Network) CheckConservation() error {
 func (n *Network) PathSpine(path int) int { return path / n.Cfg.cables() }
 
 // PathCable maps a path index to its cable index within the spine link.
-func (n *Network) PathCable(path int) int { return path % n.Cfg.cables() }
+func (n *Network) PathCable(path int) int { return n.pathCable[path] }
 
 // UplinkPort returns leaf's port for the given path.
 func (n *Network) UplinkPort(leaf, path int) *Port { return n.Leaves[leaf].up[path] }
@@ -476,7 +490,7 @@ func (n *Network) DownlinkPort(path, leaf int) *Port {
 }
 
 // LeafOf returns the leaf index of a host id.
-func (n *Network) LeafOf(host int) int { return host / n.Cfg.HostsPerLeaf }
+func (n *Network) LeafOf(host int) int { return n.hostLeaf[host] }
 
 func (n *Network) firstHost(leaf int) int { return leaf * n.Cfg.HostsPerLeaf }
 
@@ -499,7 +513,7 @@ func (n *Network) SetCable(leaf, spine, cable int, rateBps int64) {
 	n.fabric[leaf][p] = rateBps
 	n.Leaves[leaf].up[p].SetRateBps(rateBps)
 	n.Spines[spine].down[leaf*n.Cfg.cables()+cable].SetRateBps(rateBps)
-	n.pathCache = map[int][]int{}
+	clear(n.pathCache)
 }
 
 // Cables returns the number of parallel physical cables per leaf-spine pair.
@@ -524,9 +538,9 @@ func (n *Network) FabricLinkRate(leaf, spine int) int64 {
 // (both hops up and down must be alive). The returned slice is shared; do
 // not mutate it.
 func (n *Network) AvailablePaths(srcLeaf, dstLeaf int) []int {
-	key := srcLeaf*n.Cfg.Leaves + dstLeaf
-	if ps, ok := n.pathCache[key]; ok {
-		return ps
+	c := &n.pathCache[srcLeaf*n.Cfg.Leaves+dstLeaf]
+	if c.listed {
+		return c.paths
 	}
 	var ps []int
 	for p := 0; p < n.NPaths(); p++ {
@@ -534,8 +548,15 @@ func (n *Network) AvailablePaths(srcLeaf, dstLeaf int) []int {
 			ps = append(ps, p)
 		}
 	}
-	n.pathCache[key] = ps
+	*c = pathSet{paths: ps, listed: true}
 	return ps
+}
+
+// pathSet is one pathCache entry: paths is nil both before listing and
+// when no path is usable, so listed tells the two apart.
+type pathSet struct {
+	paths  []int
+	listed bool
 }
 
 // PathCapacityBps returns the bottleneck fabric capacity of path p between

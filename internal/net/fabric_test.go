@@ -304,3 +304,56 @@ func TestCutCableLeavesSiblingAlive(t *testing.T) {
 		t.Fatalf("bisection = %d, want 3.5e9", got)
 	}
 }
+
+// TestLeafAndCableTables: the host->leaf and path->cable tables equal the
+// division they replace on a small fabric, the paper's 8x8 and its testbed
+// with two cables per link, and a spine forwards every (destination, path)
+// pair down the cable it arrived on.
+func TestLeafAndCableTables(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"small", Config{Leaves: 2, Spines: 2, HostsPerLeaf: 2,
+			HostRateBps: 10e9, FabricRateBps: 10e9, HostDelay: 1000, FabricDelay: 1000}},
+		{"large", Config{Leaves: 8, Spines: 8, HostsPerLeaf: 16,
+			HostRateBps: 10e9, FabricRateBps: 10e9, HostDelay: 2000, FabricDelay: 2000}},
+		{"testbed", Config{Leaves: 2, Spines: 2, HostsPerLeaf: 6, CablesPerLink: 2,
+			HostRateBps: 1e9, FabricRateBps: 1e9, HostDelay: 5000, FabricDelay: 5000}},
+	} {
+		eng := sim.NewEngine()
+		nw, err := NewLeafSpine(eng, sim.NewRNG(1), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hpl, cables := tc.cfg.HostsPerLeaf, max(tc.cfg.CablesPerLink, 1)
+		for h, host := range nw.Hosts {
+			if got := nw.LeafOf(h); got != h/hpl || host.Leaf != h/hpl {
+				t.Errorf("%s: host %d on leaf %d (Host.Leaf %d), want %d", tc.name, h, got, host.Leaf, h/hpl)
+			}
+		}
+		if nw.NPaths() != tc.cfg.Spines*cables {
+			t.Fatalf("%s: %d paths, want %d", tc.name, nw.NPaths(), tc.cfg.Spines*cables)
+		}
+		for p := 0; p < nw.NPaths(); p++ {
+			if nw.PathCable(p) != p%cables || nw.PathSpine(p) != p/cables {
+				t.Errorf("%s: path %d is cable %d of spine %d, want %d of %d",
+					tc.name, p, nw.PathCable(p), nw.PathSpine(p), p%cables, p/cables)
+			}
+		}
+		for dst := range nw.Hosts {
+			leaf := dst / hpl
+			src := (leaf + 1) % tc.cfg.Leaves * hpl
+			for p := 0; p < nw.NPaths(); p++ {
+				want := nw.Spines[p/cables].Downlink(leaf*cables + p%cables)
+				before := want.TxPackets
+				nw.Spines[p/cables].receive(&Packet{Kind: Data, Src: src, Dst: dst, Wire: 100, Path: p})
+				eng.RunAll()
+				if want.TxPackets != before+1 {
+					t.Errorf("%s: spine %d did not forward host %d's packet on path %d through %s",
+						tc.name, p/cables, dst, p, want.Name)
+				}
+			}
+		}
+	}
+}

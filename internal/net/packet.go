@@ -43,9 +43,32 @@ const (
 const PathAny = -1
 
 // Packet is the unit of transmission. A single struct covers all kinds to
-// keep the hot path allocation-light; unused fields are zero.
+// keep the hot path allocation-light; unused fields are zero. The 1-byte
+// fields sit together so padding between 8-byte ones does not widen it.
 type Packet struct {
 	Kind Kind
+
+	// ECN state.
+	ECT bool // ECN-capable transport
+	CE  bool // congestion experienced (set by queues past the threshold)
+
+	// Retx marks retransmitted segments (excluded from RTT sampling).
+	Retx bool
+	// EchoCE echoes the CE bit of the data packet an ACK acknowledges (see
+	// the ACK fields below).
+	EchoCE bool
+
+	// CONGA metadata (see internal/lb/conga.go): the max DRE quantization
+	// observed along the forward path, plus one piggybacked feedback entry.
+	CongaCE  uint8
+	FbValid  bool
+	FbPath   uint8
+	FbMetric uint8
+
+	// Hops counts the store-and-forward hops traversed so far (see the
+	// delay decomposition below).
+	Hops uint8
+
 	Flow uint64
 	Src  int // source host id
 	Dst  int // destination host id
@@ -54,17 +77,11 @@ type Packet struct {
 	Payload int   // payload bytes carried
 	Wire    int   // total bytes on the wire
 
-	// ECN state.
-	ECT bool // ECN-capable transport
-	CE  bool // congestion experienced (set by queues past the threshold)
-
 	// Path is the spine index this packet must traverse, or PathAny.
 	Path int
 
 	// SentAt is stamped by the sender when the packet leaves the host.
 	SentAt sim.Time
-	// Retx marks retransmitted segments (excluded from RTT sampling).
-	Retx bool
 
 	// ACK fields: cumulative ack plus a timestamp/path/CE echo of the data
 	// packet that triggered this ACK (TCP-timestamp-style, giving the
@@ -72,14 +89,6 @@ type Packet struct {
 	AckSeq   int64
 	EchoSent sim.Time
 	EchoPath int
-	EchoCE   bool
-
-	// CONGA metadata (see internal/lb/conga.go): the max DRE quantization
-	// observed along the forward path, plus one piggybacked feedback entry.
-	CongaCE  uint8
-	FbValid  bool
-	FbPath   uint8
-	FbMetric uint8
 
 	// Delay decomposition (FCT attribution). Ports stamp these as the packet
 	// crosses the fabric: plain field writes on pooled structs, so the hot
@@ -89,7 +98,6 @@ type Packet struct {
 	QueueNs sim.Time // total time spent waiting in output queues
 	SerNs   sim.Time // total serialization (transmission) time
 	PropNs  sim.Time // total propagation time
-	Hops    uint8    // store-and-forward hops traversed so far
 	// HopQueue records the queue wait of each hop in traversal order. For
 	// inter-leaf traffic the indices are host->leaf, leaf->spine,
 	// spine->leaf, leaf->host; intra-leaf traffic uses the first two.

@@ -8,44 +8,34 @@ import "github.com/hermes-repro/hermes/internal/sim"
 // DCTCP. A link-utilization estimator (a DRE) runs only on ports whose
 // Utilization a switch balancer armed; every other port skips it.
 type Port struct {
-	eng *sim.Engine
-
-	// Name identifies the port in diagnostics, e.g. "leaf0->spine2".
-	Name string
-
-	rateBps   int64    // link capacity in bits per second
-	propDelay sim.Time // one-way propagation delay
-	queueCap  int      // data-queue capacity in bytes
-	ecnK      int      // ECN marking threshold in bytes (0 disables)
-
-	deliver func(*Packet) // invoked at the far end after propagation
-	// recycle, when non-nil, receives packets this port drops so a pool can
-	// reuse them. Set by Network on fabric ports; nil on standalone ports.
-	recycle func(*Packet)
-
-	hi, lo           pktRing
-	hiBytes, loBytes int
-	busy             bool
+	// The fields Enqueue, transmitNext, portTxDone and portPropagated touch
+	// on every packet come first, so the forwarding path reads few cache
+	// lines; diagnostics and the rare drop and mark paths come last.
+	eng      *sim.Engine
+	rateBps  int64 // link capacity in bits per second
+	hi, lo   pktRing
+	hiBytes  int
+	loBytes  int
+	queueCap int // data-queue capacity in bytes
+	ecnK     int // ECN marking threshold in bytes (0 disables)
+	busy     bool
+	peakOn   bool // see samplePeak
 	// holding counts packets this port currently owns: queued, transmitting,
 	// or propagating toward the far end. The conservation invariant sums it
 	// fabric-wide.
-	holding int64
-
-	// OnTx, if set, runs when a packet starts transmission on this port
-	// (after the utilization estimator, if armed, counts it). CONGA uses it
-	// to stamp congestion metrics.
-	OnTx func(*Packet)
-
-	// onDrop/onMark, when non-nil, observe every packet this port drops or
-	// ECN-marks. Installed fabric-wide by Network.SetTraceHooks; each costs
-	// one nil check on its (rare) path when tracing is off.
-	onDrop func(*Packet)
-	onMark func(*Packet)
+	holding   int64
+	propDelay sim.Time      // one-way propagation delay
+	deliver   func(*Packet) // invoked at the far end after propagation
 
 	// util is the link-utilization estimator, nil until Utilization arms
 	// it: only CONGA and HULA read one, so other schemes skip its math.Exp
 	// per transmitted packet.
 	util *DRE
+
+	// OnTx, if set, runs when a packet starts transmission on this port
+	// (after the utilization estimator, if armed, counts it). CONGA uses it
+	// to stamp congestion metrics.
+	OnTx func(*Packet)
 
 	// Counters.
 	TxBytes   uint64
@@ -59,11 +49,23 @@ type Port struct {
 	hiWater  int
 	busyTime sim.Time
 
-	// peakOn arms interval peak tracking for the flight recorder: when set,
 	// samplePeak follows the deepest data-queue occupancy since the last
-	// TakeQueuePeak. One predictable branch in Enqueue when disarmed.
-	peakOn     bool
+	// TakeQueuePeak while peakOn arms interval peak tracking for the flight
+	// recorder. One predictable branch in Enqueue when disarmed.
 	samplePeak int
+
+	// Name identifies the port in diagnostics, e.g. "leaf0->spine2".
+	Name string
+
+	// recycle, when non-nil, receives packets this port drops so a pool can
+	// reuse them. Set by Network on fabric ports; nil on standalone ports.
+	recycle func(*Packet)
+
+	// onDrop/onMark, when non-nil, observe every packet this port drops or
+	// ECN-marks. Installed fabric-wide by Network.SetTraceHooks; each costs
+	// one nil check on its (rare) path when tracing is off.
+	onDrop func(*Packet)
+	onMark func(*Packet)
 }
 
 // PortConfig carries the physical parameters of a port.
@@ -333,7 +335,9 @@ func portPropagated(a1, a2 any) {
 }
 
 // pktRing is a growable FIFO ring buffer of packets: O(1) push and pop, no
-// per-dequeue memmove (queues hold hundreds of packets at 10 Gbps).
+// per-dequeue memmove (queues hold hundreds of packets at 10 Gbps). Its
+// capacity is zero or a power of two (16, then doubling), so an index wraps
+// with a mask rather than a division.
 type pktRing struct {
 	buf  []*Packet
 	head int
@@ -344,27 +348,27 @@ func (r *pktRing) push(p *Packet) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 }
 
 func (r *pktRing) pop() *Packet {
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return p
 }
 
+// grow doubles a full ring, unwrapping its packets to the front.
 func (r *pktRing) grow() {
 	size := len(r.buf) * 2
 	if size == 0 {
 		size = 16
 	}
 	buf := make([]*Packet, size)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
 	r.buf = buf
 	r.head = 0
 }

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/hermes-repro/hermes/internal/sim"
@@ -264,5 +265,62 @@ func TestDefaultECNK(t *testing.T) {
 			t.Fatalf("ECN threshold not monotone at %d bps", r)
 		}
 		prev = k
+	}
+}
+
+// TestPktRingModel drives push and pop streams through a port's hi and lo
+// rings and checks every pop against a plain slice. The streams wrap the
+// head past the end of the buffer and grow rings while they are wrapped;
+// every capacity must be a power of two, which the index mask relies on.
+func TestPktRingModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var p Port
+	for _, ring := range []struct {
+		name string
+		r    *pktRing
+	}{{"hi", &p.hi}, {"lo", &p.lo}} {
+		name, r := ring.name, ring.r
+		var model []*Packet
+		var seq int64
+		wrapped, grewWrapped := 0, 0
+		for phase := 0; phase < 400; phase++ {
+			pushShare := 30 + rng.Intn(41) // 30-70%: the depth drifts both ways
+			for op := rng.Intn(64); op >= 0; op-- {
+				if len(model) == 0 || rng.Intn(100) < pushShare {
+					if r.n == len(r.buf) && r.head != 0 {
+						grewWrapped++
+					}
+					seq++
+					pkt := &Packet{Seq: seq}
+					r.push(pkt)
+					model = append(model, pkt)
+				} else {
+					got := r.pop()
+					if got != model[0] {
+						t.Fatalf("%s: pop returned seq %d, want %d", name, got.Seq, model[0].Seq)
+					}
+					model = model[1:]
+				}
+				if r.n != len(model) {
+					t.Fatalf("%s: ring holds %d packets, model %d", name, r.n, len(model))
+				}
+				if c := len(r.buf); c < 16 || c&(c-1) != 0 {
+					t.Fatalf("%s: capacity %d is not a power of two of at least 16", name, c)
+				}
+				if r.head+r.n > len(r.buf) {
+					wrapped++
+				}
+			}
+		}
+		for len(model) > 0 {
+			if got := r.pop(); got != model[0] {
+				t.Fatalf("%s: draining pop returned seq %d, want %d", name, got.Seq, model[0].Seq)
+			}
+			model = model[1:]
+		}
+		if wrapped == 0 || grewWrapped == 0 {
+			t.Errorf("%s: the streams wrapped %d times and grew a wrapped ring %d times; want both",
+				name, wrapped, grewWrapped)
+		}
 	}
 }

@@ -24,6 +24,15 @@ type Transport struct {
 	active     map[uint64]*Flow
 	finished   int
 
+	// Flow IDs are dense, assigned by open from 1 upwards, so the per-packet
+	// lookups index by ID: flows[id] is flow id's sender state while it
+	// runs (nil once it finishes or is cancelled) and rcv[id] its receiver
+	// state, kept for the whole run since duplicates may still arrive.
+	// stray holds receiver state that has no slot there (see receiver).
+	flows []*Flow
+	rcv   []*rcvFlow
+	stray map[strayKey]*rcvFlow
+
 	// Raw loss counters: plain adds on their (rare) paths, always on, and
 	// read by the metric probes.
 	Retransmits uint64
@@ -57,15 +66,10 @@ func New(nw *net.Network, opts Options, balFor func(h *net.Host) Balancer) *Tran
 	if opts.Protocol == Timely && opts.Timely.THigh == 0 {
 		opts.Timely = DefaultTimelyParams(nw.ApproxBaseRTT(), nw.Cfg.HostRateBps)
 	}
-	tr := &Transport{Net: nw, Eng: nw.Eng, Opts: opts, active: map[uint64]*Flow{}}
+	tr := &Transport{Net: nw, Eng: nw.Eng, Opts: opts, active: map[uint64]*Flow{},
+		flows: []*Flow{nil}, rcv: []*rcvFlow{nil}}
 	for _, h := range nw.Hosts {
-		ep := &Endpoint{
-			tr:    tr,
-			host:  h,
-			bal:   balFor(h),
-			flows: map[uint64]*Flow{},
-			rcv:   map[uint64]*rcvFlow{},
-		}
+		ep := &Endpoint{tr: tr, host: h, bal: balFor(h)}
 		h.Handle(net.Data, ep.onData)
 		h.Handle(net.Ack, ep.onAck)
 		tr.Endpoints = append(tr.Endpoints, ep)
@@ -96,7 +100,8 @@ func (tr *Transport) open(src, dst int, size int64, g *group) *Flow {
 		dre:      net.NewDRE(0),
 		ep:       ep,
 	}
-	ep.flows[f.ID] = f
+	tr.flows = append(tr.flows, f)
+	tr.rcv = append(tr.rcv, nil)
 	tr.active[f.ID] = f
 	ep.bal.OnFlowStart(f)
 	f.trySend()
@@ -115,11 +120,9 @@ func (tr *Transport) FinishedCount() int { return tr.finished }
 
 // Endpoint is the per-host TCP stack instance.
 type Endpoint struct {
-	tr    *Transport
-	host  *net.Host
-	bal   Balancer
-	flows map[uint64]*Flow    // flows this host is sending
-	rcv   map[uint64]*rcvFlow // flows this host is receiving
+	tr   *Transport
+	host *net.Host
+	bal  Balancer
 }
 
 // Balancer returns the host's balancer (exposed for tests and ablation).

@@ -183,7 +183,7 @@ func (tr *Transport) cancel(f *Flow) {
 		f.rtoTimer.Cancel()
 		f.rtoTimer = nil
 	}
-	delete(f.ep.flows, f.ID)
+	tr.flows[f.ID] = nil
 	delete(tr.active, f.ID)
 	tr.FlowsCancelled++
 	tr.RedundantBytes += uint64(f.hiWater)

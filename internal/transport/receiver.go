@@ -8,6 +8,7 @@ import (
 // rcvFlow is the receiver-side state of one flow. Segments are MSS-aligned,
 // so a seq->end map suffices to track out-of-order data.
 type rcvFlow struct {
+	host    int // the receiving host
 	cumRecv int64
 	segs    map[int64]int64 // out-of-order segment start -> end
 
@@ -19,12 +20,48 @@ type rcvFlow struct {
 	reorderOpen  bool
 }
 
-func (ep *Endpoint) onData(pkt *net.Packet) {
-	r := ep.rcv[pkt.Flow]
-	if r == nil {
-		r = &rcvFlow{segs: map[int64]int64{}}
-		ep.rcv[pkt.Flow] = r
+// strayKey names receiver state kept outside Transport.rcv: a host and a
+// flow ID.
+type strayKey struct {
+	host int
+	id   uint64
+}
+
+// receiver returns the state host keeps for flow id, creating it at the
+// flow's first segment. The first host to receive an assigned ID owns its
+// slot in tr.rcv. Data for an ID not assigned yet, or for an assigned ID at
+// another host, keeps its state in tr.stray, which a slot adopts once the
+// ID is assigned: each host keeps its own state per flow ID, whatever the
+// packets claim.
+func (tr *Transport) receiver(host int, id uint64) *rcvFlow {
+	k := strayKey{host, id}
+	if id < uint64(len(tr.rcv)) {
+		r := tr.rcv[id]
+		if r == nil {
+			if r = tr.stray[k]; r != nil {
+				delete(tr.stray, k)
+			} else {
+				r = &rcvFlow{host: host, segs: map[int64]int64{}}
+			}
+			tr.rcv[id] = r
+		}
+		if r.host == host {
+			return r
+		}
 	}
+	r := tr.stray[k]
+	if r == nil {
+		if tr.stray == nil {
+			tr.stray = map[strayKey]*rcvFlow{}
+		}
+		r = &rcvFlow{host: host, segs: map[int64]int64{}}
+		tr.stray[k] = r
+	}
+	return r
+}
+
+func (ep *Endpoint) onData(pkt *net.Packet) {
+	r := ep.tr.receiver(ep.host.ID, pkt.Flow)
 	end := pkt.Seq + int64(pkt.Payload)
 	progressed := false
 	if end > r.cumRecv {

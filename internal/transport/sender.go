@@ -268,7 +268,7 @@ func (f *Flow) finish(now sim.Time) {
 		f.rtoTimer = nil
 	}
 	tr := f.ep.tr
-	delete(f.ep.flows, f.ID)
+	tr.flows[f.ID] = nil
 	delete(tr.active, f.ID)
 	tr.finished++
 	tr.cwndHist.Observe(f.cwnd)
@@ -283,9 +283,14 @@ func (f *Flow) finish(now sim.Time) {
 	}
 }
 
+// onAck hands an ACK to the flow this host is sending under its ID. ACKs
+// for a finished or cancelled flow, for another host's flow or for an ID
+// never assigned find none and are ignored.
 func (ep *Endpoint) onAck(pkt *net.Packet) {
-	if f, ok := ep.flows[pkt.Flow]; ok {
-		f.onAckPacket(pkt)
+	if id := pkt.Flow; id < uint64(len(ep.tr.flows)) {
+		if f := ep.tr.flows[id]; f != nil && f.ep == ep {
+			f.onAckPacket(pkt)
+		}
 	}
 }
 

@@ -391,3 +391,97 @@ func TestGoBackNAfterRTOResendsFromCumAck(t *testing.T) {
 		t.Fatalf("expected repeated RTOs, got %d", bal.timeouts)
 	}
 }
+
+// TestAcksAndDataWithoutALiveFlow: segments and ACKs that find no running
+// flow behave as with one receiver and one sender map per host, and never
+// index out of range. Data is ACKed from its host's receiver state, which
+// outlives the flow, and each host keeps its own state per flow ID; an ACK
+// for a finished flow, a cancelled RepFlow copy or an ID never assigned is
+// ignored.
+func TestAcksAndDataWithoutALiveFlow(t *testing.T) {
+	eng, nw, tr, _ := testFabric(t, 2, DefaultOptions())
+	var acks []net.Packet // every ACK reaching host 0
+	ep0 := tr.Endpoints[0]
+	nw.Hosts[0].Handle(net.Ack, func(p *net.Packet) {
+		acks = append(acks, *p)
+		ep0.onAck(p)
+	})
+	// send delivers one full segment of flow id from host 0 to dst and
+	// returns the cumulative ACK it draws.
+	send := func(dst int, id uint64, seq int64) int64 {
+		t.Helper()
+		pkt := nw.AllocPacket()
+		*pkt = net.Packet{Kind: net.Data, Flow: id, Src: 0, Dst: dst, Seq: seq,
+			Payload: net.MSS, Wire: net.MaxPacketBytes, Path: 0}
+		acks = acks[:0]
+		nw.Hosts[0].Send(pkt)
+		eng.Run(eng.Now() + sim.Millisecond)
+		if len(acks) != 1 || acks[0].Flow != id {
+			t.Fatalf("segment of flow %d to host %d drew ACKs %+v, want one", id, dst, acks)
+		}
+		return acks[0].AckSeq
+	}
+
+	// A finished flow: a late duplicate is ACKed at the flow's end and its
+	// ACK changes nothing.
+	f := tr.StartFlow(0, 2, 10_000)
+	eng.Run(sim.Second)
+	if !f.Done {
+		t.Fatal("flow unfinished")
+	}
+	cwnd := f.Cwnd()
+	if got := send(2, f.ID, 0); got != 10_000 {
+		t.Errorf("duplicate of a finished flow ACKed at %d, want 10000", got)
+	}
+	if f.Cwnd() != cwnd || f.AckedBytes() != 10_000 || tr.FinishedCount() != 1 {
+		t.Errorf("an ACK for a finished flow reached it: cwnd %v -> %v, acked %d, finished %d",
+			cwnd, f.Cwnd(), f.AckedBytes(), tr.FinishedCount())
+	}
+	// The same ID at another host is that host's own flow.
+	if got := send(3, f.ID, 0); got != net.MSS {
+		t.Errorf("flow %d's first segment at host 3 ACKed at %d, want %d", f.ID, got, net.MSS)
+	}
+
+	// A cancelled RepFlow copy: its segments in flight are still ACKed, and
+	// the ACKs find no sender.
+	tr.Opts.ReplicateBelow = DefaultRepFlowThreshold
+	g := tr.StartFlow(0, 2, 10_000)
+	tr.Opts.ReplicateBelow = 0
+	replica := g.Members()[1]
+	tr.cancel(replica)
+	acks = acks[:0]
+	eng.Run(eng.Now() + sim.Second)
+	var last int64
+	for _, a := range acks {
+		if a.Flow == replica.ID {
+			last = a.AckSeq
+		}
+	}
+	if !g.Done || winner(g) != g.Members()[0] {
+		t.Fatal("the primary did not win after the replica was cancelled")
+	}
+	if last != 10_000 || replica.AckedBytes() != 0 {
+		t.Errorf("cancelled copy: last ACK %d (want 10000), acked bytes %d (want 0)", last, replica.AckedBytes())
+	}
+
+	// IDs never assigned: each host keeps cumulative state per ID.
+	for _, id := range []uint64{0, 1 << 40} {
+		if a, b, c := send(2, id, 0), send(2, id, net.MSS), send(3, id, 0); a != net.MSS || b != 2*net.MSS || c != net.MSS {
+			t.Errorf("flow ID %d: ACKs %d, %d at host 2 and %d at host 3, want %d, %d and %d",
+				id, a, b, c, net.MSS, 2*net.MSS, net.MSS)
+		}
+	}
+
+	// An ID not assigned yet: the slot adopts the state its stray segment
+	// left, as one map entry per host served both.
+	id := tr.nextFlowID + 1
+	send(2, id, 0)
+	stray := tr.stray[strayKey{2, id}]
+	if g := tr.StartFlow(0, 2, 5_000); g.ID != id {
+		t.Fatalf("opened flow %d, want %d", g.ID, id)
+	}
+	eng.Run(eng.Now() + sim.Second)
+	if stray == nil || tr.rcv[id] != stray {
+		t.Error("the assigned ID's slot did not adopt the stray receiver state")
+	}
+}

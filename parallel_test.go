@@ -153,8 +153,10 @@ func TestRunConfigsLabelsEachRun(t *testing.T) {
 
 // TestOneLabelRule: every run is named "<scheme>[/<scenario>]/load
 // <load>/seed <seed>" on the status plane, whether it runs alone, as a
-// RunSeeds seed, in a RunConfigs batch or as a chaos matrix cell, and
-// "/slot <i>" is appended only where two configs of one batch share a label.
+// RunSeeds seed, in a RunConfigs batch or as a chaos matrix cell. A batch
+// that mixes workloads names each run's workload after its scheme and
+// scenario, and "/slot <i>" is appended only where two configs of one batch
+// share a label.
 func TestOneLabelRule(t *testing.T) {
 	base := Config{
 		Topology: chaosTopo(), Scheme: SchemeECMP, Workload: "web-search",
@@ -194,6 +196,19 @@ func TestOneLabelRule(t *testing.T) {
 	}
 	check("RunConfigs", c.Status,
 		"ecmp/load 0.3/seed 3", "ecmp/load 0.5/seed 3/slot 0", "ecmp/load 0.5/seed 3/slot 2")
+
+	c = base
+	c.Status = NewStatus()
+	dm := c
+	dm.Workload, dm.Flows = "data-mining", 4
+	scn := dm
+	scn.Scenario = sc
+	if _, err := RunConfigs(context.Background(), []Config{c, dm, dm, scn}, ParallelOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("RunConfigs over two workloads", c.Status,
+		"ecmp/data-mining/load 0.5/seed 3/slot 1", "ecmp/data-mining/load 0.5/seed 3/slot 2",
+		"ecmp/spine-blackhole/data-mining/load 0.5/seed 3", "ecmp/web-search/load 0.5/seed 3")
 
 	c = base
 	c.Status = NewStatus()

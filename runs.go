@@ -197,16 +197,32 @@ feed:
 func RunLabel(cfg Config) string { return runLabels(cfg)[0] }
 
 // runLabels is the one label rule, for RunConfigs' batches, the chaos
-// alert log and a single Run, which is a batch of one.
+// alert log and a single Run, which is a batch of one. A batch whose configs
+// differ in workload names each run's workload after its scheme and
+// scenario, and "/slot <i>" is appended only where two configs of one batch
+// still share a label.
 func runLabels(cfgs ...Config) []string {
+	workloadOf := func(c Config) string {
+		if c.WorkloadFile != "" {
+			return c.WorkloadFile
+		}
+		return c.Workload
+	}
+	mixed := false
+	for _, c := range cfgs {
+		mixed = mixed || workloadOf(c) != workloadOf(cfgs[0])
+	}
 	labels := make([]string, len(cfgs))
 	n := make(map[string]int, len(cfgs))
 	for i, c := range cfgs {
-		scenario := ""
+		label := string(c.Scheme)
 		if c.Scenario != nil {
-			scenario = "/" + c.Scenario.Name
+			label += "/" + c.Scenario.Name
 		}
-		labels[i] = fmt.Sprintf("%s%s/load %g/seed %d", c.Scheme, scenario, c.Load, c.Seed)
+		if mixed {
+			label += "/" + workloadOf(c)
+		}
+		labels[i] = fmt.Sprintf("%s/load %g/seed %d", label, c.Load, c.Seed)
 		n[labels[i]]++
 	}
 	for i, l := range labels {
