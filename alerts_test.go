@@ -49,7 +49,7 @@ func TestAlertsRequireRules(t *testing.T) {
 // Recovery.TimeToDetect within one sample interval (a firing dwell episode
 // covers the first sample boundary at/after the detection instant).
 func TestAlertsSpineBlackholeAcceptance(t *testing.T) {
-	scenario, err := BuiltinScenario("spine-blackhole", chaosTopo())
+	scenario, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAlertsUserRules(t *testing.T) {
 // TestAlertsDeterministicParallel: alert reports are a pure function of
 // (config, seed) — byte-identical between sequential Run and RunSeeds.
 func TestAlertsDeterministicParallel(t *testing.T) {
-	scenario, err := BuiltinScenario("spine-blackhole", chaosTopo())
+	scenario, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}

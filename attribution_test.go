@@ -163,7 +163,7 @@ func TestTraceDeterminismParallel(t *testing.T) {
 // export. A 150-flow `multi` run at load 0.7 logs about 104,000 decisions,
 // nearly all re-placements off failed paths, past MaxAuditEntries.
 func TestAuditOverflowEndToEnd(t *testing.T) {
-	scenario, err := BuiltinScenario("multi", chaosTopo())
+	scenario, err := BuiltinScenario("multi", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}

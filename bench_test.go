@@ -17,18 +17,10 @@ import (
 
 const benchFlows = 150
 
-func benchTopo() Topology {
-	return Topology{
-		Leaves: 4, Spines: 4, HostsPerLeaf: 8,
-		HostRateBps: 10e9, FabricRateBps: 10e9,
-		HostDelayNs: 2000, FabricDelayNs: 2000,
-	}
-}
-
 // benchParams derives the Table 4 defaults for the benchmark fabric.
 func benchParams() core.Params {
 	eng := sim.NewEngine()
-	nw, err := net.NewLeafSpine(eng, sim.NewRNG(0), benchTopo().toNet())
+	nw, err := net.NewLeafSpine(eng, sim.NewRNG(0), SmallTopology().toNet())
 	if err != nil {
 		panic(err)
 	}
@@ -56,7 +48,7 @@ func benchRun(b *testing.B, cfg Config) *Result {
 
 func BenchmarkTable2Visibility(b *testing.B) {
 	res := benchRun(b, Config{
-		Topology: benchTopo(), Scheme: SchemeECMP, Workload: "web-search",
+		Topology: SmallTopology(), Scheme: SchemeECMP, Workload: "web-search",
 		Load: 0.6, Flows: benchFlows, MeasureVisibility: true,
 	})
 	b.ReportMetric(res.VisibilitySwitchPair, "switchPairVis")
@@ -67,7 +59,7 @@ func BenchmarkTable2Visibility(b *testing.B) {
 
 func BenchmarkTable6Probing(b *testing.B) {
 	res := benchRun(b, Config{
-		Topology: benchTopo(), Scheme: SchemeHermes, Workload: "web-search",
+		Topology: SmallTopology(), Scheme: SchemeHermes, Workload: "web-search",
 		Load: 0.5, Flows: benchFlows,
 	})
 	b.ReportMetric(100*res.ProbeOverhead, "probeOverhead%")
@@ -116,7 +108,7 @@ func BenchmarkFig12Baseline(b *testing.B) {
 		for _, sch := range []Scheme{SchemeECMP, SchemeCONGA, SchemeHermes} {
 			b.Run(fmt.Sprintf("%s/%s", wl, sch), func(b *testing.B) {
 				benchRun(b, Config{
-					Topology: benchTopo(), Scheme: sch, Workload: wl,
+					Topology: SmallTopology(), Scheme: sch, Workload: wl,
 					Load: 0.6, Flows: benchFlows,
 				})
 			})
@@ -130,7 +122,7 @@ func BenchmarkFig13AsymmetricWebSearch(b *testing.B) {
 	for _, sch := range []Scheme{SchemeCONGA, SchemeLetFlow, SchemeCLOVE, SchemePresto, SchemeHermes} {
 		b.Run(string(sch), func(b *testing.B) {
 			res := benchRun(b, Config{
-				Topology: benchTopo(), Scheme: sch, Workload: "web-search",
+				Topology: SmallTopology(), Scheme: sch, Workload: "web-search",
 				Load: 0.6, Flows: benchFlows,
 				Failure: FailureSpec{Kind: FailureDegrade, Fraction: 0.2, DegradedBps: 2e9},
 			})
@@ -143,7 +135,7 @@ func BenchmarkFig14AsymmetricDataMining(b *testing.B) {
 	for _, sch := range []Scheme{SchemeCONGA, SchemeLetFlow, SchemeCLOVE, SchemeHermes} {
 		b.Run(string(sch), func(b *testing.B) {
 			res := benchRun(b, Config{
-				Topology: benchTopo(), Scheme: sch, Workload: "data-mining",
+				Topology: SmallTopology(), Scheme: sch, Workload: "data-mining",
 				Load: 0.6, Flows: benchFlows,
 				Failure: FailureSpec{Kind: FailureDegrade, Fraction: 0.2, DegradedBps: 2e9},
 			})
@@ -158,7 +150,7 @@ func BenchmarkFig15CongaFlowletTimeout(b *testing.B) {
 	for _, us := range []int64{50, 150, 500} {
 		b.Run(fmt.Sprintf("%dus", us), func(b *testing.B) {
 			benchRun(b, Config{
-				Topology: benchTopo(), Scheme: SchemeCONGA, Workload: "web-search",
+				Topology: SmallTopology(), Scheme: SchemeCONGA, Workload: "web-search",
 				Load: 0.8, Flows: benchFlows,
 				Failure:          FailureSpec{Kind: FailureDegrade, Fraction: 0.2, DegradedBps: 2e9},
 				FlowletTimeoutNs: us * 1000,
@@ -175,7 +167,7 @@ func BenchmarkFig16RandomDrop(b *testing.B) {
 	for _, sch := range []Scheme{SchemeECMP, SchemeCONGA, SchemeLetFlow, SchemeHermes} {
 		b.Run(string(sch), func(b *testing.B) {
 			benchRun(b, Config{
-				Topology: benchTopo(), Scheme: sch, Workload: "web-search",
+				Topology: SmallTopology(), Scheme: sch, Workload: "web-search",
 				Load: 0.5, Flows: benchFlows, Failure: spec,
 			})
 		})
@@ -187,7 +179,7 @@ func BenchmarkFig17Blackhole(b *testing.B) {
 	for _, sch := range []Scheme{SchemeECMP, SchemeCONGA, SchemeLetFlow, SchemeHermes} {
 		b.Run(string(sch), func(b *testing.B) {
 			res := benchRun(b, Config{
-				Topology: benchTopo(), Scheme: sch, Workload: "web-search",
+				Topology: SmallTopology(), Scheme: sch, Workload: "web-search",
 				Load: 0.5, Flows: benchFlows, Failure: spec,
 			})
 			b.ReportMetric(100*res.FCT.UnfinishedFrac, "unfinished%")
@@ -216,7 +208,7 @@ func BenchmarkFig18aAblation(b *testing.B) {
 			}
 			params.DisableReroute = v.noReroute
 			benchRun(b, Config{
-				Topology: benchTopo(), Scheme: SchemeHermes, Workload: "data-mining",
+				Topology: SmallTopology(), Scheme: SchemeHermes, Workload: "data-mining",
 				Load: 0.6, Flows: benchFlows, Failure: asym,
 				HermesParams: &params,
 			})
@@ -231,7 +223,7 @@ func BenchmarkFig18bProbeInterval(b *testing.B) {
 			params := benchParams()
 			params.ProbeInterval = us * 1000
 			benchRun(b, Config{
-				Topology: benchTopo(), Scheme: SchemeHermes, Workload: "data-mining",
+				Topology: SmallTopology(), Scheme: SchemeHermes, Workload: "data-mining",
 				Load: 0.6, Flows: benchFlows, Failure: asym,
 				HermesParams: &params,
 			})
@@ -248,7 +240,7 @@ func BenchmarkFig19Sensitivity(b *testing.B) {
 			params := benchParams()
 			params.TRTTHigh = us * 1000
 			benchRun(b, Config{
-				Topology: benchTopo(), Scheme: SchemeHermes, Workload: "web-search",
+				Topology: SmallTopology(), Scheme: SchemeHermes, Workload: "web-search",
 				Load: 0.6, Flows: benchFlows, Failure: asym,
 				HermesParams: &params,
 			})
@@ -259,7 +251,7 @@ func BenchmarkFig19Sensitivity(b *testing.B) {
 			params := benchParams()
 			params.DeltaRTT = us * 1000
 			benchRun(b, Config{
-				Topology: benchTopo(), Scheme: SchemeHermes, Workload: "web-search",
+				Topology: SmallTopology(), Scheme: SchemeHermes, Workload: "web-search",
 				Load: 0.6, Flows: benchFlows, Failure: asym,
 				HermesParams: &params,
 			})
@@ -280,7 +272,7 @@ func BenchmarkAblationCaution(b *testing.B) {
 			params := benchParams()
 			params.Vigorous = vigorous
 			res := benchRun(b, Config{
-				Topology: benchTopo(), Scheme: SchemeHermes, Workload: "web-search",
+				Topology: SmallTopology(), Scheme: SchemeHermes, Workload: "web-search",
 				Load: 0.7, Flows: benchFlows, Failure: asym,
 				HermesParams: &params,
 			})
@@ -297,14 +289,14 @@ func BenchmarkAblationCaution(b *testing.B) {
 // full registry + sweeper + audit cost.
 func BenchmarkTelemetryOff(b *testing.B) {
 	benchRun(b, Config{
-		Topology: benchTopo(), Scheme: SchemeHermes, Workload: "web-search",
+		Topology: SmallTopology(), Scheme: SchemeHermes, Workload: "web-search",
 		Load: 0.6, Flows: benchFlows,
 	})
 }
 
 func BenchmarkTelemetryOn(b *testing.B) {
 	benchRun(b, Config{
-		Topology: benchTopo(), Scheme: SchemeHermes, Workload: "web-search",
+		Topology: SmallTopology(), Scheme: SchemeHermes, Workload: "web-search",
 		Load: 0.6, Flows: benchFlows, Telemetry: true,
 	})
 }

@@ -14,19 +14,9 @@ import (
 	"github.com/hermes-repro/hermes/internal/core"
 )
 
-// chaosTopo is a 2x2 fabric where a spine-0 blackhole eats half of ECMP's
-// hash space and part of every Presto* spray — enough for a clear goodput dip.
-func chaosTopo() Topology {
-	return Topology{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 4,
-		HostRateBps: 1e9, FabricRateBps: 2e9,
-		HostDelayNs: 2000, FabricDelayNs: 2000,
-	}
-}
-
 func chaosConfig(scheme Scheme, scenario *Scenario) Config {
 	return Config{
-		Topology: chaosTopo(), Scheme: scheme,
+		Topology: ChaosTopology(), Scheme: scheme,
 		Workload: "web-search", Load: 0.5,
 		Flows: flowCount(60, 40), Seed: 11,
 		Scenario:       scenario,
@@ -41,7 +31,7 @@ func chaosConfig(scheme Scheme, scenario *Scenario) Config {
 // ends). The acceptance bound: Hermes's detection and reroute latencies are
 // finite and at least 5x smaller than the baselines' dip durations.
 func TestChaosBlackholeRecoveryAcceptance(t *testing.T) {
-	scenario, err := BuiltinScenario("spine-blackhole", chaosTopo())
+	scenario, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +80,7 @@ func TestChaosBlackholeRecoveryAcceptance(t *testing.T) {
 // a two-failure scenario must be byte-identical between sequential Run and
 // RunSeeds for every seed.
 func TestChaosRecoveryDeterministicParallel(t *testing.T) {
-	scenario, err := BuiltinScenario("multi", chaosTopo())
+	scenario, err := BuiltinScenario("multi", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +131,7 @@ func TestChaosRecoveryDeterministicParallel(t *testing.T) {
 // timelines come back as errors from Run, never panics or silent clamps.
 func TestChaosScenarioValidation(t *testing.T) {
 	base := Config{
-		Topology: chaosTopo(), Scheme: SchemeECMP,
+		Topology: ChaosTopology(), Scheme: SchemeECMP,
 		Workload: "web-search", Load: 0.5, Flows: 20, Seed: 1,
 	}
 	expectErr := func(name string, cfg Config, want string) {
@@ -194,7 +184,7 @@ func TestChaosScenarioValidation(t *testing.T) {
 	// not read DegradedBps ignore it.
 	for _, kind := range []FailureKind{FailureDegrade, FailureDegradeLink, FailureDegradeSpine, FailureFlap} {
 		bad = base
-		bad.Failure = FailureSpec{Kind: kind, DegradedBps: chaosTopo().FabricRateBps + 1}
+		bad.Failure = FailureSpec{Kind: kind, DegradedBps: ChaosTopology().FabricRateBps + 1}
 		expectErr("static "+string(kind)+" above the fabric rate", bad, "DegradedBps")
 	}
 	bad = base
@@ -254,7 +244,7 @@ func TestChaosScenarioValidation(t *testing.T) {
 // field's default.
 func TestValidateIsTheOneGate(t *testing.T) {
 	base := Config{
-		Topology: chaosTopo(), Scheme: SchemeECMP,
+		Topology: ChaosTopology(), Scheme: SchemeECMP,
 		Workload: "web-search", Load: 0.5, Flows: 20, Seed: 1,
 	}
 	event := func(ev ScenarioEvent) *Scenario {
@@ -327,7 +317,6 @@ func TestValidateIsTheOneGate(t *testing.T) {
 		{"negative TimeSeriesIntervalNs", func(c *Config) { c.TimeSeriesIntervalNs = -1 }, "TimeSeriesIntervalNs -1 is negative"},
 		{"negative TimeSeriesCap", func(c *Config) { c.TimeSeriesCap = -1 }, "TimeSeriesCap -1 is negative"},
 		{"negative Perf.SampleEvery", func(c *Config) { c.Perf = &PerfOptions{SampleEvery: -1} }, "Perf.SampleEvery -1 is negative"},
-		{"negative Perf.RuntimeIntervalMs", func(c *Config) { c.Perf = &PerfOptions{RuntimeIntervalMs: -1} }, "Perf.RuntimeIntervalMs -1 is negative"},
 		{"ReorderTimeoutNs below -1", func(c *Config) { c.ReorderTimeoutNs = -2 }, "ReorderTimeoutNs -2"},
 	}
 	for _, tc := range cases {
@@ -571,14 +560,14 @@ func TestChaosScorecardGolden(t *testing.T) {
 // TestRandomScenarioDeterministic: the generated timeline is a pure function
 // of (topology, seed, intensity) and passes its own validation end to end.
 func TestRandomScenarioDeterministic(t *testing.T) {
-	a := RandomScenario(chaosTopo(), 42, 0.8)
-	b := RandomScenario(chaosTopo(), 42, 0.8)
+	a := RandomScenario(ChaosTopology(), 42, 0.8)
+	b := RandomScenario(ChaosTopology(), 42, 0.8)
 	ja, _ := json.Marshal(a)
 	jb, _ := json.Marshal(b)
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("same seed, different scenario:\n%s\n%s", ja, jb)
 	}
-	if c := RandomScenario(chaosTopo(), 43, 0.8); func() bool {
+	if c := RandomScenario(ChaosTopology(), 43, 0.8); func() bool {
 		jc, _ := json.Marshal(c)
 		return bytes.Equal(ja, jc)
 	}() {
@@ -586,8 +575,8 @@ func TestRandomScenarioDeterministic(t *testing.T) {
 	}
 	// A NaN intensity clamps to 0, as a negative one does: one failure.
 	for _, x := range []float64{math.NaN(), -1} {
-		jn, _ := json.Marshal(RandomScenario(chaosTopo(), 42, x))
-		j0, _ := json.Marshal(RandomScenario(chaosTopo(), 42, 0))
+		jn, _ := json.Marshal(RandomScenario(ChaosTopology(), 42, x))
+		j0, _ := json.Marshal(RandomScenario(ChaosTopology(), 42, 0))
 		if !bytes.Equal(jn, j0) || !bytes.Contains(j0, []byte(`"failure"`)) {
 			t.Errorf("intensity %v: %s, want the intensity-0 timeline %s", x, jn, j0)
 		}
@@ -619,13 +608,13 @@ func TestBuiltinScenariosComplete(t *testing.T) {
 	}
 	var timelines []timeline
 	for _, name := range ScenarioNames() {
-		sc, err := BuiltinScenario(name, chaosTopo())
+		sc, err := BuiltinScenario(name, ChaosTopology())
 		if err != nil {
 			t.Fatal(err)
 		}
 		timelines = append(timelines, timeline{name, sc})
 	}
-	timelines = append(timelines, timeline{"random-25", RandomScenario(chaosTopo(), 25, 0.9)})
+	timelines = append(timelines, timeline{"random-25", RandomScenario(ChaosTopology(), 25, 0.9)})
 	for _, tl := range timelines {
 		for _, scheme := range []Scheme{SchemeECMP, SchemeHermes} {
 			t.Run(tl.name+"/"+string(scheme), func(t *testing.T) {

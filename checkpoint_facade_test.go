@@ -204,7 +204,7 @@ func TestForkAtFailureOnset(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := BuiltinScenario("spine-blackhole", chaosTopo())
+	sc, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}

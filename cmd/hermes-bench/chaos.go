@@ -2,36 +2,25 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"os"
 
 	hermes "github.com/hermes-repro/hermes"
+	"github.com/hermes-repro/hermes/cmd/internal/cli"
 )
 
 func init() {
 	register("chaos", "[extra] chaos resilience matrix: schemes x failure scenarios x seeds, recovery scorecard (§5.3.2/§5.3.3)", chaosExp)
 }
 
-// chaosTopo is the matrix fabric: 2x2 at 1G hosts / 2G fabric links, where a
-// spine blackhole is half of ECMP's hash space and part of every Presto*
-// spray — small enough that the full matrix runs in seconds.
-func chaosTopo() hermes.Topology {
-	return hermes.Topology{
-		Leaves: 2, Spines: 2, HostsPerLeaf: 4,
-		HostRateBps: 1e9, FabricRateBps: 2e9,
-		HostDelayNs: 2000, FabricDelayNs: 2000,
-	}
-}
-
 var chaosScenarioNames = []string{"spine-blackhole", "blackhole-recover", "drop-recover", "multi"}
 
 func chaosExp(o options) {
-	topo := chaosTopo()
+	topo := hermes.ChaosTopology()
 	var scenarios []*hermes.Scenario
 	for _, name := range chaosScenarioNames {
 		sc, err := hermes.BuiltinScenario(name, topo)
 		if err != nil {
-			log.Fatal(err)
+			cli.Exit(err)
 		}
 		scenarios = append(scenarios, sc)
 	}
@@ -49,10 +38,10 @@ func chaosExp(o options) {
 		Seeds:     hermes.Seeds(o.seed, 3),
 	})
 	if err != nil && m == nil {
-		log.Fatal(err)
+		cli.Exit(err)
 	}
 	if renderErr := m.RenderText(os.Stdout, 40); renderErr != nil {
-		log.Fatal(renderErr)
+		cli.Exit(renderErr)
 	}
 
 	// Long-format CSV mirror: one row per matrix cell.

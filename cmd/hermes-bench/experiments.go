@@ -3,12 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
-	"log"
-	"os"
 	"path/filepath"
 	"slices"
 
 	hermes "github.com/hermes-repro/hermes"
+	"github.com/hermes-repro/hermes/cmd/internal/cli"
 	"github.com/hermes-repro/hermes/internal/core"
 	"github.com/hermes-repro/hermes/internal/sim"
 	"github.com/hermes-repro/hermes/internal/workload"
@@ -20,11 +19,7 @@ func simTopo(o options) hermes.Topology {
 	if o.full {
 		return hermes.LargeScaleTopology()
 	}
-	return hermes.Topology{
-		Leaves: 4, Spines: 4, HostsPerLeaf: 8,
-		HostRateBps: 10e9, FabricRateBps: 10e9,
-		HostDelayNs: 2000, FabricDelayNs: 2000,
-	}
+	return hermes.SmallTopology()
 }
 
 // Telemetry capture: runAll is the single chokepoint every experiment's
@@ -79,14 +74,14 @@ func saveRunArtifacts(seq int, cfg hermes.Config, res *hermes.Result) {
 	}
 	base := fmt.Sprintf("%s_%03d_%s_load%03.0f", currentExp, seq, cfg.Scheme, cfg.Load*100)
 	save := func(dir, suffix string, write func(io.Writer) error) {
-		if err := writeFile(filepath.Join(dir, base+suffix), write); err != nil {
-			log.Fatal(err)
+		if err := cli.WriteFile(filepath.Join(dir, base+suffix), write); err != nil {
+			cli.Exit(err)
 		}
 	}
 	if reportDir != "" {
 		rep, err := hermes.BuildReport(cfg, res)
 		if err != nil {
-			log.Fatal(err)
+			cli.Exit(err)
 		}
 		save(reportDir, ".json", rep.WriteJSON)
 	}
@@ -99,20 +94,6 @@ func saveRunArtifacts(seq int, cfg hermes.Config, res *hermes.Result) {
 	if timeseriesDir != "" && res.TimeSeries != nil {
 		save(timeseriesDir, ".ts.jsonl", res.TimeSeries.WriteJSONL)
 	}
-}
-
-// writeFile creates path and fills it with write, returning the first of
-// the write and Close errors.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func degrade() hermes.FailureSpec {
@@ -513,7 +494,7 @@ func fig15(o options) {
 func derivedParams(o options) core.Params {
 	p, err := hermes.DeriveHermesParams(simTopo(o))
 	if err != nil {
-		log.Fatal(err)
+		cli.Exit(err)
 	}
 	return p
 }

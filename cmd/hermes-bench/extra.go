@@ -2,10 +2,10 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"sort"
 
 	hermes "github.com/hermes-repro/hermes"
+	"github.com/hermes-repro/hermes/cmd/internal/cli"
 	"github.com/hermes-repro/hermes/internal/core"
 	"github.com/hermes-repro/hermes/internal/lb"
 	"github.com/hermes-repro/hermes/internal/net"
@@ -76,7 +76,7 @@ func incastExp(o options) {
 			HostDelay: topo.HostDelayNs, FabricDelay: topo.FabricDelayNs,
 		})
 		if err != nil {
-			log.Fatal(err)
+			cli.Exit(err)
 		}
 		tr := transport.New(nw, transport.DefaultOptions(), su.setup(nw, rng))
 
@@ -119,7 +119,7 @@ func tuneExp(o options) {
 	}
 	base, err := hermes.DeriveHermesParams(cfg.Topology)
 	if err != nil {
-		log.Fatal(err)
+		cli.Exit(err)
 	}
 	fmt.Printf("derived defaults: TRTTHigh=%dus DeltaRTT=%dus DeltaECN=%.2f S=%dKB R=%.1fGbps\n",
 		base.TRTTHigh/1000, base.DeltaRTT/1000, base.DeltaECN, base.SBytes/1000, base.RBps/1e9)

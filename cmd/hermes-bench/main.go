@@ -14,20 +14,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/hermes-repro/hermes"
-	"github.com/hermes-repro/hermes/internal/perf"
+	"github.com/hermes-repro/hermes/cmd/internal/cli"
 	"github.com/hermes-repro/hermes/internal/textplot"
 )
 
@@ -62,7 +58,7 @@ func beginCSVTable(cols []string) {
 	name := filepath.Join(csvDir, fmt.Sprintf("%s_%d.csv", currentExp, tableSeq))
 	f, err := os.Create(name)
 	if err != nil {
-		log.Fatalf("csv: %v", err)
+		cli.Exit(fmt.Errorf("csv: %w", err))
 	}
 	csvFile = f
 	fmt.Fprintln(f, strings.Join(cols, ","))
@@ -98,7 +94,7 @@ func endCSVTable() {
 	if plotTables && len(plotSeries) > 0 {
 		fmt.Println()
 		if err := textplot.Bars(os.Stdout, "(scaled bars)", plotCols, plotSeries, 40); err != nil {
-			log.Fatal(err)
+			cli.Exit(err)
 		}
 	}
 	plotSeries = nil
@@ -128,13 +124,11 @@ func main() {
 
 		workers = flag.Int("workers", 0, "worker-pool size for sweeps (0 = GOMAXPROCS)")
 
-		telem   = flag.Bool("telemetry", false, "run every experiment with telemetry enabled")
-		repDir  = flag.String("report", "", "write one telemetry report JSON per run into this directory (implies -telemetry)")
-		audDir  = flag.String("audit", "", "write one Hermes audit JSONL per run into this directory (implies -telemetry)")
-		trcDir  = flag.String("trace", "", "write one flow-trace JSONL per run into this directory (analyze with hermes-trace)")
-		tsDir   = flag.String("timeseries", "", "write one flight-recorder time-series JSONL per run into this directory (view with hermes-trace -timeline)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		telem  = flag.Bool("telemetry", false, "run every experiment with telemetry enabled")
+		repDir = flag.String("report", "", "write one telemetry report JSON per run into this directory (implies -telemetry)")
+		audDir = flag.String("audit", "", "write one Hermes audit JSONL per run into this directory (implies -telemetry)")
+		trcDir = flag.String("trace", "", "write one flow-trace JSONL per run into this directory (analyze with hermes-trace)")
+		tsDir  = flag.String("timeseries", "", "write one flight-recorder time-series JSONL per run into this directory (view with hermes-trace -timeline)")
 
 		perfBench  = flag.Bool("perf", false, "run the pinned microbenchmarks, append results to the perf ledger, then exit")
 		perfCount  = flag.Int("perf-count", 5, "repetitions per pinned benchmark in -perf mode")
@@ -146,114 +140,77 @@ func main() {
 		statusAddr  = flag.String("status", "", `serve the live status plane on this address while experiments run (e.g. ":8080"; see /api/progress, /metrics)`)
 		progress    = flag.Bool("progress", false, "print a progress line (runs done, ETA) to stderr every few seconds")
 		progressSec = flag.Int("progress-interval", 5, "seconds between -progress lines")
-		version     = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
-	flag.Parse()
-	if *version {
-		fmt.Println(hermes.VersionString())
-		return
-	}
-	if *perfBench {
-		runPerfLedger(*perfLedger, *perfCount, *perfNote, *perfBase)
-		return
-	}
-	plotTables = *plot
-	hermes.SetDefaultWorkers(*workers)
-
-	// SIGINT/SIGTERM cancel every pooled and in-flight simulation at its
-	// next scheduling slice; exitOnError then flushes the partial table
-	// and exits non-zero.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	benchCtx = ctx
-	hermes.SetDefaultRunContext(ctx)
-	if *statusAddr != "" || *progress || *perfRuns {
-		// Experiments build their Configs internally, so observability rides
-		// the process-wide default tracker rather than Config.Status. The
-		// tracker also holds the -perf-runs aggregate.
-		st := hermes.NewStatus()
-		statusTracker = st
-		hermes.SetDefaultStatus(st)
-		if *perfRuns {
-			perfRunsOn = true
-			defer printPerfAggregate(st)
+	cli.Main(func() error {
+		if *perfBench {
+			return runPerfLedger(*perfLedger, *perfCount, *perfNote, *perfBase)
 		}
-		if *statusAddr != "" {
-			srv, err := hermes.ServeStatus(*statusAddr, st)
+		plotTables = *plot
+		hermes.SetDefaultWorkers(*workers)
+
+		// SIGINT/SIGTERM cancel every pooled and in-flight simulation at its
+		// next scheduling slice; exitOnError then flushes the partial table
+		// and exits non-zero.
+		benchCtx = cli.SignalContext()
+		if *statusAddr != "" || *progress || *perfRuns {
+			// Experiments build their Configs internally, so observability
+			// rides the process-wide default tracker rather than
+			// Config.Status. The tracker also holds the -perf-runs aggregate.
+			st, err := cli.StartStatus(*statusAddr, *progress, time.Duration(*progressSec)*time.Second)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "status plane on %s\n", srv.URL())
+			statusTracker = st
+			if *perfRuns {
+				perfRunsOn = true
+				cli.AtExit(func() error { printPerfAggregate(st); return nil })
+			}
 		}
-		if *progress {
-			stop := st.StartLogging(os.Stderr, time.Duration(*progressSec)*time.Second)
-			defer stop()
+		if *csvOut != "" {
+			if err := os.MkdirAll(*csvOut, 0o755); err != nil {
+				return err
+			}
+			csvDir = *csvOut
 		}
-	}
-	if *csvOut != "" {
-		if err := os.MkdirAll(*csvOut, 0o755); err != nil {
-			log.Fatal(err)
+		for _, d := range []struct {
+			flag string
+			dst  *string
+		}{{*repDir, &reportDir}, {*audDir, &auditDir}, {*trcDir, &traceDir}, {*tsDir, &timeseriesDir}} {
+			if d.flag == "" {
+				continue
+			}
+			if err := os.MkdirAll(d.flag, 0o755); err != nil {
+				return err
+			}
+			*d.dst = d.flag
 		}
-		csvDir = *csvOut
-	}
-	for _, d := range []struct {
-		flag string
-		dst  *string
-	}{{*repDir, &reportDir}, {*audDir, &auditDir}, {*trcDir, &traceDir}, {*tsDir, &timeseriesDir}} {
-		if d.flag == "" {
-			continue
-		}
-		if err := os.MkdirAll(d.flag, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		*d.dst = d.flag
-	}
-	telemetryOn = *telem || reportDir != "" || auditDir != ""
+		telemetryOn = *telem || reportDir != "" || auditDir != ""
 
-	sort.Slice(registry, func(i, j int) bool { return registry[i].name < registry[j].name })
+		sort.Slice(registry, func(i, j int) bool { return registry[i].name < registry[j].name })
 
-	if *list || *exp == "" {
-		fmt.Println("experiments:")
+		if *list || *exp == "" {
+			fmt.Println("experiments:")
+			for _, e := range registry {
+				fmt.Printf("  %-8s %s\n", e.name, e.what)
+			}
+			return nil
+		}
+
+		o := options{flows: *flows, seed: *seed, full: *full}
+		if *exp == "all" {
+			for _, e := range registry {
+				runOne(e, o)
+			}
+			return nil
+		}
 		for _, e := range registry {
-			fmt.Printf("  %-8s %s\n", e.name, e.what)
+			if e.name == *exp {
+				runOne(e, o)
+				return nil
+			}
 		}
-		if *exp == "" {
-			os.Exit(0)
-		}
-		return
-	}
-
-	if *cpuProf != "" {
-		stop, err := perf.StartCPUProfile(*cpuProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
-	}
-	defer func() {
-		if *memProf == "" {
-			return
-		}
-		if err := perf.WriteHeapProfile(*memProf); err != nil {
-			log.Fatal(err)
-		}
-	}()
-
-	o := options{flows: *flows, seed: *seed, full: *full}
-	if *exp == "all" {
-		for _, e := range registry {
-			runOne(e, o)
-		}
-		return
-	}
-	for _, e := range registry {
-		if e.name == *exp {
-			runOne(e, o)
-			return
-		}
-	}
-	log.Fatalf("unknown experiment %q (use -list)", *exp)
+		return fmt.Errorf("unknown experiment %q (use -list)", *exp)
+	})
 }
 
 // statusTracker is the -status/-progress/-perf-runs tracker (nil when none
@@ -264,17 +221,18 @@ var statusTracker *hermes.Status
 // (runAll and the chaos matrix).
 var benchCtx context.Context = context.Background()
 
-// exitOnError exits when err is set: with 130, after flushing the current
-// experiment's partial table, when the runs were interrupted, else with 1.
+// exitOnError ends the command when err is set: with 130, after flushing
+// the current experiment's partial table, when the runs were interrupted,
+// else with 1.
 func exitOnError(err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err == nil {
+		return
+	}
+	if cli.Interrupted(err) {
 		endCSVTable()
 		fmt.Fprintf(os.Stderr, "\ninterrupted during %s (%v); partial tables flushed\n", currentExp, err)
-		os.Exit(130)
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
+	cli.Exit(err)
 }
 
 func runOne(e experiment, o options) {

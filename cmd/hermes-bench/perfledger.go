@@ -17,23 +17,20 @@ import (
 // times via testing.Benchmark, append one ledger entry per benchmark to
 // ledgerPath, and — with -perf-baseline — compare each new measurement
 // against the latest prior entry of the same benchmark. Regressions print a
-// "REGRESSION:" line (CI turns those into warnings); the return value is the
-// regression count, but the build never fails on it: shared runners are
-// noisy.
-func runPerfLedger(ledgerPath string, count int, note string, baseline bool) int {
+// "REGRESSION:" line (CI turns those into warnings), but never fail the
+// command: shared runners are noisy.
+func runPerfLedger(ledgerPath string, count int, note string, baseline bool) error {
 	if count < 1 {
 		count = 1
 	}
 	ledger, err := perf.LoadLedger(ledgerPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	m := telemetry.BuildManifest()
 	fp := perf.HostFingerprint(m.VCSRevision, m.VCSModified)
 	date := time.Now().UTC().Format(time.RFC3339)
 
-	regressions := 0
 	for _, bm := range pinned.Benchmarks() {
 		fmt.Printf("%-40s", bm.Name)
 		samples := make([]float64, 0, count)
@@ -60,7 +57,6 @@ func runPerfLedger(ledgerPath string, count int, note string, baseline bool) int
 				c := perf.CompareEntries(*prev, entry)
 				fmt.Printf("  vs %s: %s\n", prev.Date, c.String())
 				if c.Regression {
-					regressions++
 					fmt.Printf("REGRESSION: %s\n", c.String())
 				}
 			} else {
@@ -70,12 +66,11 @@ func runPerfLedger(ledgerPath string, count int, note string, baseline bool) int
 		ledger.Append(entry)
 	}
 	if err := ledger.Save(ledgerPath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("\nperf ledger: %d entries across %d benchmarks -> %s\n",
 		len(ledger.Entries), len(ledger.Names()), ledgerPath)
-	return regressions
+	return nil
 }
 
 // medianOf returns the median of a sample set (ns/op is long-tailed under

@@ -11,22 +11,18 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	hermes "github.com/hermes-repro/hermes"
+	"github.com/hermes-repro/hermes/cmd/internal/cli"
 	"github.com/hermes-repro/hermes/internal/checkpoint"
-	"github.com/hermes-repro/hermes/internal/perf"
 )
 
 // schemeNames is the -scheme help: every scheme Run accepts.
@@ -38,113 +34,82 @@ func schemeNames() string {
 	return strings.Join(names, "|")
 }
 
-func main() {
-	var (
-		topoName = flag.String("topology", "large", `"testbed" (2x2, 1G), "large" (8x8, 10G) or "small" (4x4, 10G)`)
-		scheme   = flag.String("scheme", "hermes", schemeNames())
-		workload = flag.String("workload", "web-search", "web-search|data-mining")
-		wlFile   = flag.String("workload-file", "", "custom flow-size CDF file (overrides -workload)")
-		load     = flag.Float64("load", 0.6, "offered load as a fraction of bisection bandwidth")
-		flows    = flag.Int("flows", 1000, "number of flows to generate")
-		seed     = flag.Int64("seed", 1, "random seed (same seed => same run)")
-		protocol = flag.String("protocol", "dctcp", "dctcp|reno|timely")
-		flowlet  = flag.Int64("flowlet-us", 0, "flowlet timeout override in microseconds (CONGA/LetFlow/CLOVE)")
-		maxFlow  = flag.Int64("max-flow-bytes", 0, "flow size cap (0 = workload default)")
+var (
+	topoName = flag.String("topology", "large", cli.TopologyUsage)
+	scheme   = flag.String("scheme", "hermes", schemeNames())
+	workload = flag.String("workload", "web-search", "web-search|data-mining")
+	wlFile   = flag.String("workload-file", "", "custom flow-size CDF file (overrides -workload)")
+	load     = flag.Float64("load", 0.6, "offered load as a fraction of bisection bandwidth")
+	flows    = flag.Int("flows", 1000, "number of flows to generate")
+	seed     = flag.Int64("seed", 1, "random seed (same seed => same run)")
+	protocol = flag.String("protocol", "dctcp", "dctcp|reno|timely")
+	flowlet  = flag.Int64("flowlet-us", 0, "flowlet timeout override in microseconds (CONGA/LetFlow/CLOVE)")
+	maxFlow  = flag.Int64("max-flow-bytes", 0, "flow size cap (0 = workload default)")
 
-		failKind = flag.String("failure", "", "''|random-drop|blackhole|spine-blackhole|degrade|cut-link|cut-cable|degrade-link|degrade-spine|flap|spine-down|leaf-down")
-		spine    = flag.Int("spine", -1, "failed spine index (-1 = random)")
-		dropRate = flag.Float64("drop-rate", 0, "silent random drop probability (0 = the kind's default, 0.02)")
-		frac     = flag.Float64("degrade-fraction", 0, "fraction of fabric links degraded (0 = the kind's default, 0.2)")
-		degBps   = flag.Int64("degrade-bps", 0, "degraded rate per cable in bps (0 = the kind's default: a fifth of the fabric rate for degrade and degrade-spine, half for degrade-link, a cut for flap)")
-		cutLeaf  = flag.Int("cut-leaf", 0, "leaf side of the cut link")
-		cutSpine = flag.Int("cut-spine", 0, "spine side of the cut link")
-		flapUs   = flag.Int64("flap-period-us", 0, "flap cycle period in microseconds (failure=flap)")
-		flapDown = flag.Int64("flap-down-us", 0, "degraded time per flap cycle in microseconds (failure=flap)")
+	failKind = flag.String("failure", "", "''|random-drop|blackhole|spine-blackhole|degrade|cut-link|cut-cable|degrade-link|degrade-spine|flap|spine-down|leaf-down")
+	spine    = flag.Int("spine", -1, "failed spine index (-1 = random)")
+	dropRate = flag.Float64("drop-rate", 0, "silent random drop probability (0 = the kind's default, 0.02)")
+	frac     = flag.Float64("degrade-fraction", 0, "fraction of fabric links degraded (0 = the kind's default, 0.2)")
+	degBps   = flag.Int64("degrade-bps", 0, "degraded rate per cable in bps (0 = the kind's default: a fifth of the fabric rate for degrade and degrade-spine, half for degrade-link, a cut for flap)")
+	cutLeaf  = flag.Int("cut-leaf", 0, "leaf side of the cut link")
+	cutSpine = flag.Int("cut-spine", 0, "spine side of the cut link")
+	flapUs   = flag.Int64("flap-period-us", 0, "flap cycle period in microseconds (failure=flap)")
+	flapDown = flag.Int64("flap-down-us", 0, "degraded time per flap cycle in microseconds (failure=flap)")
 
-		scenarioName = flag.String("scenario", "", `chaos scenario: a builtin name (see -scenario list), or "random"`)
-		scenarioFile = flag.String("scenario-file", "", "load a chaos Scenario timeline from a JSON file (overrides -scenario)")
-		intensity    = flag.Float64("chaos-intensity", 0.5, "severity of -scenario random, 0..1")
+	scenarioName = flag.String("scenario", "", `chaos scenario: a builtin name (see -scenario list), or "random"`)
+	scenarioFile = flag.String("scenario-file", "", "load a chaos Scenario timeline from a JSON file (overrides -scenario)")
+	intensity    = flag.Float64("chaos-intensity", 0.5, "severity of -scenario random, 0..1")
 
-		visibility   = flag.Bool("visibility", false, "measure Table 2 visibility")
-		jsonOut      = flag.Bool("json", false, "emit JSON instead of text")
-		traceFile    = flag.String("trace", "", "write per-flow JSONL trace to this file (analyze with hermes-trace)")
-		perfettoFile = flag.String("perfetto", "", "write the trace as Chrome trace-event JSON (open in ui.perfetto.dev)")
-		telem        = flag.Bool("telemetry", false, "enable the report sweep, histograms and audit log")
-		reportFile   = flag.String("report", "", "write the full run report here (.csv = CSV, else JSON; implies -telemetry)")
-		auditFile    = flag.String("audit", "", "write the Hermes decision audit log as JSONL (implies -telemetry)")
-		sweepUs      = flag.Int64("sweep-us", 1000, "telemetry sweep interval in microseconds")
-		tsFile       = flag.String("timeseries", "", "write the flight-recorder time series as JSONL (view with hermes-trace -timeline)")
-		tsCSVFile    = flag.String("timeseries-csv", "", "write the flight-recorder time series as CSV")
-		tsUs         = flag.Int64("timeseries-us", 0, "flight-recorder sampling interval in microseconds (0 = 100us default)")
-		tsCap        = flag.Int("timeseries-cap", 0, "max retained samples per series, ring-buffered (0 = default)")
-		alertsOn     = flag.Bool("alerts", false, "arm the builtin SLO watchdog pack (goodput-dip, p99-fct-inflation, queue-saturation, gray-path-dwell)")
-		alertRules   = flag.String("alert-rules", "", "arm user alert rules from a JSON file (array of rules; combines with -alerts)")
-		alertLog     = flag.String("alert-log", "", "write the run's alert log as JSONL (view with hermes-trace -alerts)")
-		subflows     = flag.Int("mptcp-subflows", 4, "subflows per logical flow (mptcp scheme)")
-		repThresh    = flag.Int64("repflow-threshold", 0, "replicate flows smaller than this many bytes (repflow scheme; 0 = 100 KB default)")
-		checks       = flag.Bool("checks", false, "arm the simulation invariant harness (engine + packet-conservation checks)")
-		configFile   = flag.String("config", "", "load the full experiment Config from a JSON file (overrides other flags)")
-		statusAddr   = flag.String("status", "", `serve the live status plane on this address while the run executes (e.g. ":8080"; see /api/progress, /metrics)`)
-		perfOn       = flag.Bool("perf", false, "enable the performance observatory: engine self-profiling + runtime sampling, printed as a perf block")
-		perfSample   = flag.Int("perf-sample", 0, "wall-time attribution stride: time 1 in N event fires (0 = 64 default)")
-		soak         = flag.Bool("soak", false, "soak mode: periodic checkpoints + graceful SIGINT/SIGTERM (implies -checkpoint-dir, default interval 10ms sim time)")
-		resumePath   = flag.String("resume", "", "resume from a checkpoint file, or the latest checkpoint in a directory (ignores experiment flags; the config is embedded)")
-		ckptDir      = flag.String("checkpoint-dir", "", "write simulation checkpoints into this directory (resume with -resume)")
-		ckptIvMs     = flag.Int64("checkpoint-interval-ms", 0, "checkpoint every this many milliseconds of simulated time")
-		ckptAtMs     = flag.String("checkpoint-at-ms", "", "comma-separated simulated-time instants (ms) to checkpoint at")
-		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		version      = flag.Bool("version", false, "print build version and VCS revision, then exit")
-	)
-	flag.Parse()
+	visibility   = flag.Bool("visibility", false, "measure Table 2 visibility")
+	jsonOut      = flag.Bool("json", false, "emit JSON instead of text")
+	traceFile    = flag.String("trace", "", "write per-flow JSONL trace to this file (analyze with hermes-trace)")
+	perfettoFile = flag.String("perfetto", "", "write the trace as Chrome trace-event JSON (open in ui.perfetto.dev)")
+	telem        = flag.Bool("telemetry", false, "enable the report sweep, histograms and audit log")
+	reportFile   = flag.String("report", "", "write the full run report here (.csv = CSV, else JSON; implies -telemetry)")
+	auditFile    = flag.String("audit", "", "write the Hermes decision audit log as JSONL (implies -telemetry)")
+	sweepUs      = flag.Int64("sweep-us", 1000, "telemetry sweep interval in microseconds")
+	tsFile       = flag.String("timeseries", "", "write the flight-recorder time series as JSONL (view with hermes-trace -timeline)")
+	tsCSVFile    = flag.String("timeseries-csv", "", "write the flight-recorder time series as CSV")
+	tsUs         = flag.Int64("timeseries-us", 0, "flight-recorder sampling interval in microseconds (0 = 100us default)")
+	tsCap        = flag.Int("timeseries-cap", 0, "max retained samples per series, ring-buffered (0 = default)")
+	alertsOn     = flag.Bool("alerts", false, "arm the builtin SLO watchdog pack (goodput-dip, p99-fct-inflation, queue-saturation, gray-path-dwell)")
+	alertRules   = flag.String("alert-rules", "", "arm user alert rules from a JSON file (array of rules; combines with -alerts)")
+	alertLog     = flag.String("alert-log", "", "write the run's alert log as JSONL (view with hermes-trace -alerts)")
+	subflows     = flag.Int("mptcp-subflows", 4, "subflows per logical flow (mptcp scheme)")
+	repThresh    = flag.Int64("repflow-threshold", 0, "replicate flows smaller than this many bytes (repflow scheme; 0 = 100 KB default)")
+	checks       = flag.Bool("checks", false, "arm the simulation invariant harness (engine + packet-conservation checks)")
+	configFile   = flag.String("config", "", "load the full experiment Config from a JSON file (overrides other flags)")
+	statusAddr   = flag.String("status", "", `serve the live status plane on this address while the run executes (e.g. ":8080"; see /api/progress, /metrics)`)
+	perfOn       = flag.Bool("perf", false, "enable the performance observatory: engine self-profiling + runtime sampling, printed as a perf block")
+	perfSample   = flag.Int("perf-sample", 0, "wall-time attribution stride: time 1 in N event fires (0 = 64 default)")
+	soak         = flag.Bool("soak", false, "soak mode: periodic checkpoints + graceful SIGINT/SIGTERM (implies -checkpoint-dir, default interval 10ms sim time)")
+	resumePath   = flag.String("resume", "", "resume from a checkpoint file, or the latest checkpoint in a directory (ignores experiment flags; the config is embedded)")
+	ckptDir      = flag.String("checkpoint-dir", "", "write simulation checkpoints into this directory (resume with -resume)")
+	ckptIvMs     = flag.Int64("checkpoint-interval-ms", 0, "checkpoint every this many milliseconds of simulated time")
+	ckptAtMs     = flag.String("checkpoint-at-ms", "", "comma-separated simulated-time instants (ms) to checkpoint at")
+)
 
-	if *cpuProfile != "" {
-		stop, err := perf.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := perf.WriteHeapProfile(*memProfile); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
+func main() { cli.Main(run) }
 
-	if *version {
-		fmt.Println(hermes.VersionString())
-		return
-	}
-
+func run() error {
 	if *scenarioName == "list" {
-		fmt.Println("builtin scenarios:", strings.Join(hermes.ScenarioNames(), " "))
-		fmt.Println(`plus "random" (use -chaos-intensity and -seed)`)
-		return
+		cli.PrintScenarios()
+		return nil
 	}
 
 	if *resumePath != "" &&
 		(*configFile != "" || *traceFile != "" || *perfettoFile != "" || *tsFile != "" ||
 			*tsCSVFile != "" || *reportFile != "" || *auditFile != "" || *telem) {
-		log.Fatal("-resume replays the experiment from the config embedded in the checkpoint; it cannot be combined with -config, -telemetry or writer flags (-trace, -perfetto, -timeseries*, -report, -audit)")
+		return errors.New("-resume replays the experiment from the config embedded in the checkpoint; it cannot be combined with -config, -telemetry or writer flags (-trace, -perfetto, -timeseries*, -report, -audit)")
 	}
 
-	var topo hermes.Topology
-	switch *topoName {
-	case "testbed":
-		topo = hermes.TestbedTopology()
-	case "large":
-		topo = hermes.LargeScaleTopology()
-	case "small":
-		topo = hermes.Topology{Leaves: 4, Spines: 4, HostsPerLeaf: 8,
-			HostRateBps: 10e9, FabricRateBps: 10e9, HostDelayNs: 2000, FabricDelayNs: 2000}
-	default:
-		log.Fatalf("unknown topology %q", *topoName)
+	topo, err := cli.Topology(*topoName)
+	if err != nil {
+		return err
 	}
 
 	if *sweepUs <= 0 {
-		log.Fatalf("-sweep-us %d: the sweep interval must be a positive number of microseconds", *sweepUs)
+		return fmt.Errorf("-sweep-us %d: the sweep interval must be a positive number of microseconds", *sweepUs)
 	}
 
 	cfg := hermes.Config{
@@ -176,21 +141,17 @@ func main() {
 	case *scenarioFile != "":
 		data, err := os.ReadFile(*scenarioFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var sc hermes.Scenario
 		if err := json.Unmarshal(data, &sc); err != nil {
-			log.Fatalf("parse %s: %v", *scenarioFile, err)
+			return fmt.Errorf("parse %s: %w", *scenarioFile, err)
 		}
 		cfg.Scenario = &sc
-	case *scenarioName == "random":
-		cfg.Scenario = hermes.RandomScenario(topo, *seed, *intensity)
 	case *scenarioName != "":
-		sc, err := hermes.BuiltinScenario(*scenarioName, topo)
-		if err != nil {
-			log.Fatal(err)
+		if cfg.Scenario, err = cli.Scenario(*scenarioName, topo, *seed, *intensity); err != nil {
+			return err
 		}
-		cfg.Scenario = sc
 	}
 
 	traceOn := *traceFile != "" || *perfettoFile != ""
@@ -215,13 +176,13 @@ func main() {
 		if *alertRules != "" {
 			data, err := os.ReadFile(*alertRules)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if err := json.Unmarshal(data, &ac.Rules); err != nil {
-				log.Fatalf("parse %s: %v", *alertRules, err)
+				return fmt.Errorf("parse %s: %w", *alertRules, err)
 			}
 			if err := hermes.ValidateAlertRules(ac.Rules); err != nil {
-				log.Fatalf("%s: %v", *alertRules, err)
+				return fmt.Errorf("%s: %w", *alertRules, err)
 			}
 		}
 		cfg.Alerts = ac
@@ -230,11 +191,11 @@ func main() {
 	if *configFile != "" {
 		data, err := os.ReadFile(*configFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var fileCfg hermes.Config
 		if err := json.Unmarshal(data, &fileCfg); err != nil {
-			log.Fatalf("parse %s: %v", *configFile, err)
+			return fmt.Errorf("parse %s: %w", *configFile, err)
 		}
 		if traceOn {
 			fileCfg.Trace = true
@@ -282,7 +243,7 @@ func main() {
 			for _, s := range strings.Split(*ckptAtMs, ",") {
 				ms, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 				if err != nil {
-					log.Fatalf("-checkpoint-at-ms %q: %v", *ckptAtMs, err)
+					return fmt.Errorf("-checkpoint-at-ms %q: %w", *ckptAtMs, err)
 				}
 				ck.AtNs = append(ck.AtNs, int64(ms*1e6))
 			}
@@ -294,30 +255,23 @@ func main() {
 	}
 
 	if *statusAddr != "" {
-		st := hermes.NewStatus()
-		st.Plan(1)
-		srv, err := hermes.ServeStatus(*statusAddr, st)
+		// The tracker is the process default, so a -resume run, whose Config
+		// comes from the checkpoint, reports to it too.
+		st, err := cli.StartStatus(*statusAddr, false, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "status plane on %s\n", srv.URL())
-		cfg.Status = st
-		// A -resume run builds its Config from the checkpoint (which cannot
-		// carry a tracker); the process-wide default routes it here too.
-		hermes.SetDefaultStatus(st)
+		st.Plan(1)
 	}
 
 	// SIGINT/SIGTERM cancel the run at its next scheduling slice; with
 	// checkpointing armed the run flushes one final interrupt checkpoint
 	// before reporting, so a soak is resumable from the instant it died.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	hermes.SetDefaultRunContext(ctx)
+	cli.SignalContext()
 
 	ran, err := ranConfig(cfg, *resumePath)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var res *hermes.Result
 	if *resumePath != "" {
@@ -326,14 +280,16 @@ func main() {
 		res, err = hermes.Run(cfg)
 	}
 	var ie *hermes.InterruptedError
-	if errors.As(err, &ie) {
+	switch {
+	case errors.As(err, &ie):
 		fmt.Fprintf(os.Stderr, "interrupted at t=%.1fms; checkpoint %s\n",
 			float64(ie.Checkpoint.SimTimeNs)/1e6, ie.Checkpoint.Path)
 		fmt.Fprintf(os.Stderr, "resume with: hermes-sim -resume %s\n", ie.Checkpoint.Path)
-		os.Exit(130)
+	case cli.Interrupted(err):
+		fmt.Fprintf(os.Stderr, "interrupted (%v)\n", err)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, ci := range res.Checkpoints {
 		fmt.Fprintf(os.Stderr, "checkpoint t=%.1fms written to %s (%d bytes)\n",
@@ -342,14 +298,14 @@ func main() {
 	if res.TraceCounts != nil {
 		fmt.Fprintf(os.Stderr, "trace: %v\n", res.TraceCounts)
 		if *traceFile != "" {
-			if err := writeFile(*traceFile, res.Trace.WriteJSONL); err != nil {
-				log.Fatal(err)
+			if err := cli.WriteFile(*traceFile, res.Trace.WriteJSONL); err != nil {
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "trace JSONL written to %s\n", *traceFile)
 		}
 		if *perfettoFile != "" {
-			if err := writeFile(*perfettoFile, res.Trace.WritePerfetto); err != nil {
-				log.Fatal(err)
+			if err := cli.WriteFile(*perfettoFile, res.Trace.WritePerfetto); err != nil {
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "perfetto trace written to %s (open in ui.perfetto.dev)\n", *perfettoFile)
 		}
@@ -359,14 +315,14 @@ func main() {
 			res.TimeSeries.Len(), len(res.TimeSeries.Names()), res.TimeSeries.Transitions.Len(),
 			res.TimeSeries.TruncatedSamples(), res.TimeSeries.Transitions.Dropped())
 		if *tsFile != "" {
-			if err := writeFile(*tsFile, res.TimeSeries.WriteJSONL); err != nil {
-				log.Fatal(err)
+			if err := cli.WriteFile(*tsFile, res.TimeSeries.WriteJSONL); err != nil {
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "timeseries JSONL written to %s (view with hermes-trace -timeline)\n", *tsFile)
 		}
 		if *tsCSVFile != "" {
-			if err := writeFile(*tsCSVFile, res.TimeSeries.WriteCSV); err != nil {
-				log.Fatal(err)
+			if err := cli.WriteFile(*tsCSVFile, res.TimeSeries.WriteCSV); err != nil {
+				return err
 			}
 			fmt.Fprintf(os.Stderr, "timeseries CSV written to %s\n", *tsCSVFile)
 		}
@@ -376,7 +332,7 @@ func main() {
 	if cfg.Telemetry {
 		report, err = hermes.BuildReport(cfg, res)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if *reportFile != "" {
@@ -387,29 +343,22 @@ func main() {
 			report.Manifest = &m
 		}
 		if err := writeReport(report, *reportFile); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *reportFile)
 	}
 	if *alertLog != "" {
 		if res.Alerts == nil {
-			log.Fatal("-alert-log needs the watchdog armed (-alerts, -alert-rules or Config.Alerts)")
+			return errors.New("-alert-log needs the watchdog armed (-alerts, -alert-rules or Config.Alerts)")
 		}
 		if err := writeAlertLog(*alertLog, ran, res); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "alert log written to %s (view with hermes-trace -alerts)\n", *alertLog)
 	}
 	if *auditFile != "" {
-		f, err := os.Create(*auditFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Telemetry.Audit.WriteJSONL(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
+		if err := cli.WriteFile(*auditFile, res.Telemetry.Audit.WriteJSONL); err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "audit log (%d entries) written to %s\n",
 			res.Telemetry.Audit.Len(), *auditFile)
@@ -418,10 +367,7 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return enc.Encode(res)
 	}
 
 	fmt.Printf("scheme=%s workload=%s load=%.2f flows=%d seed=%d\n",
@@ -479,7 +425,7 @@ func main() {
 	}
 	if res.Alerts != nil {
 		if err := hermes.RenderAlertText(os.Stdout, res.Alerts, 0); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if res.Perf != nil {
@@ -487,10 +433,9 @@ func main() {
 	}
 	if report != nil {
 		fmt.Println()
-		if err := report.RenderText(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		return report.RenderText(os.Stdout)
 	}
+	return nil
 }
 
 // ranConfig returns the config the run executes: cfg, or with -resume the
@@ -518,7 +463,7 @@ func ranConfig(cfg hermes.Config, resumePath string) (hermes.Config, error) {
 // writeAlertLog writes res's alert report to path under the label the run
 // of ran carried on the status plane.
 func writeAlertLog(path string, ran hermes.Config, res *hermes.Result) error {
-	return writeFile(path, func(w io.Writer) error {
+	return cli.WriteFile(path, func(w io.Writer) error {
 		return hermes.WriteAlertLog(w, hermes.RunLabel(ran), res.Alerts)
 	})
 }
@@ -527,21 +472,7 @@ func writeAlertLog(path string, ran hermes.Config, res *hermes.Result) error {
 // CSV, anything else indented JSON.
 func writeReport(rep *hermes.Report, path string) error {
 	if strings.HasSuffix(path, ".csv") {
-		return writeFile(path, rep.WriteCSV)
+		return cli.WriteFile(path, rep.WriteCSV)
 	}
-	return writeFile(path, rep.WriteJSON)
-}
-
-// writeFile creates path and fills it with write, returning the first of
-// the write and Close errors.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return cli.WriteFile(path, rep.WriteJSON)
 }

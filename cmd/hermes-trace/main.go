@@ -20,12 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 	"strings"
 
 	hermes "github.com/hermes-repro/hermes"
+	"github.com/hermes-repro/hermes/cmd/internal/cli"
 	"github.com/hermes-repro/hermes/internal/perf"
 	"github.com/hermes-repro/hermes/internal/telemetry"
 	"github.com/hermes-repro/hermes/internal/textplot"
@@ -44,120 +44,88 @@ func main() {
 		alertsFile  = flag.String("alerts", "", "alert log JSONL (from hermes-sim/hermes-chaos -alert-log): render each run's episodes and state timeline")
 		ckptFile    = flag.String("checkpoint", "", "checkpoint file or directory (from hermes-sim -checkpoint-dir): print its header, embedded experiment and state-section sizes")
 		width       = flag.Int("width", 64, "chart width in cells")
-		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the analysis to this file")
-		memProfile  = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		version     = flag.Bool("version", false, "print build version and VCS revision, then exit")
 	)
-	flag.Parse()
-	if *version {
-		fmt.Println(hermes.VersionString())
-		return
-	}
-	if *cpuProfile != "" {
-		stop, err := perf.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stop()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := perf.WriteHeapProfile(*memProfile); err != nil {
-				log.Print(err)
+	cli.Main(func() error {
+		if *ledgerFile != "" {
+			if err := renderPerfLedger(os.Stdout, *ledgerFile, *width); err != nil {
+				return err
 			}
-		}()
-	}
-	if *ledgerFile != "" {
-		if err := renderPerfLedger(os.Stdout, *ledgerFile, *width); err != nil {
-			log.Fatal(err)
+			if flag.NArg() == 0 && *tsFile == "" && *alertsFile == "" {
+				return nil
+			}
 		}
-		if flag.NArg() == 0 && *tsFile == "" && *alertsFile == "" {
-			return
+		if *ckptFile != "" {
+			if err := inspectCheckpoint(os.Stdout, *ckptFile); err != nil {
+				return err
+			}
+			if flag.NArg() == 0 && *tsFile == "" && *alertsFile == "" {
+				return nil
+			}
 		}
-	}
-	if *ckptFile != "" {
-		if err := inspectCheckpoint(os.Stdout, *ckptFile); err != nil {
-			log.Fatal(err)
+		if *alertsFile != "" {
+			if err := renderAlertLog(os.Stdout, *alertsFile, *width); err != nil {
+				return err
+			}
+			if flag.NArg() == 0 && *tsFile == "" {
+				return nil
+			}
 		}
-		if flag.NArg() == 0 && *tsFile == "" && *alertsFile == "" {
-			return
+		if *tsFile != "" {
+			if err := timeline(os.Stdout, loadTimeseries(*tsFile), *width); err != nil {
+				return err
+			}
+			if flag.NArg() == 0 {
+				return nil
+			}
 		}
-	}
-	if *alertsFile != "" {
-		if err := renderAlertLog(os.Stdout, *alertsFile, *width); err != nil {
-			log.Fatal(err)
+		if flag.NArg() != 1 {
+			fmt.Fprintln(os.Stderr, "usage: hermes-trace [flags] trace.jsonl")
+			fmt.Fprintln(os.Stderr, "       hermes-trace -timeline run.ts.jsonl")
+			flag.PrintDefaults()
+			return flag.ErrHelp
 		}
-		if flag.NArg() == 0 && *tsFile == "" {
-			return
+		if *pct < 0 || *pct >= 1 {
+			return fmt.Errorf("-pct %v out of range [0,1)", *pct)
 		}
-	}
-	if *tsFile != "" {
-		if err := timeline(os.Stdout, loadTimeseries(*tsFile), *width); err != nil {
-			log.Fatal(err)
-		}
-		if flag.NArg() == 0 {
-			return
-		}
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hermes-trace [flags] trace.jsonl")
-		fmt.Fprintln(os.Stderr, "       hermes-trace -timeline run.ts.jsonl")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
-	if *pct < 0 || *pct >= 1 {
-		log.Fatalf("-pct %v out of range [0,1)", *pct)
-	}
 
-	rec := loadTrace(flag.Arg(0))
+		rec := loadTrace(flag.Arg(0))
 
-	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
-		if err != nil {
-			log.Fatal(err)
+		if *perfetto != "" {
+			if err := cli.WriteFile(*perfetto, rec.WritePerfetto); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "perfetto trace written to %s (open in ui.perfetto.dev)\n", *perfetto)
 		}
-		if err := rec.WritePerfetto(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "perfetto trace written to %s (open in ui.perfetto.dev)\n", *perfetto)
-	}
 
-	if *compareFile != "" {
-		other := loadTrace(*compareFile)
-		if err := compare(os.Stdout, flag.Arg(0), rec, *compareFile, other, *pct); err != nil {
-			log.Fatal(err)
+		if *compareFile != "" {
+			other := loadTrace(*compareFile)
+			return compare(os.Stdout, flag.Arg(0), rec, *compareFile, other, *pct)
 		}
-		return
-	}
 
-	var rep *hermes.Report
-	if *reportFile != "" {
-		data, err := os.ReadFile(*reportFile)
-		if err != nil {
-			log.Fatal(err)
+		var rep *hermes.Report
+		if *reportFile != "" {
+			data, err := os.ReadFile(*reportFile)
+			if err != nil {
+				return err
+			}
+			rep = &hermes.Report{}
+			if err := json.Unmarshal(data, rep); err != nil {
+				return fmt.Errorf("parse %s: %w", *reportFile, err)
+			}
 		}
-		rep = &hermes.Report{}
-		if err := json.Unmarshal(data, rep); err != nil {
-			log.Fatalf("parse %s: %v", *reportFile, err)
-		}
-	}
-	if err := analyze(os.Stdout, rec, rep, *topN, *pct, *width); err != nil {
-		log.Fatal(err)
-	}
+		return analyze(os.Stdout, rec, rep, *topN, *pct, *width)
+	})
 }
 
 func loadTrace(path string) *trace.Recorder {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		cli.Exit(err)
 	}
 	defer f.Close()
 	rec, err := trace.ReadJSONL(f)
 	if err != nil {
-		log.Fatal(err)
+		cli.Exit(err)
 	}
 	return rec
 }

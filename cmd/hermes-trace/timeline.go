@@ -3,11 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 	"strings"
 
+	"github.com/hermes-repro/hermes/cmd/internal/cli"
 	"github.com/hermes-repro/hermes/internal/textplot"
 	"github.com/hermes-repro/hermes/internal/timeseries"
 )
@@ -18,7 +18,7 @@ import (
 func loadTimeseries(path string) *timeseries.Recorder {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		cli.Exit(err)
 	}
 	defer f.Close()
 	var rec *timeseries.Recorder
@@ -28,7 +28,7 @@ func loadTimeseries(path string) *timeseries.Recorder {
 		rec, err = timeseries.ReadJSONL(f)
 	}
 	if err != nil {
-		log.Fatalf("parse %s: %v", path, err)
+		cli.Exit(fmt.Errorf("parse %s: %w", path, err))
 	}
 	return rec
 }

@@ -34,7 +34,7 @@ type eventPlaneDigests struct {
 	Attribution string `json:"attribution"`
 }
 
-// eventPlaneCell is one Hermes chaos cell on chaosTopo and the event kinds
+// eventPlaneCell is one Hermes chaos cell on ChaosTopology and the event kinds
 // it must emit, so a pin cannot pass by recording nothing.
 type eventPlaneCell struct {
 	name     string
@@ -67,7 +67,7 @@ var eventPlaneCells = []eventPlaneCell{
 // artifact and counts the kinds it emitted.
 func eventPlaneRun(t *testing.T, c eventPlaneCell) (eventPlaneDigests, map[string]int) {
 	t.Helper()
-	sc, err := BuiltinScenario(c.scenario, chaosTopo())
+	sc, err := BuiltinScenario(c.scenario, ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestEventPlanePins(t *testing.T) {
 // Perfetto's monitor track, whose ids must be leaves (JSON readers lose
 // integers past 2^53).
 func TestVerdictNamesItsRack(t *testing.T) {
-	sc, err := BuiltinScenario("spine-blackhole", chaosTopo())
+	sc, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,7 @@ func main() {
 	seed := flag.Int64("seed", 3, "random seed")
 	flag.Parse()
 
-	topo := hermes.Topology{
-		Leaves: 4, Spines: 4, HostsPerLeaf: 8,
-		HostRateBps: 10e9, FabricRateBps: 10e9,
-		HostDelayNs: 2000, FabricDelayNs: 2000,
-	}
+	topo := hermes.SmallTopology()
 	schemes := []hermes.Scheme{
 		hermes.SchemeECMP, hermes.SchemePresto, hermes.SchemeCONGA,
 		hermes.SchemeLetFlow, hermes.SchemeCLOVE, hermes.SchemeHermes,

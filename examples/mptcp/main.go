@@ -21,11 +21,7 @@ func main() {
 	subflows := flag.Int("subflows", 4, "MPTCP subflows per logical flow")
 	flag.Parse()
 
-	topo := hermes.Topology{
-		Leaves: 4, Spines: 4, HostsPerLeaf: 8,
-		HostRateBps: 10e9, FabricRateBps: 10e9,
-		HostDelayNs: 2000, FabricDelayNs: 2000,
-	}
+	topo := hermes.SmallTopology()
 
 	fmt.Printf("=== symmetric fabric, web-search @ 60%% (MPTCP with %d subflows) ===\n", *subflows)
 	schemes := []hermes.Scheme{hermes.SchemeECMP, hermes.SchemeMPTCP, hermes.SchemeCONGA, hermes.SchemeHermes}

@@ -19,11 +19,7 @@ func main() {
 	passes := flag.Int("passes", 1, "coordinate-descent passes")
 	flag.Parse()
 
-	topo := hermes.Topology{
-		Leaves: 4, Spines: 4, HostsPerLeaf: 8,
-		HostRateBps: 10e9, FabricRateBps: 10e9,
-		HostDelayNs: 2000, FabricDelayNs: 2000,
-	}
+	topo := hermes.SmallTopology()
 	cfg := hermes.Config{
 		Topology: topo, Scheme: hermes.SchemeHermes,
 		Workload: "data-mining", Load: 0.6, Flows: *flows,

@@ -144,6 +144,29 @@ func LargeScaleTopology() Topology {
 	}
 }
 
+// SmallTopology is LargeScaleTopology reduced in proportion: a 4x4
+// leaf-spine with 32 hosts at 10 Gbps, keeping the 2:1 oversubscription.
+// It is hermes-bench's fabric without -full.
+func SmallTopology() Topology {
+	return Topology{
+		Leaves: 4, Spines: 4, HostsPerLeaf: 8,
+		HostRateBps: 10_000_000_000, FabricRateBps: 10_000_000_000,
+		HostDelayNs: 2_000, FabricDelayNs: 2_000,
+	}
+}
+
+// ChaosTopology is the resilience matrix's fabric: a 2x2 leaf-spine with
+// 1 Gbps hosts and 2 Gbps fabric links, where a spine blackhole is half of
+// ECMP's hash space and part of every Presto* spray, and a whole matrix
+// runs in seconds.
+func ChaosTopology() Topology {
+	return Topology{
+		Leaves: 2, Spines: 2, HostsPerLeaf: 4,
+		HostRateBps: 1_000_000_000, FabricRateBps: 2_000_000_000,
+		HostDelayNs: 2_000, FabricDelayNs: 2_000,
+	}
+}
+
 // FailureKind selects a §5.3.3 switch malfunction or topology asymmetry.
 type FailureKind string
 
@@ -606,7 +629,7 @@ func (r *run) validate() error {
 		{"RepFlowThresholdBytes", cfg.RepFlowThresholdBytes}, {"DrainTimeoutNs", cfg.DrainTimeoutNs},
 		{"FlowletTimeoutNs", cfg.FlowletTimeoutNs}, {"TelemetryIntervalNs", cfg.TelemetryIntervalNs},
 		{"TimeSeriesIntervalNs", cfg.TimeSeriesIntervalNs}, {"TimeSeriesCap", int64(cfg.TimeSeriesCap)},
-		{"Perf.SampleEvery", int64(perf.SampleEvery)}, {"Perf.RuntimeIntervalMs", int64(perf.RuntimeIntervalMs)},
+		{"Perf.SampleEvery", int64(perf.SampleEvery)},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("hermes: %s %d is negative", f.name, f.v)
@@ -746,8 +769,7 @@ func (r *run) setup() error {
 	// sampler for the duration of the run (runWith defers the Stop).
 	if cfg.Perf != nil {
 		r.prof = eng.EnableProfile(cfg.Perf.SampleEvery)
-		r.sampler = perf.StartRuntimeSampler(
-			time.Duration(cfg.Perf.RuntimeIntervalMs) * time.Millisecond)
+		r.sampler = perf.StartRuntimeSampler(perf.RuntimeInterval)
 		r.perfWallStart = time.Now()
 	}
 	r.rng = sim.NewRNG(cfg.Seed)

@@ -307,7 +307,7 @@ func TestDegradeLinkDefaultHalvesEachCable(t *testing.T) {
 // testbed's 1 Gbps spine to 2 Gbps and raise its bisection from 4 to 6
 // Gbps.
 func TestDegradeDefaultsNeverAddCapacity(t *testing.T) {
-	for _, topo := range []Topology{TestbedTopology(), chaosTopo(), LargeScaleTopology()} {
+	for _, topo := range []Topology{TestbedTopology(), ChaosTopology(), LargeScaleTopology()} {
 		for _, kind := range []FailureKind{FailureDegrade, FailureDegradeLink, FailureDegradeSpine} {
 			r := &run{cfg: Config{
 				Topology: topo, Scheme: SchemeECMP,

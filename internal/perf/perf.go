@@ -27,10 +27,6 @@ type Options struct {
 	// events is timed. <= 0 uses sim.DefaultSampleEvery (64). Fire counts
 	// are always exact; only time attribution is sampled.
 	SampleEvery int `json:",omitempty"`
-
-	// RuntimeIntervalMs is the wall-clock interval of the Go runtime
-	// sampler in milliseconds. <= 0 uses 50ms.
-	RuntimeIntervalMs int `json:",omitempty"`
 }
 
 // KindStat is one event kind's share of a profiled run.

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// DefaultRuntimeInterval is the wall-clock sampling interval of the Go
-// runtime sampler when Options.RuntimeIntervalMs is unset.
-const DefaultRuntimeInterval = 50 * time.Millisecond
+// RuntimeInterval is the wall-clock sampling interval of the Go runtime
+// sampler of a profiled run (Options).
+const RuntimeInterval = 50 * time.Millisecond
 
 // RuntimeStats are the aggregates of one sampler window (one run, usually):
 // peaks and deltas between Start and Stop.
@@ -65,14 +65,11 @@ func readCPUBusy() (float64, bool) {
 	return s[0].Value.Float64() - s[1].Value.Float64(), true
 }
 
-// StartRuntimeSampler begins sampling every interval (<= 0 uses
-// DefaultRuntimeInterval). Call Stop to end the window and collect
-// aggregates; Stop always folds in one final sample so even runs shorter
-// than the interval observe the runtime at least twice.
+// StartRuntimeSampler begins sampling every interval, which must be
+// positive. Call Stop to end the window and collect aggregates; Stop always
+// folds in one final sample so even runs shorter than the interval observe
+// the runtime at least twice.
 func StartRuntimeSampler(interval time.Duration) *RuntimeSampler {
-	if interval <= 0 {
-		interval = DefaultRuntimeInterval
-	}
 	s := &RuntimeSampler{
 		interval: interval,
 		stop:     make(chan struct{}),

@@ -34,7 +34,7 @@ func sha256Hex(b []byte) string {
 // visibility) and digests each artifact.
 func metricPlaneRun(t *testing.T, scheme Scheme) metricPlaneDigests {
 	t.Helper()
-	sc, err := BuiltinScenario("spine-blackhole", chaosTopo())
+	sc, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFlightRingPins(t *testing.T) {
 	caps := []int{0, 1000}
 	got := map[string]flightRingDigests{}
 	for _, c := range caps {
-		sc, err := BuiltinScenario("spine-blackhole", chaosTopo())
+		sc, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func simulated(t *testing.T, res *Result) string {
 // instants are engine observers, not events, so observing a run takes no
 // sequence number from it.
 func TestObservationCannotChangeTheRun(t *testing.T) {
-	blackhole, err := BuiltinScenario("spine-blackhole", chaosTopo())
+	blackhole, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestForkRecordsItsPrefix(t *testing.T) {
 	cfg := chaosConfig(SchemeHermes, nil)
 	cfg.Checkpoint = &CheckpointConfig{Dir: dir, AtNs: []int64{19e6}}
 	mustRun(t, cfg)
-	sc, err := BuiltinScenario("spine-blackhole", chaosTopo())
+	sc, err := BuiltinScenario("spine-blackhole", ChaosTopology())
 	if err != nil {
 		t.Fatal(err)
 	}

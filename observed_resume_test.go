@@ -45,7 +45,7 @@ func observedArtifacts(t *testing.T, cfg Config, res *Result) map[string][]byte 
 // flight, trace and audit data.
 func TestResumeWithEverySinkArmed(t *testing.T) {
 	for _, name := range []string{"spine-blackhole", "flap"} {
-		sc, err := BuiltinScenario(name, chaosTopo())
+		sc, err := BuiltinScenario(name, ChaosTopology())
 		if err != nil {
 			t.Fatal(err)
 		}

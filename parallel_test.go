@@ -106,7 +106,7 @@ func TestRunConfigsLabelsEachRun(t *testing.T) {
 	var cfgs []Config
 	for _, load := range []float64{0.3, 0.6} {
 		cfgs = append(cfgs, Config{
-			Topology: chaosTopo(), Scheme: SchemeECMP, Workload: "web-search",
+			Topology: ChaosTopology(), Scheme: SchemeECMP, Workload: "web-search",
 			Load: load, Flows: 40, Seed: 1, Telemetry: true, Status: st,
 		})
 	}
@@ -159,7 +159,7 @@ func TestRunConfigsLabelsEachRun(t *testing.T) {
 // share a label.
 func TestOneLabelRule(t *testing.T) {
 	base := Config{
-		Topology: chaosTopo(), Scheme: SchemeECMP, Workload: "web-search",
+		Topology: ChaosTopology(), Scheme: SchemeECMP, Workload: "web-search",
 		Load: 0.5, Flows: 15, Seed: 3, DrainTimeoutNs: 100e6,
 	}
 	sc := mustScenario(t, "spine-blackhole", base.Topology)

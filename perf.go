@@ -18,18 +18,3 @@ type PerfReport = perf.RunReport
 // live Go runtime snapshot: the /api/perf payload, and what
 // Status.PerfSummary returns.
 type PerfSummary = perf.Summary
-
-// PerfLedger is the append-only benchmark trajectory stored in
-// BENCH_perf.json: one entry per pinned-microbenchmark measurement, with
-// machine fingerprint and VCS revision, comparable across PRs with a
-// benchstat-style significance test.
-type PerfLedger = perf.Ledger
-
-// PerfLedgerEntry is one measurement in the perf ledger.
-type PerfLedgerEntry = perf.LedgerEntry
-
-// LoadPerfLedger reads a perf ledger file; a missing file yields an empty
-// ledger so the first run bootstraps the trajectory.
-func LoadPerfLedger(path string) (*PerfLedger, error) {
-	return perf.LoadLedger(path)
-}

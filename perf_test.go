@@ -191,7 +191,7 @@ func TestPerfConcurrentSweep(t *testing.T) {
 	st := NewStatus()
 	cfg := goldenConfig()
 	cfg.Flows = 15
-	cfg.Perf = &PerfOptions{SampleEvery: 4, RuntimeIntervalMs: 1}
+	cfg.Perf = &PerfOptions{SampleEvery: 4}
 	cfg.Status = st
 
 	stop := make(chan struct{})
@@ -231,9 +231,8 @@ func TestPerfConcurrentSweep(t *testing.T) {
 // at 35,831.
 func TestRearmedTimersKeepQueueShallow(t *testing.T) {
 	cfg := Config{
-		Topology: Topology{Leaves: 4, Spines: 4, HostsPerLeaf: 8,
-			HostRateBps: 10e9, FabricRateBps: 10e9, HostDelayNs: 2000, FabricDelayNs: 2000},
-		Scheme: SchemeHermes, Workload: "web-search", Load: 0.6, Flows: 100, Seed: 1,
+		Topology: SmallTopology(),
+		Scheme:   SchemeHermes, Workload: "web-search", Load: 0.6, Flows: 100, Seed: 1,
 		Perf: &PerfOptions{},
 	}
 	res, err := Run(cfg)

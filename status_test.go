@@ -213,7 +213,7 @@ func TestMetricsArePerRun(t *testing.T) {
 	var res *Result
 	for seed := int64(1); seed <= 3; seed++ {
 		cfg = Config{
-			Topology: chaosTopo(), Scheme: SchemeREPS, Workload: "web-search",
+			Topology: ChaosTopology(), Scheme: SchemeREPS, Workload: "web-search",
 			Load: 0.5, Flows: 60, Seed: seed, Telemetry: true, Status: st,
 		}
 		var err error
