@@ -156,6 +156,43 @@ func TestEventPlanePins(t *testing.T) {
 	}
 }
 
+// TestPrestoReorderTracePins pins the trace artifacts of one traced Presto*
+// run with its receive-side reordering buffer on (the scheme's default 400
+// us). A buffer release re-sends ACKs built from a copy of the data segment
+// that opened the hole, after the fabric has recycled that segment, so this
+// pin covers what the copy must carry: the spans' queue_ns come from those
+// ACKs' queue echoes.
+func TestPrestoReorderTracePins(t *testing.T) {
+	topo := SmallTopology()
+	res := mustRun(t, Config{
+		Topology: topo, Scheme: SchemePresto,
+		Workload: "web-search", Load: 0.8, Flows: 300, Seed: 3,
+		Failure: FailureSpec{Kind: FailureDegrade, Spine: -1, SrcLeaf: 0, DstLeaf: topo.Leaves - 1},
+		Trace:   true,
+	})
+	var buf bytes.Buffer
+	for _, c := range []struct {
+		name  string
+		write func(*bytes.Buffer) error
+		want  string
+	}{
+		{"trace", func(b *bytes.Buffer) error { return res.Trace.WriteJSONL(b) },
+			"f347c8e74141da76f2472acea8eae9d9984084335879a327b953aeea4f486ca1"},
+		{"perfetto", func(b *bytes.Buffer) error { return res.Trace.WritePerfetto(b) },
+			"3c0951f8a55294ba68e6683f8c37b7413c5313fe3f951da2af9bcb40b406ae1c"},
+		{"attribution", func(b *bytes.Buffer) error { return json.NewEncoder(b).Encode(res.Trace.Attribution()) },
+			"67db39f05beb0984fbefe7083628f17a8da3f359b56dd1a86b27e36faac1a44e"},
+	} {
+		buf.Reset()
+		if err := c.write(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := sha256Hex(buf.Bytes()); got != c.want {
+			t.Errorf("%s digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // TestVerdictNamesItsRack: every verdict names the leaf whose monitor issued
 // it — in the audit JSONL, in the trace's verdict lines, and as the thread of
 // Perfetto's monitor track, whose ids must be leaves (JSON readers lose
