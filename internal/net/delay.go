@@ -35,13 +35,16 @@ type FlowDelay struct {
 
 // DelayAccount collects per-flow delay decompositions fabric-wide. Enable it
 // with Network.EnableDelayAccount before traffic starts; with it disabled
-// the delivery path pays a single nil check.
+// packets carry no delay record, and sending, each port and delivery pay a
+// single nil check.
 type DelayAccount struct {
 	flows map[uint64]*FlowDelay
 }
 
 // EnableDelayAccount switches on per-flow delay aggregation at every host
-// delivery and returns the account (idempotent).
+// delivery and returns the account (idempotent). From then on Host.Send
+// gives every packet a delay record; packets already in flight have none and
+// are not counted.
 func (n *Network) EnableDelayAccount() *DelayAccount {
 	if n.acct == nil {
 		n.acct = &DelayAccount{flows: map[uint64]*FlowDelay{}}
@@ -49,10 +52,15 @@ func (n *Network) EnableDelayAccount() *DelayAccount {
 	return n.acct
 }
 
-// observe folds one delivered packet into its flow's aggregate. Probe
-// traffic is ignored: probes sample paths, they do not belong to a flow's
-// completion time.
+// observe folds one delivered packet's delay record into its flow's
+// aggregate. Probe traffic is ignored: probes sample paths, they do not
+// belong to a flow's completion time. So is a packet without a record: one
+// sent before the account was armed.
 func (a *DelayAccount) observe(pkt *Packet) {
+	d := pkt.delay
+	if d == nil {
+		return
+	}
 	switch pkt.Kind {
 	case Data, UDPData:
 		fd := a.get(pkt.Flow)
@@ -63,21 +71,21 @@ func (a *DelayAccount) observe(pkt *Packet) {
 		if pkt.CE {
 			fd.MarkedPkts++
 		}
-		fd.QueueNs += pkt.QueueNs
-		fd.SerNs += pkt.SerNs
-		fd.PropNs += pkt.PropNs
-		hops := int(pkt.Hops)
+		fd.QueueNs += d.QueueNs
+		fd.SerNs += d.SerNs
+		fd.PropNs += d.PropNs
+		hops := int(d.Hops)
 		if hops > MaxHops {
 			hops = MaxHops
 		}
 		for i := 0; i < hops; i++ {
-			fd.HopQueueNs[i] += pkt.HopQueue[i]
+			fd.HopQueueNs[i] += d.HopQueue[i]
 			fd.HopPkts[i]++
 		}
 	case Ack:
 		fd := a.get(pkt.Flow)
 		fd.AckPkts++
-		fd.AckQueueNs += pkt.QueueNs
+		fd.AckQueueNs += d.QueueNs
 	}
 }
 

@@ -38,7 +38,7 @@ func (n *Network) Dump() *Dump {
 		Injected:         n.injected,
 		Delivered:        n.delivered,
 		DeliveredPayload: n.deliveredPayload,
-		PoolFree:         len(n.pktFree),
+		PoolFree:         n.nFree,
 	}
 	d.CableRates = make([][][]int64, n.Cfg.Leaves)
 	for l := 0; l < n.Cfg.Leaves; l++ {

@@ -37,12 +37,16 @@ type Host struct {
 // Handle registers the consumer for a packet kind at this host.
 func (h *Host) Handle(k Kind, fn Handler) { h.handlers[k] = fn }
 
-// Send injects a packet into the fabric through the host's access link.
+// Send injects a packet into the fabric through the host's access link,
+// attaching a zeroed delay record while a delay account is armed.
 // Ownership of the packet transfers to the fabric: once delivered (or
 // dropped) it is recycled into the network's packet pool, so callers must
 // not retain or re-send it.
 func (h *Host) Send(pkt *Packet) {
 	h.net.injected++
+	if h.net.acct != nil {
+		pkt.delay = h.net.allocDelay()
+	}
 	h.uplink.Enqueue(pkt)
 }
 
@@ -275,10 +279,15 @@ type Network struct {
 	pathCache []pathSet
 
 	// Packet pool: packets recycled at their sink (final host delivery or
-	// any drop) plus a block of never-used structs. AllocPacket hands them
-	// back out, so a warm steady state allocates no packets at all.
-	pktFree  []*Packet
+	// any drop), linked through Packet.next and counted by nFree, plus a
+	// block of never-used structs. AllocPacket hands them back out, so a
+	// warm steady state allocates no packets at all.
+	pktFree  *Packet
+	nFree    int
 	pktChunk []Packet
+	// delayFree holds the delay records of recycled packets (traced runs
+	// only: records exist only while acct is armed).
+	delayFree []*Delay
 
 	// Conservation counters (plain adds; always on).
 	injected  uint64 // packets entering the fabric via Host.Send
@@ -314,10 +323,9 @@ func (n *Network) SetTraceHooks(onDrop, onMark func(*Packet)) {
 // conventionally with `*pkt = Packet{...}`. Ownership passes back to the
 // pool when the fabric delivers or drops the packet.
 func (n *Network) AllocPacket() *Packet {
-	if k := len(n.pktFree); k > 0 {
-		p := n.pktFree[k-1]
-		n.pktFree[k-1] = nil
-		n.pktFree = n.pktFree[:k-1]
+	if p := n.pktFree; p != nil {
+		n.pktFree = p.next
+		n.nFree--
 		return p
 	}
 	if len(n.pktChunk) == 0 {
@@ -328,11 +336,29 @@ func (n *Network) AllocPacket() *Packet {
 	return p
 }
 
-// FreePacket returns a packet to the pool. Called by the fabric at every
-// packet sink; call it directly only for packets that never entered the
-// fabric (ownership rules in Host.Send).
+// FreePacket returns a packet, and its delay record if it carries one, to
+// the pool. Called by the fabric at every packet sink; call it directly only
+// for packets that never entered the fabric (ownership rules in Host.Send).
 func (n *Network) FreePacket(p *Packet) {
-	n.pktFree = append(n.pktFree, p)
+	if p.delay != nil {
+		n.delayFree = append(n.delayFree, p.delay)
+		p.delay = nil
+	}
+	p.next = n.pktFree
+	n.pktFree = p
+	n.nFree++
+}
+
+// allocDelay returns a zeroed delay record from the pool, or a fresh one.
+func (n *Network) allocDelay() *Delay {
+	k := len(n.delayFree)
+	if k == 0 {
+		return new(Delay)
+	}
+	d := n.delayFree[k-1]
+	n.delayFree = n.delayFree[:k-1]
+	*d = Delay{}
+	return d
 }
 
 // NewLeafSpine builds the fabric described by cfg.

@@ -13,7 +13,7 @@ type Port struct {
 	// lines; diagnostics and the rare drop and mark paths come last.
 	eng      *sim.Engine
 	rateBps  int64 // link capacity in bits per second
-	hi, lo   pktRing
+	hi, lo   pktQueue
 	hiBytes  int
 	loBytes  int
 	queueCap int // data-queue capacity in bytes
@@ -212,7 +212,9 @@ func (p *Port) Enqueue(pkt *Packet) {
 		p.drop(pkt)
 		return
 	}
-	pkt.EnqAt = p.eng.Now()
+	if d := pkt.delay; d != nil {
+		d.EnqAt = p.eng.Now()
+	}
 	if pkt.IsHighPriority() {
 		p.hi.push(pkt)
 		p.hiBytes += pkt.Wire
@@ -266,10 +268,10 @@ func (p *Port) transmitNext() {
 	}
 	var pkt *Packet
 	switch {
-	case p.hi.n > 0:
+	case p.hi.head != nil:
 		pkt = p.hi.pop()
 		p.hiBytes -= pkt.Wire
-	case p.lo.n > 0:
+	case p.lo.head != nil:
 		pkt = p.lo.pop()
 		p.loBytes -= pkt.Wire
 	default:
@@ -286,16 +288,18 @@ func (p *Port) transmitNext() {
 	}
 	txTime := sim.Time(int64(pkt.Wire) * 8 * sim.Second / p.rateBps)
 	p.busyTime += txTime
-	// Delay decomposition: this hop's queue wait, serialization and the
-	// propagation leg about to start. Plain adds on pooled fields.
-	wait := now - pkt.EnqAt
-	pkt.QueueNs += wait
-	if pkt.Hops < MaxHops {
-		pkt.HopQueue[pkt.Hops] = wait
+	// Delay decomposition, when the packet carries a record: this hop's
+	// queue wait, serialization and the propagation leg about to start.
+	if d := pkt.delay; d != nil {
+		wait := now - d.EnqAt
+		d.QueueNs += wait
+		if d.Hops < MaxHops {
+			d.HopQueue[d.Hops] = wait
+		}
+		d.SerNs += txTime
+		d.PropNs += p.propDelay
+		d.Hops++
 	}
-	pkt.SerNs += txTime
-	pkt.PropNs += p.propDelay
-	pkt.Hops++
 	// Pre-bound callbacks keep the two hottest scheduling sites in the whole
 	// simulator free of closure allocations.
 	p.eng.ScheduleCallKind(txTime, sim.KindPortTx, portTxDone, p, pkt)
@@ -306,8 +310,8 @@ func (p *Port) transmitNext() {
 // at Enqueue, and the port goes idle. SetRateBps leaves the queues alone, so
 // a cut restored before the current transmission ends keeps them.
 func (p *Port) dropQueued() {
-	for _, q := range [...]*pktRing{&p.hi, &p.lo} {
-		for q.n > 0 {
+	for _, q := range [...]*pktQueue{&p.hi, &p.lo} {
+		for q.head != nil {
 			p.Drops++
 			p.holding--
 			p.drop(q.pop())
@@ -334,41 +338,28 @@ func portPropagated(a1, a2 any) {
 	p.deliver(pkt)
 }
 
-// pktRing is a growable FIFO ring buffer of packets: O(1) push and pop, no
-// per-dequeue memmove (queues hold hundreds of packets at 10 Gbps). Its
-// capacity is zero or a power of two (16, then doubling), so an index wraps
-// with a mask rather than a division.
-type pktRing struct {
-	buf  []*Packet
-	head int
-	n    int
+// pktQueue is a FIFO of packets linked through Packet.next: O(1) push and
+// pop, and no buffer of its own to grow, since a packet sits in at most one
+// queue at a time.
+type pktQueue struct {
+	head, tail *Packet
 }
 
-func (r *pktRing) push(p *Packet) {
-	if r.n == len(r.buf) {
-		r.grow()
+func (q *pktQueue) push(p *Packet) {
+	p.next = nil
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
-	r.n++
+	q.tail = p
 }
 
-func (r *pktRing) pop() *Packet {
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
+func (q *pktQueue) pop() *Packet {
+	p := q.head
+	q.head = p.next
+	if q.head == nil {
+		q.tail = nil
+	}
 	return p
-}
-
-// grow doubles a full ring, unwrapping its packets to the front.
-func (r *pktRing) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 16
-	}
-	buf := make([]*Packet, size)
-	k := copy(buf, r.buf[r.head:])
-	copy(buf[k:], r.buf[:r.head])
-	r.buf = buf
-	r.head = 0
 }

@@ -10,7 +10,9 @@ import (
 type rcvFlow struct {
 	host    int // the receiving host
 	cumRecv int64
-	segs    map[int64]int64 // out-of-order segment start -> end
+	// segs maps out-of-order segment start -> end. It stays nil until the
+	// flow's first hole, so an in-order flow never allocates it.
+	segs map[int64]int64
 
 	// Reordering-buffer state (enabled via Options.ReorderTimeout): while a
 	// hole exists, duplicate ACKs are suppressed until the hole persists
@@ -41,7 +43,7 @@ func (tr *Transport) receiver(host int, id uint64) *rcvFlow {
 			if r = tr.stray[k]; r != nil {
 				delete(tr.stray, k)
 			} else {
-				r = &rcvFlow{host: host, segs: map[int64]int64{}}
+				r = &rcvFlow{host: host}
 			}
 			tr.rcv[id] = r
 		}
@@ -54,7 +56,7 @@ func (tr *Transport) receiver(host int, id uint64) *rcvFlow {
 		if tr.stray == nil {
 			tr.stray = map[strayKey]*rcvFlow{}
 		}
-		r = &rcvFlow{host: host, segs: map[int64]int64{}}
+		r = &rcvFlow{host: host}
 		tr.stray[k] = r
 	}
 	return r
@@ -69,10 +71,13 @@ func (ep *Endpoint) onData(pkt *net.Packet) {
 			r.cumRecv = end
 			progressed = true
 		} else if cur, ok := r.segs[pkt.Seq]; !ok || end > cur {
+			if r.segs == nil {
+				r.segs = map[int64]int64{}
+			}
 			r.segs[pkt.Seq] = end
 		}
 		// Coalesce any buffered segments now contiguous.
-		for {
+		for len(r.segs) > 0 {
 			advanced := false
 			for s, e := range r.segs {
 				if s <= r.cumRecv {
@@ -94,9 +99,15 @@ func (ep *Endpoint) onData(pkt *net.Packet) {
 		progressed = true
 	}
 
+	// The ACKs echo the segment's forward queueing delay, which only its
+	// delay record holds.
+	var queue sim.Time
+	if d := pkt.Delay(); d != nil {
+		queue = d.QueueNs
+	}
 	timeout := ep.tr.Opts.ReorderTimeout
 	if timeout <= 0 {
-		ep.sendAck(pkt, r)
+		ep.sendAck(pkt, queue, r)
 		return
 	}
 
@@ -109,19 +120,21 @@ func (ep *Endpoint) onData(pkt *net.Packet) {
 				r.reorderTimer = nil
 			}
 		}
-		ep.sendAck(pkt, r)
+		ep.sendAck(pkt, queue, r)
 		return
 	}
 	if r.reorderOpen {
 		// Hole outlived the timeout: behave like plain TCP (dupACK).
-		ep.sendAck(pkt, r)
+		ep.sendAck(pkt, queue, r)
 		return
 	}
 	if r.reorderTimer == nil {
 		buffered := len(r.segs)
 		// Copy the triggering packet: the fabric recycles *pkt into the
 		// packet pool as soon as this handler returns, so the closure must
-		// not retain the live pointer past delivery.
+		// not retain the live pointer past delivery. Its delay record goes
+		// back to the pool with it, so the ACKs echo the queue delay read
+		// above, never the copy's record.
 		trigger := *pkt
 		r.reorderTimer = ep.tr.Eng.ScheduleKind(timeout, sim.KindTimer, func() {
 			r.reorderTimer = nil
@@ -139,16 +152,16 @@ func (ep *Endpoint) onData(pkt *net.Packet) {
 				n = 8
 			}
 			for i := 0; i < n; i++ {
-				ep.sendAck(&trigger, r)
+				ep.sendAck(&trigger, queue, r)
 			}
 		})
 	}
 }
 
 // sendAck emits a cumulative ACK echoing the triggering data packet's
-// timestamp, path and CE bit. The ACK returns over the same path at high
-// priority, as in the paper's switch configuration.
-func (ep *Endpoint) sendAck(data *net.Packet, r *rcvFlow) {
+// timestamp, path, CE bit and forward queueing delay. The ACK returns over
+// the same path at high priority, as in the paper's switch configuration.
+func (ep *Endpoint) sendAck(data *net.Packet, queue sim.Time, r *rcvFlow) {
 	ack := ep.tr.Net.AllocPacket()
 	*ack = net.Packet{
 		Kind:      net.Ack,
@@ -161,7 +174,7 @@ func (ep *Endpoint) sendAck(data *net.Packet, r *rcvFlow) {
 		EchoSent:  data.SentAt,
 		EchoPath:  data.Path,
 		EchoCE:    data.CE,
-		EchoQueue: data.QueueNs,
+		EchoQueue: queue,
 		Retx:      data.Retx,
 		SentAt:    ep.tr.Eng.Now(),
 	}

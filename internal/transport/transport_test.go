@@ -485,3 +485,44 @@ func TestAcksAndDataWithoutALiveFlow(t *testing.T) {
 		t.Error("the assigned ID's slot did not adopt the stray receiver state")
 	}
 }
+
+// TestReorderMapOnlyAtFirstHole: a flow whose segments all arrive in order
+// never allocates its receiver's out-of-order map; the first hole allocates
+// it, and the hole's fill coalesces every buffered segment as before.
+func TestReorderMapOnlyAtFirstHole(t *testing.T) {
+	eng, nw, tr, _ := testFabric(t, 2, DefaultOptions())
+	f := tr.StartFlow(0, 2, 1_000_000)
+	eng.Run(sim.Second)
+	if !f.Done || tr.Retransmits != 0 {
+		t.Fatalf("in-order flow: done %v, %d retransmits", f.Done, tr.Retransmits)
+	}
+	if r := tr.rcv[f.ID]; r == nil || r.segs != nil {
+		t.Fatal("an in-order flow allocated its reorder map")
+	}
+
+	var acks []int64
+	nw.Hosts[0].Handle(net.Ack, func(p *net.Packet) { acks = append(acks, p.AckSeq) })
+	const id = 1 << 40 // never assigned
+	for _, seg := range []int64{1, 2, 4, 0, 3} {
+		pkt := nw.AllocPacket()
+		*pkt = net.Packet{Kind: net.Data, Flow: id, Src: 0, Dst: 2, Seq: seg * net.MSS,
+			Payload: net.MSS, Wire: net.MaxPacketBytes, Path: 0}
+		nw.Hosts[0].Send(pkt)
+		eng.Run(eng.Now() + sim.Millisecond)
+		if r := tr.receiver(2, id); seg == 1 && r.segs == nil {
+			t.Fatal("the first hole did not allocate the reorder map")
+		}
+	}
+	want := []int64{0, 0, 0, 3 * net.MSS, 5 * net.MSS}
+	if len(acks) != len(want) {
+		t.Fatalf("ACKs %v, want %v", acks, want)
+	}
+	for i := range want {
+		if acks[i] != want[i] {
+			t.Fatalf("ACKs %v, want %v", acks, want)
+		}
+	}
+	if r := tr.receiver(2, id); len(r.segs) != 0 || r.cumRecv != 5*net.MSS {
+		t.Fatalf("after the fills: %d segments buffered, cumulative %d", len(r.segs), r.cumRecv)
+	}
+}
