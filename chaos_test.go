@@ -12,6 +12,7 @@ import (
 
 	"github.com/hermes-repro/hermes/internal/chaos"
 	"github.com/hermes-repro/hermes/internal/core"
+	"github.com/hermes-repro/hermes/internal/sim"
 )
 
 func chaosConfig(scheme Scheme, scenario *Scenario) Config {
@@ -239,9 +240,11 @@ func TestChaosScenarioValidation(t *testing.T) {
 // creates none. The two timelines after them passed it and failed only at
 // run end, when a clear found its event no longer active. The Hermes
 // parameters after those passed it too, though the ECMP base ignores them;
-// with a zero detection window a Hermes run would never finish. So did the
-// negative values after the flow-size caps, each of which ran as the
-// field's default.
+// with a zero detection window a Hermes run would never finish, and with a
+// detection window or a probe interval below 10 us one fires events for
+// minutes. So did the negative values after the flow-size caps, each of
+// which ran as the field's default. Every Hermes parameter value the
+// repository runs stays valid.
 func TestValidateIsTheOneGate(t *testing.T) {
 	base := Config{
 		Topology: ChaosTopology(), Scheme: SchemeECMP,
@@ -303,6 +306,13 @@ func TestValidateIsTheOneGate(t *testing.T) {
 		{"negative ProbeTimeout", params(func(p *core.Params) { p.ProbeTimeout = -1 }), "ProbeTimeout"},
 		{"infinite RBps", params(func(p *core.Params) { p.RBps = math.Inf(1) }), "RBps"},
 		{"ECNGain above 1", params(func(p *core.Params) { p.ECNGain = 1.5 }), "ECNGain"},
+		{"Tau 1 ns", params(func(p *core.Params) { p.Tau = 1 }), "Tau 1 ns is below the floor of 10000 ns"},
+		{"Tau just below 10 us", params(func(p *core.Params) { p.Tau = core.MinTau - 1 }), "Tau"},
+		{"ProbeInterval 100 ns", params(func(p *core.Params) { p.ProbeInterval = 100 }),
+			"ProbeInterval 100 ns is below the floor of 10000 ns"},
+		{"ProbeInterval 1 us", params(func(p *core.Params) { p.ProbeInterval = 1000 }), "ProbeInterval"},
+		{"ProbeInterval just below 10 us", params(func(p *core.Params) { p.ProbeInterval = core.MinProbeInterval - 1 }),
+			"ProbeInterval"},
 		{"MaxFlowBytes at the smallest flow", func(c *Config) { c.MaxFlowBytes = 1000 }, "smallest flow is 1000 B"},
 		{"MaxFlowBytes above 2^50", func(c *Config) { c.MaxFlowBytes = 1 << 60 }, "out of range"},
 		{"negative MaxFlowBytes", func(c *Config) { c.MaxFlowBytes = -1 }, "MaxFlowBytes -1 is negative"},
@@ -332,6 +342,15 @@ func TestValidateIsTheOneGate(t *testing.T) {
 		}
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
 			t.Errorf("%s: the rejected run made its checkpoint directory (stat: %v)", tc.name, err)
+		}
+	}
+	for _, us := range []sim.Time{0, 10, 100, 500} {
+		for _, tau := range []sim.Time{core.MinTau, 10 * sim.Millisecond} {
+			cfg := base
+			params(func(p *core.Params) { p.ProbeInterval, p.Tau = us*sim.Microsecond, tau })(&cfg)
+			if err := (&run{cfg: cfg}).validate(); err != nil {
+				t.Errorf("ProbeInterval %d us, Tau %d ns: validate = %v, want valid", us, tau, err)
+			}
 		}
 	}
 }
